@@ -10,13 +10,14 @@ grows with p.  Exact cancellations therefore stay exactly zero at every p.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DegeneratePair, DimensionMismatch, EmptyList, TooLarge, ZeroVector
+from .errors import DegeneratePair, DimensionMismatch, EmptyList, ZeroVector
+from .linalg import _bareiss, _integer_rows
 from .scalars import ScalarLike, ScalarQ, q
 
 __all__ = [
@@ -159,42 +160,23 @@ def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -
         return mp.root(_to_mpf(q(total)), 2 * k)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def p_det(A: Sequence[Sequence[ScalarLike]], pp: PParam | int) -> mpf:
-    """Signed odd root of the exact permutation sum of entry powers."""
+    """Signed odd root of the exact determinant of the entry powers.
+
+    Each row of the powered matrix is scaled to integers by its
+    denominators' lcm to the power 2p+1, so the determinant is one integer
+    Bareiss elimination, O(n³), divided back by the scales.
+    """
     pp = _pp(pp)
     rows = [_qvec(row) for row in A]
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("matrix must be square")
-    if n > 8:
-        raise TooLarge(f"determinant limited to n <= 8, got {n}")
+    if n == 0 or any(len(r) != n for r in rows):
+        raise DimensionMismatch("matrix must be square and nonempty")
     k = pp.exponent
-    powered = [[v**k for v in row] for row in rows]
-    total = q(0)
-    for perm in itertools.permutations(range(n)):
-        prod = powered[0][perm[0]]
-        for i in range(1, n):
-            prod = prod * powered[i][perm[i]]
-        total += _perm_sign(perm) * prod
+    ints, factors = _integer_rows(rows)
+    total = q(_bareiss([[v**k for v in r] for r in ints]), math.prod(factors) ** k)
     with mp.workprec(pp.working_precision):
-        return _signed_root(_to_mpf(q(total)), k)
+        return _signed_root(_to_mpf(total), k)
 
 
 def p_matvec(
@@ -314,6 +296,8 @@ def converge(
 
     converged ⇔ the final error is ≤ tol *and* the last three errors are
     non-increasing (early-p oscillation near magnitude ties is expected).
+    In that tail rule an error below 2^-(16(2p+1))·max(1, |limit|) counts as
+    0: it is rounding noise of a finite-p value that equals the limit.
     """
     grid = tuple(int(p) for p in (p_grid if p_grid is not None else DEFAULT_P_GRID))
     if not grid:
@@ -323,11 +307,16 @@ def converge(
         raise ValueError("tol must be positive")
     lim = q(limit)
     errors = []
+    ranked = []  # the errors with rounding noise counted as 0
     for p in grid:
         val = evaluator(p)
         with mp.workprec(_min_precision(p) + 64):
-            errors.append(float(abs(mpf(val) - _to_mpf(lim))))
-    tail = errors[-3:]
+            limf = _to_mpf(lim)
+            err = abs(mpf(val) - limf)
+            errors.append(float(err))
+            noise = err < max(1, abs(limf)) * mpf(2) ** (-16 * (2 * p + 1))
+            ranked.append(0.0 if noise else errors[-1])
+    tail = ranked[-3:]
     monotone = all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1))
     final = errors[-1]
     return ConvergenceReport(

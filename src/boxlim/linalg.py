@@ -2,14 +2,16 @@
 
 Vectors are tuples of exact rationals; the n-ary limit sum is applied
 coordinatewise in one pass (never as a pairwise fold — the operation is not
-associative).  The limit determinant consumes the full multiset of signed
-permutation products at once for the same reason.
+associative).  The limit determinant is Ϝ of the whole multiset of signed
+permutation products, never a fold, for the same reason.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -134,11 +136,25 @@ def _signed_perms(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return _SIGNED_PERMS[n]
 
 
-def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
-    """Limit determinant: one-shot Ϝ over all n! signed permutation products.
+DET_PATHS: Counter = Counter()
+"""Limit determinants decided by each path: ``enumerate`` (n ≤ 4), ``tight``
+(nonzero signed count of top-magnitude permutations), ``cancelled`` (that
+count was 0, so all n! products were enumerated) and ``zero`` (every
+permutation meets a zero entry)."""
 
-    The multiset is consumed at once; folding pairwise would change results
-    because the limit sum is not associative.  Guarded at n ≤ 8 (40320 terms).
+
+def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
+    """Limit determinant: Ϝ over all n! signed permutation products.
+
+    n ≤ 4 (at most 24 products) enumerates them.  For n ≥ 5 the value comes
+    exactly, in O(n³), from the top product magnitude M (multiplicative
+    Hungarian method) and the signed count c of the permutations that reach
+    it (integer Bareiss on the tight sign pattern): it is sign(c)·M.  Only
+    when c = 0, so that the top level cancels, are all products enumerated,
+    over the row-scaled integer matrix.  Enumerated products are consumed in
+    one pass; folding pairwise would change results because the limit sum
+    is not associative.  Guarded at n ≤ 8 (40320 terms).  ``DET_PATHS``
+    counts which path decided each answer.
     """
     rows = mat(A)
     n = len(rows)
@@ -149,6 +165,32 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
             raise DimensionMismatch("matrix must be square")
     if n > 8:
         raise TooLarge(f"determinant limited to n <= 8, got {n}")
+    if n <= 4:
+        DET_PATHS["enumerate"] += 1
+        return _det_enumerate(rows)
+    ints, factors = _integer_rows(rows)
+    assignment = _max_assignment([[abs(v) for v in r] for r in ints])
+    if assignment is None:
+        DET_PATHS["zero"] += 1
+        return ZERO
+    match, tight = assignment
+    count = _bareiss(
+        [[(1 if v > 0 else -1) if t else 0 for v, t in zip(r, tr)] for r, tr in zip(ints, tight)]
+    )
+    if not count:
+        DET_PATHS["cancelled"] += 1
+        # the positive row factors scale every product alike, and Ϝ commutes with that
+        top = _det_enumerate(ints)
+        return q(top.numerator, top.denominator * math.prod(factors))
+    DET_PATHS["tight"] += 1
+    prod = rows[0][match[0]]
+    for i in range(1, n):
+        prod = prod * rows[i][match[i]]
+    return prod if (prod > 0) == (count > 0) else -prod
+
+
+def _det_enumerate(rows: Mat) -> ScalarQ:
+    n = len(rows)
     products = []
     for sign, perm in _signed_perms(n):
         prod = rows[0][perm[0]]
@@ -156,6 +198,103 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
             prod = prod * rows[i][perm[i]]
         products.append(prod if sign > 0 else -prod)
     return _nary(products)
+
+
+def _integer_rows(rows: Mat) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: the integer rows and the factors."""
+    factors = [math.lcm(*(v.denominator for v in r)) for r in rows]
+    ints = [[v.numerator * (f // v.denominator) for v in r] for r, f in zip(rows, factors)]
+    return ints, factors
+
+
+def _max_assignment(c: list[list[int]]):
+    """Permutation maximising ∏ c[i][σ(i)] over nonnegative integers, 0 forbidden.
+
+    Kuhn's Hungarian method (shortest augmenting paths with potentials),
+    run multiplicatively: exact rational potentials U, V keep every
+    c[i][j]·U[i]·V[j] ≤ 1, with equality on the returned permutation.
+    Returns (σ as a list of columns, tight cells as boolean rows), where a
+    cell is tight iff c[i][j]·U[i]·V[j] = 1; by complementary slackness
+    the permutations inside the tight cells are exactly the maximisers.
+    Returns None when every permutation meets a 0.
+    """
+    n = len(c)
+    # 1-based rows and columns; column 0 is the root of each search
+    u = [ONE] * (n + 1)
+    v = [ONE] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: row matched to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        best = [ZERO] * (n + 1)  # largest c·U·V into each column from the tree
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            row = c[owner[j0] - 1]
+            ui = u[owner[j0]]
+            top, j1 = ZERO, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                if row[j - 1]:
+                    s = row[j - 1] * ui * v[j]
+                    if s > best[j]:
+                        best[j] = s
+                        way[j] = j0
+                if best[j] > top:
+                    top, j1 = best[j], j
+            if not top:
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] /= top
+                    v[j] *= top
+                else:
+                    best[j] /= top
+            j0 = j1
+            if not owner[j0]:
+                break
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    match = [0] * n
+    for j in range(1, n + 1):
+        match[owner[j] - 1] = j - 1
+    tight = [
+        [bool(cij) and cij * u[i] * v[j] == 1 for j, cij in enumerate(r, 1)]
+        for i, r in enumerate(c, 1)
+    ]
+    return match, tight
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant of a nonempty integer matrix by fraction-free elimination.
+
+    Bareiss (1968): every division is exact, so intermediates stay integers
+    no larger than the minors of the input.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        rk, akk = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * akk - aik * rk[j]) // prev
+        prev = akk
+    return sign * a[-1][-1]
 
 
 # ---------------------------------------------------------------------------

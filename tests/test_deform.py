@@ -1,5 +1,9 @@
 """Finite-p deformations and the convergence oracle."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
@@ -16,8 +20,10 @@ from boxlim import (
     p_det,
     p_dist,
     p_norm,
+    p_sin,
     p_sum,
     q,
+    sin_infty,
     vec,
 )
 from boxlim.errors import DegeneratePair
@@ -75,6 +81,15 @@ def test_converge_rejects_an_increasing_tail():
     assert not report.converged
 
 
+def test_converge_accepts_rounding_noise_in_the_tail():
+    # the deformed determinant and the norm product cancel exactly at every p,
+    # so the tail errors are rounding noise: 0, 1.2e-178, 0
+    x, y = (8, -4), (2, 4)
+    report = converge(lambda p: p_sin(x, y, p), sin_infty(x, y))
+    assert report.errors[-1] == 0 < report.errors[-2] < 1e-170
+    assert report.converged
+
+
 def test_exact_power_sum_cancellation():
     values = (q(3, 2), q(-3, 2), q(5), q(-5), q(0))
     for p in range(1, 6):
@@ -101,6 +116,42 @@ def test_p_det_matches_the_limit_determinant():
         # dominant product and the rest can be narrow; p = 32 closes it
         mm = s.gap_det_matrix(3)
         assert abs(p_det(mm, 32) - float(det_infty(mm))) < 1e-6
+
+
+def _exact_p_det(rows, p):
+    """Signed odd root of Σ_σ sgn(σ) Π a_iσ(i)^(2p+1), summed term by term."""
+    k = 2 * p + 1
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            prod *= Fraction(rows[i][perm[i]]) ** k
+        total += prod
+    with mp.workprec(PParam(p).working_precision):
+        root = mp.root(mpf(abs(total.numerator)) / mpf(total.denominator), k)
+        return root if total >= 0 else -root
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_p_det_equals_the_exact_permutation_sum(n):
+    rng = random.Random(100 + n)
+    entries = [Fraction(v, d) for v in range(-4, 5) for d in (1, 2, 3, 5)]
+    for _ in range(3):
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        for p in (1, 8):
+            assert p_det(rows, p) == _exact_p_det(rows, p)
+
+
+def test_p_det_has_no_size_cap():
+    # upper triangular: the determinant is the product of the diagonal powers
+    diag = [q(k + 2, k + 1) for k in range(9)]
+    rows = [[diag[i] if i == j else q(j - i) if j > i else 0 for j in range(9)] for i in range(9)]
+    expected = 1
+    for d in diag:
+        expected *= d
+    assert abs(p_det(rows, 1) - float(expected)) < 1e-12
 
 
 def test_high_p_keeps_working_precision():

@@ -1,5 +1,9 @@
 """Limit linear algebra: vectors, inner products, determinants, axiom suites."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +24,7 @@ from boxlim import (
     vec_boxplus,
 )
 from boxlim.errors import DimensionMismatch
-from boxlim.linalg import REAL_PSEUDO_FIELD, subspace_closure_check
+from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, subspace_closure_check
 from boxlim.sampling import Sampler
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(q)
@@ -145,6 +149,82 @@ def test_det_vanishes_on_duplicate_rows_3d(r, other):
 def test_det_diagonal_is_the_product():
     m = ((q(3), q(0)), (q(0), q(-1, 2)))
     assert det_infty(m) == q(-3, 2)
+
+
+def _parity(perm):
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def reference_det(rows):
+    """One-shot limit sum over every signed permutation product."""
+    n = len(rows)
+    products = []
+    for perm in itertools.permutations(range(n)):
+        prod = Fraction(_parity(perm))
+        for i in range(n):
+            prod *= rows[i][perm[i]]
+        products.append(prod)
+    return nary_boxplus(products)
+
+
+TIE_ENTRIES = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
+tie_entries = st.sampled_from(TIE_ENTRIES).flatmap(
+    lambda v: st.sampled_from((v, q(v)))
+)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(tie_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_det_equals_the_one_shot_sum_on_tie_heavy_matrices(rows):
+    assert det_infty(rows) == reference_det(rows)
+
+
+# rows 0-2 hold two products of magnitude 4 that cancel, and one of magnitude 2
+CANCELLING_TOP = (
+    (2, 2, 1, 0, 0),
+    (2, 2, 0, 0, 0),
+    (1, 0, 1, 0, 0),
+    (0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 1),
+)
+
+
+def test_det_falls_back_when_the_top_level_cancels():
+    before = DET_PATHS["cancelled"]
+    assert det_infty(CANCELLING_TOP) == -2 == reference_det(mat(CANCELLING_TOP))
+    assert DET_PATHS["cancelled"] == before + 1
+
+
+def test_det_is_zero_when_every_permutation_meets_a_zero():
+    # rows 0-2 are supported on columns 0-1 only
+    rows = (
+        (1, 3, 0, 0, 0),
+        (-2, 1, 0, 0, 0),
+        (5, 0, 0, 0, 0),
+        (1, 1, 1, 1, 1),
+        (2, -1, 3, 1, 1),
+    )
+    before = DET_PATHS["zero"]
+    assert det_infty(rows) == 0
+    assert DET_PATHS["zero"] == before + 1
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_det_large_matrices_match_the_one_shot_sum(n):
+    rng = random.Random(n)
+    entries = [Fraction(v, d) for v in range(-3, 4) for d in (1, 2, 3)]
+    rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+    before = DET_PATHS["tight"] + DET_PATHS["cancelled"]
+    assert det_infty(rows) == reference_det(rows)
+    assert DET_PATHS["tight"] + DET_PATHS["cancelled"] == before + 1
 
 
 # ---------------------------------------------------------------------------

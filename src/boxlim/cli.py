@@ -34,7 +34,7 @@ from .deform import (
     p_sin,
     p_sum,
 )
-from .errors import DimensionMismatch, LimitAlgebraError
+from .errors import DimensionMismatch, LimitAlgebraError, TooLarge
 from .hull import HullCombination, co_contains, co_point
 from .linalg import det_infty, inner_infty, mat, norm_infty, vec
 from .lines import (
@@ -79,6 +79,13 @@ from .trig import (
 )
 
 __all__ = ["main"]
+
+
+# Cost caps on inputs whose work grows without bound: one hull point per
+# sample, and at finite p an exact power x^(2p+1) with 64 + 16(2p+1) bits of
+# precision (p = 2048 takes about 0.3 s, p = 8192 about 15 s).
+MAX_HULL_SAMPLES = 8192
+MAX_P = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,8 @@ def _cmd_hull(args) -> int:
         _emit(render_figure("hull", x=args.x, y=args.y, p=args.p), args.out)
         return 0
     n = args.samples
+    if n > MAX_HULL_SAMPLES:
+        raise TooLarge(f"hull samples limited to {MAX_HULL_SAMPLES}, got {n}")
     rows = []
     for i in range(n):
         t = q(i, n - 1) if n > 1 else q(1)
@@ -344,7 +353,8 @@ def _cmd_trig(args) -> int:
         if args.x is None or args.y is None or args.z is None:
             raise ValueError("trig --op pythagoras needs --x, --y and --z")
         ok = pythagoras_check(
-            vec(args.x), vec(args.y), vec(args.z), p_grid=args.p_grid, tol=args.tol
+            vec(args.x), vec(args.y), vec(args.z), p_grid=_capped(args.p_grid),
+            tol=args.tol,
         )
         _json_out({"pythagoras": ok}, args)
     else:
@@ -453,7 +463,7 @@ def _cmd_oracle(args) -> int:
         evaluator, limit = (lambda p: p_fn(x, y, p)), lim_fn(x, y)
     else:
         raise ValueError(f"unknown oracle operation {op!r}")
-    report = converge(evaluator, limit, p_grid=args.p_grid, tol=args.tol)
+    report = converge(evaluator, limit, p_grid=_capped(args.p_grid), tol=args.tol)
     _json_out(report.as_dict(), args)
     return 0
 
@@ -529,6 +539,12 @@ def _p_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
+def _capped(grid: tuple[int, ...]) -> tuple[int, ...]:
+    if max(grid) > MAX_P:
+        raise TooLarge(f"p-grid limited to p <= {MAX_P}, got {max(grid)}")
+    return grid
+
+
 def _add_common(sp: argparse.ArgumentParser, formats=("json", "csv", "svg")) -> None:
     sp.add_argument("--format", choices=formats, default=formats[0],
                     help="output format (default %(default)s)")
@@ -579,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", metavar="CSV")
     sp.add_argument("--contains", metavar="CSV", help="test membership of a point")
     sp.add_argument("--samples", type=int, default=512,
-                    help="sample count (default %(default)s)")
+                    help="sample count (default %(default)s, at most "
+                    f"{MAX_HULL_SAMPLES})")
     sp.add_argument("--p", type=int, default=6,
                     help="deformation level for SVG (default %(default)s)")
     _add_common(sp)
@@ -614,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", metavar="CSV")
     sp.add_argument("--z", metavar="CSV")
     sp.add_argument("--p-grid", type=_p_grid, default=DEFAULT_P_GRID,
-                    dest="p_grid", metavar="CSV")
+                    dest="p_grid", metavar="CSV",
+                    help=f"deformation levels, each at most {MAX_P}")
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(sp, formats=("json", "csv"))
     sp.set_defaults(handler=_cmd_trig)
@@ -649,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", metavar="CSV")
     sp.add_argument("--matrix", metavar="R1;R2;...")
     sp.add_argument("--p-grid", type=_p_grid, default=DEFAULT_P_GRID,
-                    dest="p_grid", metavar="CSV")
+                    dest="p_grid", metavar="CSV",
+                    help=f"deformation levels, each at most {MAX_P}")
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(sp, formats=("json",))
     sp.set_defaults(handler=_cmd_oracle)

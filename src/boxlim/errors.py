@@ -56,7 +56,8 @@ class DimensionMismatch(LimitAlgebraError):
 
 
 class TooLarge(LimitAlgebraError):
-    """Input exceeds the supported size (determinants stop at n = 8)."""
+    """Input exceeds the supported size (determinants stop at n = 8; the
+    CLI caps hull samples and the largest p of a p-grid)."""
 
 
 class ZeroVector(LimitAlgebraError):

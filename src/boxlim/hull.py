@@ -6,8 +6,15 @@ Membership is decided by enumerating a finite candidate set of coefficient
 breakpoints: every coordinate of a member is either 0, a scaled coordinate
 of x, or a scaled coordinate of y, so the scaling factors are pinned to
 ratio breakpoints (plus magnitude-tie solutions, which is where cancellation
-can occur).  Completeness of that candidate set is conjectural; it is
-cross-validated against dense grid sampling in the test suite.
+can occur).  Completeness of that candidate set is conjectural, so a False
+answer is advisory; it is cross-validated against dense grid sampling in
+the test suite.
+
+The enumeration is pruned by one lemma: a nonzero limit sum of a list is
+one of the list's entries, so each coordinate with z_i ≠ 0 needs t or r to
+equal z_i/x_i, or s or w to equal z_i/y_i.  With three coefficients fixed,
+the coordinates they miss force the fourth to one value or rule every value
+out (``_certify``); only combinations that provably fail are skipped.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._certify import SEARCH_STAGES, Certifier
 from .errors import (
     DimensionMismatch,
     EmptyList,
@@ -121,40 +129,41 @@ def co_contains(
     Enumerates (t, r, s, w) over the breakpoint candidates with the
     symmetries t ≥ r, s ≥ w factored out and max = 1 enforced; each
     surviving combination is verified coordinatewise in exact arithmetic.
+    The innermost slot only takes the value its three fixed neighbours
+    force (see ``_certify``), which skips no combination that could match.
     """
     xv, yv = _pair(x, y)
     zv = vec(z)
     if len(zv) != len(xv):
         raise DimensionMismatch(f"dim {len(zv)} vs {len(xv)}")
     if not all(_coord_feasible(zi, xi, yi) for zi, xi, yi in zip(zv, xv, yv)):
+        SEARCH_STAGES["hull:infeasible"] += 1
         return False
 
-    pairs = list(zip(zv, xv, yv))
-
-    def matches(t: ScalarQ, r: ScalarQ, s: ScalarQ, w: ScalarQ) -> bool:
-        for zi, xi, yi in pairs:
-            if _nary((t * xi, r * xi, s * yi, w * yi)) != zi:
-                return False
-        return True
-
+    core = Certifier(xv, yv, zv)
     cand = _hull_candidates(xv, yv, zv)
-    # max = 1 with t >= r and s >= w canonicalized: either t = 1 or s = 1
-    for s in cand:
-        for w in cand:
-            if w > s:
-                break
-            for r in cand:
-                if matches(ONE, r, s, w):
+    hits, at = core.table(cand)
+    one_x, one_y = core.hits(ONE)
+    size = len(cand)
+    # max = 1 with t >= r and s >= w canonicalized: either t = 1 or s = 1;
+    # cand is sorted and distinct, so w <= s is a prefix of cand
+    for ks, s in enumerate(cand):
+        ts = one_x | hits[ks][1]
+        for kw in range(ks + 1):
+            for kr in core.fill(ts | hits[kw][1], True, at, size):
+                if core.matches(ONE, cand[kr], s, cand[kw]):
+                    SEARCH_STAGES["hull:t1"] += 1
                     return True
-    for t in cand:
+    for kt, t in enumerate(cand):
         if t == 1:
             continue
-        for r in cand:
-            if r > t:
-                break
-            for w in cand:
-                if matches(t, r, ONE, w):
+        ts = hits[kt][0] | one_y
+        for kr in range(kt + 1):
+            for kw in core.fill(ts | hits[kr][0], False, at, size):
+                if core.matches(t, cand[kr], ONE, cand[kw]):
+                    SEARCH_STAGES["hull:s1"] += 1
                     return True
+    SEARCH_STAGES["hull:notfound"] += 1
     return False
 
 

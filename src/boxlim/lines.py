@@ -13,13 +13,23 @@ General nD membership has no known closed decision procedure; the
 certificate search enumerates a finite breakpoint candidate set in stages
 (exact arithmetic, deterministic order), and NotFound is advisory — backed
 by a structural grid probe over the coefficient box.
+
+Both the search and the grid probe are pruned by one lemma: a nonzero limit
+sum of a list is one of the list's entries, so each coordinate with z_i ≠ 0
+needs t or r to equal z_i/x_i, or s or w to equal z_i/y_i.  With three
+coefficients fixed, the coordinates they miss force the fourth to one value
+or rule every value out (``_certify``).  Only quadruples that provably fail
+are skipped, so every certificate is the one the plain enumeration would
+find first, and NotFound remains advisory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
+from ._certify import FREE, SEARCH_STAGES, Certifier
 from .errors import (
     DegenerateConfiguration,
     DegeneratePair,
@@ -234,66 +244,66 @@ def line_contains_nd(
     if len(zv) != len(xv):
         raise DimensionMismatch(f"dim {len(zv)} vs {len(xv)}")
 
-    pairs = list(zip(zv, xv, yv))
-
-    def matches(t: ScalarQ, r: ScalarQ, s: ScalarQ, w: ScalarQ) -> bool:
-        for zi, xi, yi in pairs:
-            if _nary((t * xi, r * xi, s * yi, w * yi)) != zi:
-                return False
-        return True
-
-    def member(t, r, s, w) -> LineMembership:
-        return LineMembership(True, (t, r, s, w))
+    def member(stage: str, quad: tuple) -> LineMembership:
+        SEARCH_STAGES[stage] += 1
+        return LineMembership(True, quad)
 
     # stage 0: generators
     if zv == xv:
-        return member(ONE, ZERO, ZERO, ZERO)
+        return member("line:generator", (ONE, ZERO, ZERO, ZERO))
     if zv == yv:
-        return member(ZERO, ZERO, ONE, ZERO)
+        return member("line:generator", (ZERO, ZERO, ONE, ZERO))
 
+    core = Certifier(xv, yv, zv)
     cand = _line_candidates(xv, yv, zv)
     bounded = [c for c in cand if abs(c) <= 1]
+    hits, at = core.table(bounded)
 
     # stage 1: cancellation families (always valid coefficient quadruples)
     for c in cand:
-        if matches(ONE, c, -c, ZERO):
-            return member(ONE, c, -c, ZERO)
-        if matches(c, ZERO, ONE, -c):
-            return member(c, ZERO, ONE, -c)
+        for quad in ((ONE, c, -c, ZERO), (c, ZERO, ONE, -c)):
+            if core.covers(quad) and core.matches(*quad):
+                return member("line:cancel", quad)
 
-    # stage 2: one slot fixed to 1, one cancelling pair, one bounded slot
+    # stage 2: one slot fixed to 1, one cancelling pair, one bounded slot;
+    # the residual {1, u} must keep limit sum 1, so u = -1 is out
     for c in cand:
-        for u in bounded:
-            if u == -1:
-                continue  # residual {1, u} must keep limit sum 1
-            for quad in (
-                (ONE, u, c, -c),
-                (c, -c, ONE, u),
-                (ONE, c, -c, u),
-                (u, c, ONE, -c),
-            ):
-                if matches(*quad):
-                    return member(*quad)
+        quad = core.first_of(
+            ((ONE, FREE, c, -c), (c, -c, ONE, FREE), (ONE, c, -c, FREE), (FREE, c, ONE, -c)),
+            bounded,
+            at,
+            lambda u: u != -1,
+        )
+        if quad is not None:
+            return member("line:pair", quad)
 
-    # stage 3: all-bounded quadruples (x-side and y-side unordered)
-    for r in bounded:
-        for s in bounded:
-            for w in bounded:
-                if w > s:
+    # stage 3: all-bounded quadruples (x-side and y-side unordered); w runs
+    # over bounded up to the first entry above s, which top[k] (the largest
+    # of the first k + 1 entries) tells without a scan
+    top = list(accumulate(bounded, max))
+    size = len(bounded)
+    one_x, one_y = core.hits(ONE)
+    for kr, r in enumerate(bounded):
+        tr = one_x | hits[kr][0]
+        for ks, s in enumerate(bounded):
+            for kw in core.fill(tr | hits[ks][1], False, at, size):
+                if top[kw] > s:
                     break
-                quad = (ONE, r, s, w)
-                if _count_valid_bounded(quad) and matches(*quad):
-                    return member(*quad)
-    for t in bounded:
+                quad = (ONE, r, s, bounded[kw])
+                if _count_valid_bounded(quad) and core.matches(*quad):
+                    return member("line:bounded", quad)
+    for kt, t in enumerate(bounded):
         if t == 1:
             continue
-        for r in bounded:
+        ts = hits[kt][0] | one_y
+        for kr, r in enumerate(bounded):
             if r > t:
                 break
-            for w in bounded:
-                quad = (t, r, ONE, w)
-                if _count_valid_bounded(quad) and matches(*quad):
-                    return member(*quad)
+            for kw in core.fill(ts | hits[kr][0], False, at, size):
+                quad = (t, r, ONE, bounded[kw])
+                if _count_valid_bounded(quad) and core.matches(*quad):
+                    return member("line:bounded", quad)
+    SEARCH_STAGES["line:notfound"] += 1
     return LineMembership(False, None)
 
 
@@ -326,44 +336,41 @@ def line_grid_probe(
     k_unit = int(k_unit)
     k_bound = int((bound / step).numerator // (bound / step).denominator)
 
-    pairs = list(zip(zv, xv, yv))
-
-    def matches(t, r, s, w) -> bool:
-        for zi, xi, yi in pairs:
-            if _nary((t * xi, r * xi, s * yi, w * yi)) != zi:
-                return False
-        return True
-
+    core = Certifier(xv, yv, zv)
     unit_vals = [i * step for i in range(-k_unit, k_unit + 1)]
-    side_pairs = []  # unordered pairs (a >= b) with their ±1 counts
-    for ia, a in enumerate(unit_vals):
-        for b in unit_vals[: ia + 1]:
-            plus = (a == 1) + (b == 1)
-            minus = (a == -1) + (b == -1)
-            side_pairs.append((a, b, plus, minus))
+    hits, at = core.table(unit_vals)
+    size = len(unit_vals)
 
-    # shape A: everything within [-1, 1]
-    for t, r, p1, m1 in side_pairs:
-        for s, w, p2, m2 in side_pairs:
-            if p1 + p2 > m1 + m2 and matches(t, r, s, w):
-                return LineMembership(True, (t, r, s, w))
+    # shape A: everything within [-1, 1], each side an unordered pair a >= b
+    # (unit_vals ascending, so b runs over the prefix up to a); the +1s must
+    # outnumber the -1s
+    for kt, t in enumerate(unit_vals):
+        for kr in range(kt + 1):
+            tr = hits[kt][0] | hits[kr][0]
+            for ks, s in enumerate(unit_vals):
+                for kw in core.fill(tr | hits[ks][1], False, at, ks + 1):
+                    quad = (t, unit_vals[kr], s, unit_vals[kw])
+                    if _count_valid_bounded(quad) and core.matches(*quad):
+                        return LineMembership(True, quad)
 
     # shape B: cancelling pair beyond magnitude 1 plus residual (1, v)
     big_vals = [i * step for i in range(k_unit + 1, k_bound + 1)]
     for c in big_vals:
-        for v in unit_vals:
-            if v == -1:
-                continue
-            for quad in (
-                (c, -c, ONE, v),
-                (ONE, v, c, -c),
-                (ONE, c, -c, v),
-                (ONE, -c, c, v),
-                (v, c, ONE, -c),
-                (v, -c, ONE, c),
-            ):
-                if matches(*quad):
-                    return LineMembership(True, quad)
+        quad = core.first_of(
+            (
+                (c, -c, ONE, FREE),
+                (ONE, FREE, c, -c),
+                (ONE, c, -c, FREE),
+                (ONE, -c, c, FREE),
+                (FREE, c, ONE, -c),
+                (FREE, -c, ONE, c),
+            ),
+            unit_vals,
+            at,
+            lambda v: v != -1,
+        )
+        if quad is not None:
+            return LineMembership(True, quad)
     return LineMembership(False, None)
 
 

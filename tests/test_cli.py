@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from boxlim.cli import main
+from boxlim.cli import MAX_HULL_SAMPLES, MAX_P, main
 
 
 def run(capsys, *argv):
@@ -128,6 +128,19 @@ def test_domain_errors_exit_one_with_json(capsys):
     payload = json.loads(err)
     assert payload["error"] == "DimensionMismatch"
     assert "square" in payload["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("hull", "--x", "3,1", "--y", "1,-2", "--samples", str(MAX_HULL_SAMPLES + 1)),
+    ("oracle", "--op", "sum", "--values", "3,-2,1", "--p-grid", f"1,{MAX_P + 1}"),
+    ("trig", "--op", "pythagoras", "--x", "2,0", "--y", "0,-3", "--z", "0,0",
+     "--p-grid", str(MAX_P + 1)),
+])
+def test_cost_caps_exit_one_with_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "TooLarge"
 
 
 def test_value_errors_exit_one(capsys):

@@ -1,7 +1,9 @@
 """Two-point hulls: combinations, membership, distance decomposition."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxlim import (
     HullCombination,
@@ -21,6 +23,8 @@ from boxlim.errors import (
     NotAMember,
     OrthantViolation,
 )
+from boxlim.hull import _coord_feasible, _hull_candidates
+from boxlim.scalars import nary_boxplus
 
 X, Y = vec("3,1"), vec("1,-2")
 
@@ -82,6 +86,53 @@ def test_membership_frozen_probes():
     assert not co_contains(X, Y, (4, 0))  # beyond every generator magnitude
     assert not co_contains(X, Y, (0, 0))  # same-sign products cannot cancel
     assert not co_contains(X, Y, (-3, 0))  # sign infeasible coordinate
+
+
+def _ref_co_contains(x, y, z):
+    """co_contains without pruning: every candidate quadruple, in its order."""
+    if not all(_coord_feasible(c, a, b) for c, a, b in zip(z, x, y)):
+        return False
+
+    def matches(t, r, s, w):
+        return all(
+            nary_boxplus((t * a, r * a, s * b, w * b)) == c
+            for a, b, c in zip(x, y, z)
+        )
+
+    one = q(1)
+    cand = _hull_candidates(x, y, z)
+    if any(matches(one, r, s, w) for s in cand for w in cand if w <= s for r in cand):
+        return True
+    return any(
+        matches(t, r, one, w)
+        for t in cand if t != 1 for r in cand if r <= t for w in cand
+    )
+
+
+TIES = tuple(Fraction(v) for v in ("0", "1/2", "-1/2", "1", "-1", "2", "-2"))
+
+
+@st.composite
+def tie_heavy_triples(draw):
+    """x ≠ y and z in dimension n ≤ 3 from {0, ±1/2, ±1, ±2}: z random or a
+    hull point; values as Fraction or as the carrier."""
+    n = draw(st.integers(1, 3))
+    conv = draw(st.sampled_from((q, Fraction)))
+    tie = st.sampled_from(TIES)
+    x = tuple(draw(tie) for _ in range(n))
+    y = tuple(draw(tie) for _ in range(n))
+    assume(x != y)
+    if draw(st.booleans()):
+        z = tuple(draw(tie) for _ in range(n))
+    else:
+        z = co_point(x, y, draw(combinations()))
+    return tuple(tuple(conv(v) for v in p) for p in (x, y, z))
+
+
+@settings(deadline=None, max_examples=200)
+@given(tie_heavy_triples())
+def test_membership_equals_the_unpruned_enumeration(triple):
+    assert co_contains(*triple) == _ref_co_contains(*triple)
 
 
 def test_membership_dimension_mismatch():

@@ -1,7 +1,10 @@
 """Limit lines: exact forms, membership certificates, half-lines, parallels."""
 
+import random
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxlim import (
     half_lines,
@@ -24,7 +27,9 @@ from boxlim.errors import (
     InvalidCoefficients,
     NotParallel,
 )
-from boxlim.lines import line_grid_probe
+from boxlim._certify import SEARCH_STAGES
+from boxlim.lines import _line_candidates, line_grid_probe
+from boxlim.scalars import nary_boxplus
 
 X3, Y3 = vec("3,-2,1"), vec("1,-1,1")
 X2, Y2 = vec("3,1"), vec("1,-2")
@@ -95,6 +100,139 @@ def test_grid_probe_agrees_with_the_search():
     assert probe.found
     assert line_point(X3, Y3, *probe.certificate) == vec(z)
     assert not line_grid_probe(X3, Y3, (1, 1, 5), step=q(1, 2), bound=3).found
+
+
+def test_notfound_search_bumps_its_stage_counter():
+    before = SEARCH_STAGES["line:notfound"]
+    assert not line_contains_nd(X3, Y3, (1, 1, 5))
+    assert SEARCH_STAGES["line:notfound"] == before + 1
+
+
+# ---------------------------------------------------------------------------
+# the pruned searches against unpruned enumerations in the same stage order
+
+
+def _ref_matches(x, y, z, quad):
+    t, r, s, w = quad
+    return all(
+        nary_boxplus((t * a, r * a, s * b, w * b)) == c for a, b, c in zip(x, y, z)
+    )
+
+
+def _valid_bounded(quad):
+    return sum(v == 1 for v in quad) > sum(v == -1 for v in quad)
+
+
+def _ref_line_search(x, y, z):
+    """Every candidate quadruple of line_contains_nd, in its order."""
+    one, zero = q(1), q(0)
+    if z == x:
+        yield (one, zero, zero, zero)
+    if z == y:
+        yield (zero, zero, one, zero)
+    cand = _line_candidates(x, y, z)
+    bounded = [c for c in cand if abs(c) <= 1]
+    for c in cand:
+        yield (one, c, -c, zero)
+        yield (c, zero, one, -c)
+    for c in cand:
+        for u in bounded:
+            if u != -1:
+                yield from ((one, u, c, -c), (c, -c, one, u), (one, c, -c, u), (u, c, one, -c))
+    for r in bounded:
+        for s in bounded:
+            for w in bounded:
+                if w > s:
+                    break
+                if _valid_bounded((one, r, s, w)):
+                    yield (one, r, s, w)
+    for t in bounded:
+        if t == 1:
+            continue
+        for r in bounded:
+            if r > t:
+                break
+            for w in bounded:
+                if _valid_bounded((t, r, one, w)):
+                    yield (t, r, one, w)
+
+
+def _ref_grid_search(step, bound):
+    """Every quadruple of line_grid_probe, in its order."""
+    one = q(1)
+    k_unit, k_bound = int(1 / step), int(bound / step)
+    unit = [i * step for i in range(-k_unit, k_unit + 1)]
+    sides = [(a, b) for i, a in enumerate(unit) for b in unit[: i + 1]]
+    for t, r in sides:
+        for s, w in sides:
+            if _valid_bounded((t, r, s, w)):
+                yield (t, r, s, w)
+    for c in (i * step for i in range(k_unit + 1, k_bound + 1)):
+        for v in unit:
+            if v != -1:
+                yield from ((c, -c, one, v), (one, v, c, -c), (one, c, -c, v),
+                            (one, -c, c, v), (v, c, one, -c), (v, -c, one, c))
+
+
+def _first_hit(x, y, z, quads):
+    return next((quad for quad in quads if _ref_matches(x, y, z, quad)), None)
+
+
+TIES = tuple(Fraction(v) for v in ("0", "1/2", "-1/2", "1", "-1", "2", "-2"))
+
+
+@st.composite
+def tie_heavy_triples(draw):
+    """x ≠ y and z in dimension n ≤ 3 from {0, ±1/2, ±1, ±2}: z random, a
+    line point or a hull point; values as Fraction or as the carrier."""
+    n = draw(st.integers(1, 3))
+    conv = draw(st.sampled_from((q, Fraction)))
+    tie = st.sampled_from(TIES)
+    x = tuple(draw(tie) for _ in range(n))
+    y = tuple(draw(tie) for _ in range(n))
+    assume(x != y)
+    kind = draw(st.sampled_from(("random", "line", "hull")))
+    if kind == "random":
+        z = tuple(draw(tie) for _ in range(n))
+    else:
+        pool = TIES if kind == "line" else (Fraction(0), Fraction(1, 2), Fraction(1))
+        quad = [draw(st.sampled_from(pool)) for _ in range(4)]
+        quad[draw(st.integers(0, 3))] = Fraction(1)
+        assume(nary_boxplus(quad) == 1)
+        t, r, s, w = quad
+        z = tuple(nary_boxplus((t * a, r * a, s * b, w * b)) for a, b in zip(x, y))
+    return tuple(tuple(conv(v) for v in p) for p in (x, y, z))
+
+
+@settings(deadline=None, max_examples=200)
+@given(tie_heavy_triples())
+def test_line_search_equals_the_unpruned_enumeration(triple):
+    x, y, z = triple
+    member = line_contains_nd(x, y, z)
+    assert member.certificate == _first_hit(x, y, z, _ref_line_search(x, y, z))
+    assert member.found == (member.certificate is not None)
+
+
+@settings(deadline=None, max_examples=200)
+@given(tie_heavy_triples())
+def test_grid_probe_equals_the_unpruned_enumeration(triple):
+    x, y, z = triple
+    step, bound = q(1, 2), q(2)
+    probe = line_grid_probe(x, y, z, step=step, bound=bound)
+    assert probe.certificate == _first_hit(x, y, z, _ref_grid_search(step, bound))
+    assert probe.found == (probe.certificate is not None)
+
+
+def test_notfound_answers_agree_with_the_grid_probe():
+    rng = random.Random(4)
+    misses = 0
+    while misses < 20:
+        n = rng.choice((2, 3))
+        x, y, z = (tuple(q(rng.choice(TIES)) for _ in range(n)) for _ in range(3))
+        if x == y or line_contains_nd(x, y, z):
+            continue
+        misses += 1
+        assert not line_grid_probe(x, y, z, step=q(1, 2), bound=3)
 
 
 # ---------------------------------------------------------------------------

@@ -219,3 +219,13 @@ def test_transported_hull_membership():
     assert mp_hull_contains(x, y, y)
     z = mp_hull_point(x, y, (msym(1, -1), MZERO, MONE, MZERO))
     assert mp_hull_contains(x, y, z)
+
+
+def test_transported_hull_membership_with_huge_log_magnitudes():
+    # the embedding maps log-magnitude 100000/3 to 2^200000; the search must
+    # still decide both a member and a non-member
+    big = q(100000, 3)
+    x = (msym(1, big), msym(1, q(1, 2)), msym(-1, 0))
+    y = (msym(-1, 2), msym(1, big), msym(1, -1))
+    assert mp_hull_contains(x, y, x)
+    assert not mp_hull_contains(x, y, (msym(1, 1), msym(1, q(1, 3)), msym(-1, -1)))

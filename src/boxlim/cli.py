@@ -83,7 +83,8 @@ __all__ = ["main"]
 
 # Cost caps on inputs whose work grows without bound: one hull point per
 # sample, and at finite p an exact power x^(2p+1) with 64 + 16(2p+1) bits of
-# precision (p = 2048 takes about 0.3 s, p = 8192 about 15 s).
+# precision (one oracle evaluation took about 0.3 s at p = 2048 and 11-15 s
+# at p = 8192 on a 2-core Xeon, Python 3.11).
 MAX_HULL_SAMPLES = 8192
 MAX_P = 2048
 

@@ -339,7 +339,6 @@ def line_grid_probe(
     core = Certifier(xv, yv, zv)
     unit_vals = [i * step for i in range(-k_unit, k_unit + 1)]
     hits, at = core.table(unit_vals)
-    size = len(unit_vals)
 
     # shape A: everything within [-1, 1], each side an unordered pair a >= b
     # (unit_vals ascending, so b runs over the prefix up to a); the +1s must

@@ -25,6 +25,7 @@ from .cplane import cconj, cinv, cmod_infty, cplus, cplx, ctimes, from_polar, po
 from .deform import (
     DEFAULT_P_GRID,
     DEFAULT_TOL,
+    MAX_P,
     converge,
     p_cos,
     p_det,
@@ -81,12 +82,9 @@ from .trig import (
 __all__ = ["main"]
 
 
-# Cost caps on inputs whose work grows without bound: one hull point per
-# sample, and at finite p an exact power x^(2p+1) with 64 + 16(2p+1) bits of
-# precision (one oracle evaluation took about 0.3 s at p = 2048 and 11-15 s
-# at p = 8192 on a 2-core Xeon, Python 3.11).
+# One hull point per sample, so the count is capped; the library caps every
+# p at MAX_P.
 MAX_HULL_SAMPLES = 8192
-MAX_P = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +244,8 @@ def _cmd_hull(args) -> int:
         _emit(render_figure("hull", x=args.x, y=args.y, p=args.p), args.out)
         return 0
     n = args.samples
+    if n < 1:
+        raise ValueError(f"hull samples must be at least 1, got {n}")
     if n > MAX_HULL_SAMPLES:
         raise TooLarge(f"hull samples limited to {MAX_HULL_SAMPLES}, got {n}")
     rows = []
@@ -354,8 +354,7 @@ def _cmd_trig(args) -> int:
         if args.x is None or args.y is None or args.z is None:
             raise ValueError("trig --op pythagoras needs --x, --y and --z")
         ok = pythagoras_check(
-            vec(args.x), vec(args.y), vec(args.z), p_grid=_capped(args.p_grid),
-            tol=args.tol,
+            vec(args.x), vec(args.y), vec(args.z), p_grid=args.p_grid, tol=args.tol,
         )
         _json_out({"pythagoras": ok}, args)
     else:
@@ -464,7 +463,7 @@ def _cmd_oracle(args) -> int:
         evaluator, limit = (lambda p: p_fn(x, y, p)), lim_fn(x, y)
     else:
         raise ValueError(f"unknown oracle operation {op!r}")
-    report = converge(evaluator, limit, p_grid=_capped(args.p_grid), tol=args.tol)
+    report = converge(evaluator, limit, p_grid=args.p_grid, tol=args.tol)
     _json_out(report.as_dict(), args)
     return 0
 
@@ -540,12 +539,6 @@ def _p_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _capped(grid: tuple[int, ...]) -> tuple[int, ...]:
-    if max(grid) > MAX_P:
-        raise TooLarge(f"p-grid limited to p <= {MAX_P}, got {max(grid)}")
-    return grid
-
-
 def _add_common(sp: argparse.ArgumentParser, formats=("json", "csv", "svg")) -> None:
     sp.add_argument("--format", choices=formats, default=formats[0],
                     help="output format (default %(default)s)")
@@ -599,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sample count (default %(default)s, at most "
                     f"{MAX_HULL_SAMPLES})")
     sp.add_argument("--p", type=int, default=6,
-                    help="deformation level for SVG (default %(default)s)")
+                    help="deformation level for SVG (default %(default)s, at most "
+                    f"{MAX_P})")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_hull)
 
@@ -616,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", metavar="CSV")
     sp.add_argument("--d", metavar="CSV")
     sp.add_argument("--p", type=int, default=6,
-                    help="deformation level for SVG (default %(default)s)")
+                    help="deformation level for SVG (default %(default)s, at most "
+                    f"{MAX_P})")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_line)
 
@@ -691,7 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", metavar="Q")
     sp.add_argument("--lo", default="-4", metavar="Q")
     sp.add_argument("--hi", default="4", metavar="Q")
-    sp.add_argument("--p", type=int, default=6)
+    sp.add_argument("--p", type=int, default=6,
+                    help=f"deformation level (default %(default)s, at most {MAX_P})")
     _add_common(sp, formats=("svg",))
     sp.set_defaults(handler=_cmd_plot)
 

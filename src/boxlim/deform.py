@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DegeneratePair, DimensionMismatch, EmptyList, ZeroVector
-from .linalg import _bareiss, _integer_rows
+from .errors import DegeneratePair, DimensionMismatch, EmptyList, TooLarge, ZeroVector
+from .linalg import _bareiss, _integer_rows, _vecs, mat, vec
 from .scalars import ScalarLike, ScalarQ, q
 
 __all__ = [
@@ -42,6 +42,11 @@ __all__ = [
 DEFAULT_P_GRID = (1, 2, 4, 8, 16, 32)
 DEFAULT_TOL = 1e-6
 
+# Every p is capped: a finite-p evaluation takes an exact power x^(2p+1) and
+# a root at 64 + 16(2p+1) bits (one oracle evaluation took about 0.3 s at
+# p = 2048 and 11-15 s at p = 8192 on a 2-core Xeon, Python 3.11).
+MAX_P = 2048
+
 
 def _min_precision(p: int) -> int:
     # (2p+1)-th powers of near-1 ratios need headroom beyond double precision
@@ -50,7 +55,10 @@ def _min_precision(p: int) -> int:
 
 @dataclass(frozen=True)
 class PParam:
-    """Deformation parameter p plus the binary working precision for roots."""
+    """Deformation parameter p plus the binary working precision for roots.
+
+    Raises TooLarge for p > MAX_P.
+    """
 
     p: int
     working_precision: int = 0  # 0 means "use the minimum for this p"
@@ -58,6 +66,8 @@ class PParam:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError("p must be a nonnegative integer")
+        if self.p > MAX_P:
+            raise TooLarge(f"p limited to p <= {MAX_P}, got {self.p}")
         least = _min_precision(self.p)
         if self.working_precision == 0:
             object.__setattr__(self, "working_precision", least)
@@ -90,10 +100,6 @@ def _signed_root(value, k: int):
     return -mp.root(-value, k)
 
 
-def _qvec(x: Sequence[ScalarLike]) -> tuple:
-    return tuple(q(v) for v in x)
-
-
 def _real(v) -> mpf:
     """Loose real parameter (oracle side only): floats allowed here."""
     if isinstance(v, (int, float)) or type(v) is mpf:
@@ -101,9 +107,12 @@ def _real(v) -> mpf:
     return _to_mpf(q(v))
 
 
-def _same_dim(x: tuple, y: tuple):
-    if len(x) != len(y):
-        raise DimensionMismatch(f"dim {len(x)} vs {len(y)}")
+def _check_grid(p_grid: Sequence) -> None:
+    """Raise TooLarge, before any evaluation, if a p of the grid exceeds MAX_P
+    (a PParam was checked when it was made)."""
+    top = max((int(p) for p in p_grid if not isinstance(p, PParam)), default=0)
+    if top > MAX_P:
+        raise TooLarge(f"p-grid limited to p <= {MAX_P}, got {top}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +122,7 @@ def _same_dim(x: tuple, y: tuple):
 def p_sum(values: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """(Σ x_i^(2p+1))^(1/(2p+1)) — the deformed indexed sum, converging to Ϝ."""
     pp = _pp(pp)
-    vals = _qvec(values)
+    vals = vec(values)
     if not vals:
         raise EmptyList("deformed sum of an empty list")
     k = pp.exponent
@@ -125,20 +134,19 @@ def p_sum(values: Sequence[ScalarLike], pp: PParam | int) -> mpf:
 def exact_power_sum_is_zero(values: Sequence[ScalarLike], p: int) -> bool:
     """Exact rational test Σ x_i^(2p+1) = 0 (no floating point involved)."""
     k = 2 * int(p) + 1
-    return sum(v**k for v in _qvec(values)) == 0
+    return sum(v**k for v in vec(values)) == 0
 
 
 def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """(Σ (x_i y_i)^(2p+1))^(1/(2p+1)), converging to the limit inner product."""
-    xv, yv = _qvec(x), _qvec(y)
-    _same_dim(xv, yv)
+    xv, yv = _vecs(x, y)
     return p_sum([a * b for a, b in zip(xv, yv)], pp)
 
 
 def p_norm(x: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """(Σ |x_i|^(2(2p+1)))^(1/(2(2p+1))), converging to the Chebyshev norm."""
     pp = _pp(pp)
-    xv = _qvec(x)
+    xv = vec(x)
     k2 = 2 * pp.exponent
     total = sum(v**k2 for v in xv)  # even powers: exact and nonnegative
     with mp.workprec(pp.working_precision):
@@ -150,8 +158,7 @@ def p_norm(x: Sequence[ScalarLike], pp: PParam | int) -> mpf:
 def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """(Σ |x_i^(2p+1) − y_i^(2p+1)|²)^(1/(2(2p+1))), converging to the limit distance."""
     pp = _pp(pp)
-    xv, yv = _qvec(x), _qvec(y)
-    _same_dim(xv, yv)
+    xv, yv = _vecs(x, y)
     k = pp.exponent
     total = sum((a**k - b**k) ** 2 for a, b in zip(xv, yv))  # exact, >= 0
     with mp.workprec(pp.working_precision):
@@ -168,7 +175,7 @@ def p_det(A: Sequence[Sequence[ScalarLike]], pp: PParam | int) -> mpf:
     Bareiss elimination, O(n³), divided back by the scales.
     """
     pp = _pp(pp)
-    rows = [_qvec(row) for row in A]
+    rows = mat(A)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise DimensionMismatch("matrix must be square and nonempty")
@@ -183,18 +190,14 @@ def p_matvec(
     A: Sequence[Sequence[ScalarLike]], x: Sequence[ScalarLike], pp: PParam | int
 ) -> tuple:
     """Coordinatewise deformed sum of row products (matrix action at finite p)."""
-    xv = _qvec(x)
-    rows = [_qvec(row) for row in A]
-    for row in rows:
-        _same_dim(row, xv)
+    xv, *rows = _vecs(x, *A)
     return tuple(p_sum([a * b for a, b in zip(row, xv)], pp) for row in rows)
 
 
 def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """Deformed cosine ⟨x,y⟩_p / (‖x‖_p ‖y‖_p)."""
     pp = _pp(pp)
-    xv, yv = _qvec(x), _qvec(y)
-    _same_dim(xv, yv)
+    xv, yv = _vecs(x, y)
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
         raise ZeroVector("deformed cosine needs nonzero vectors")
     with mp.workprec(pp.working_precision):
@@ -204,8 +207,7 @@ def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) ->
 def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """Deformed sine: 2×2 deformed determinant over the norm product (dim 2)."""
     pp = _pp(pp)
-    xv, yv = _qvec(x), _qvec(y)
-    _same_dim(xv, yv)
+    xv, yv = _vecs(x, y)
     if len(xv) != 2:
         raise DimensionMismatch("deformed sine is defined in dimension 2")
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
@@ -227,41 +229,32 @@ def co_p_sample(
     Coordinates are φ_p^{-1}(t^(2p+1) φ_p(x_i) + (1 − t^(2p+1)) φ_p(y_i)).
     """
     pp = _pp(pp)
-    xv, yv = _qvec(x), _qvec(y)
-    _same_dim(xv, yv)
-    if xv == yv:
-        raise DegeneratePair("hull sampling needs two distinct points")
     with mp.workprec(pp.working_precision):
         tm = _real(t)
-        if not 0 <= tm <= 1:
-            raise ValueError("t must lie in [0, 1]")
-        k = pp.exponent
-        tk = tm**k
-        out = []
-        for a, b in zip(xv, yv):
-            val = tk * _to_mpf(q(a**k)) + (1 - tk) * _to_mpf(q(b**k))
-            out.append(_signed_root(val, k))
-        return tuple(out)
+    if not 0 <= tm <= 1:
+        raise ValueError("t must lie in [0, 1]")
+    return _p_sample(x, y, pp, tm, "hull")
 
 
 def line_p_sample(
     x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int, s
 ) -> tuple:
     """Point of the deformed line through x, y with coefficients (s, 1 ⊟_p s)."""
-    pp = _pp(pp)
-    xv, yv = _qvec(x), _qvec(y)
-    _same_dim(xv, yv)
+    return _p_sample(x, y, _pp(pp), s, "line")
+
+
+def _p_sample(x, y, pp: PParam, s, what: str) -> tuple:
+    # φ_p^{-1}(s^(2p+1) φ_p(x_i) + (1 − s^(2p+1)) φ_p(y_i)) per coordinate
+    xv, yv = _vecs(x, y)
     if xv == yv:
-        raise DegeneratePair("line sampling needs two distinct points")
+        raise DegeneratePair(f"{what} sampling needs two distinct points")
     with mp.workprec(pp.working_precision):
-        sm = _real(s)
         k = pp.exponent
-        sk = sm**k
-        out = []
-        for a, b in zip(xv, yv):
-            val = sk * _to_mpf(q(a**k)) + (1 - sk) * _to_mpf(q(b**k))
-            out.append(_signed_root(val, k))
-        return tuple(out)
+        sk = _real(s) ** k
+        return tuple(
+            _signed_root(sk * _to_mpf(q(a**k)) + (1 - sk) * _to_mpf(q(b**k)), k)
+            for a, b in zip(xv, yv)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +291,12 @@ def converge(
     non-increasing (early-p oscillation near magnitude ties is expected).
     In that tail rule an error below 2^-(16(2p+1))·max(1, |limit|) counts as
     0: it is rounding noise of a finite-p value that equals the limit.
+    Raises TooLarge before the first evaluation if a p exceeds MAX_P.
     """
     grid = tuple(int(p) for p in (p_grid if p_grid is not None else DEFAULT_P_GRID))
     if not grid:
         raise ValueError("p_grid must be nonempty")
+    _check_grid(grid)
     tol = DEFAULT_TOL if tol is None else float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")

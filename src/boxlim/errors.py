@@ -56,8 +56,8 @@ class DimensionMismatch(LimitAlgebraError):
 
 
 class TooLarge(LimitAlgebraError):
-    """Input exceeds the supported size (determinants stop at n = 8; the
-    CLI caps hull samples and the largest p of a p-grid)."""
+    """Input exceeds the supported size (determinants stop at n = 8, every p
+    at deform.MAX_P; the CLI caps hull samples)."""
 
 
 class ZeroVector(LimitAlgebraError):

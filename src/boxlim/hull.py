@@ -24,14 +24,13 @@ from typing import Sequence
 
 from ._certify import SEARCH_STAGES, Certifier
 from .errors import (
-    DimensionMismatch,
     EmptyList,
     InvalidCoefficients,
     InvalidCombination,
     NotAMember,
     OrthantViolation,
 )
-from .linalg import Vec, nary_vec_boxplus, scale, vec
+from .linalg import Vec, _vecs, nary_vec_boxplus, scale, vec
 from .metric import dist_boxplus
 from .scalars import ONE, ZERO, ScalarLike, ScalarQ, _nary, q
 
@@ -67,18 +66,11 @@ class HullCombination:
         return (self.t, self.r, self.s, self.w)
 
 
-def _pair(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> tuple[Vec, Vec]:
-    xv, yv = vec(x), vec(y)
-    if len(xv) != len(yv):
-        raise DimensionMismatch(f"dim {len(xv)} vs {len(yv)}")
-    return xv, yv
-
-
 def co_point(
     x: Sequence[ScalarLike], y: Sequence[ScalarLike], c: HullCombination
 ) -> Vec:
     """The hull point with coefficients c: coordinatewise Ϝ of (t·x_i, r·x_i, s·y_i, w·y_i)."""
-    xv, yv = _pair(x, y)
+    xv, yv = _vecs(x, y)
     if not isinstance(c, HullCombination):
         c = HullCombination(*c)
     t, r, s, w = c.as_tuple()
@@ -132,10 +124,7 @@ def co_contains(
     The innermost slot only takes the value its three fixed neighbours
     force (see ``_certify``), which skips no combination that could match.
     """
-    xv, yv = _pair(x, y)
-    zv = vec(z)
-    if len(zv) != len(xv):
-        raise DimensionMismatch(f"dim {len(zv)} vs {len(xv)}")
+    xv, yv, zv = _vecs(x, y, z)
     if not all(_coord_feasible(zi, xi, yi) for zi, xi, yi in zip(zv, xv, yv)):
         SEARCH_STAGES["hull:infeasible"] += 1
         return False
@@ -177,13 +166,10 @@ def co_orthant(
     result is the coordinatewise n-ary limit sum of the scaled points —
     which here collapses to the signed coordinatewise extremum.
     """
-    pts = [vec(p) for p in points]
+    pts = _vecs(*points)
     if not pts:
         raise EmptyList("no points")
     n = len(pts[0])
-    for p in pts[1:]:
-        if len(p) != n:
-            raise DimensionMismatch("points of mixed dimensions")
     ts = [q(t) for t in coeffs]
     if len(ts) != len(pts):
         raise InvalidCoefficients(f"{len(ts)} coefficients for {len(pts)} points")

@@ -63,28 +63,29 @@ def mat(rows: Iterable) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def _same_dim(x: Vec, y: Vec):
-    if len(x) != len(y):
-        raise DimensionMismatch(f"dim {len(x)} vs {len(y)}")
+def _vecs(*xs) -> list[Vec]:
+    """``vec`` of each argument; every dimension must equal the first one's."""
+    out = []
+    for x in xs:
+        v = vec(x)
+        if out and len(v) != len(out[0]):
+            raise DimensionMismatch(f"dim {len(out[0])} vs {len(v)}")
+        out.append(v)
+    return out
 
 
 def vec_boxplus(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vec:
     """Coordinatewise binary limit sum."""
-    xv, yv = vec(x), vec(y)
-    _same_dim(xv, yv)
+    xv, yv = _vecs(x, y)
     return tuple(boxplus(a, b) for a, b in zip(xv, yv))
 
 
 def nary_vec_boxplus(vectors: Sequence[Sequence[ScalarLike]]) -> Vec:
     """Coordinatewise n-ary limit sum over a nonempty list of vectors (one pass)."""
-    vs = [vec(v) for v in vectors]
+    vs = _vecs(*vectors)
     if not vs:
         raise EmptyList("n-ary vector sum of an empty list")
-    n = len(vs[0])
-    for v in vs[1:]:
-        if len(v) != n:
-            raise DimensionMismatch(f"dim {len(v)} vs {n}")
-    return tuple(_nary([v[i] for v in vs]) for i in range(n))
+    return tuple(_nary([v[i] for v in vs]) for i in range(len(vs[0])))
 
 
 def scale(alpha: ScalarLike, x: Sequence[ScalarLike]) -> Vec:
@@ -95,8 +96,7 @@ def scale(alpha: ScalarLike, x: Sequence[ScalarLike]) -> Vec:
 
 def inner_infty(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
     """Limit inner product: one-pass n-ary limit sum of the products x_i y_i."""
-    xv, yv = vec(x), vec(y)
-    _same_dim(xv, yv)
+    xv, yv = _vecs(x, y)
     return _nary([a * b for a, b in zip(xv, yv)])
 
 

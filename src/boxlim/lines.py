@@ -37,7 +37,7 @@ from .errors import (
     InvalidCoefficients,
     NotParallel,
 )
-from .linalg import Vec, det_infty, vec
+from .linalg import Vec, _vecs, det_infty, vec
 from .scalars import (
     ONE,
     ZERO,
@@ -112,13 +112,13 @@ class LineMembership:
         return self.found
 
 
-def _pair(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> tuple[Vec, Vec]:
-    xv, yv = vec(x), vec(y)
-    if len(xv) != len(yv):
-        raise DimensionMismatch(f"dim {len(xv)} vs {len(yv)}")
+def _pair(x, y, *rest) -> list[Vec]:
+    """``_vecs`` of the arguments; x and y must be two distinct points, which
+    is checked before the dimensions of the rest."""
+    xv, yv = _vecs(x, y)
     if xv == yv:
         raise DegeneratePair("two distinct points are required")
-    return xv, yv
+    return [xv, yv, *_vecs(xv, *rest)[1:]]
 
 
 def line_point(
@@ -239,10 +239,7 @@ def line_contains_nd(
     certificate is exact and final; NotFound is advisory (the candidate set
     is conjecturally complete), cross-checkable with line_grid_probe.
     """
-    xv, yv = _pair(x, y)
-    zv = vec(z)
-    if len(zv) != len(xv):
-        raise DimensionMismatch(f"dim {len(zv)} vs {len(xv)}")
+    xv, yv, zv = _pair(x, y, z)
 
     def member(stage: str, quad: tuple) -> LineMembership:
         SEARCH_STAGES[stage] += 1
@@ -322,10 +319,7 @@ def line_grid_probe(
     (1, v) with v ≠ −1 — only those shapes are enumerated, in exact
     arithmetic, so no grid point is missed.
     """
-    xv, yv = _pair(x, y)
-    zv = vec(z)
-    if len(zv) != len(xv):
-        raise DimensionMismatch(f"dim {len(zv)} vs {len(xv)}")
+    xv, yv, zv = _pair(x, y, z)
     step = q(step)
     bound = q(bound)
     if step <= 0 or bound < 1:
@@ -393,6 +387,17 @@ def half_lines(
     return (HalfLine(offset, d1, sense=1), HalfLine(offset, d2, sense=-1))
 
 
+def _directions(x, y, u, v) -> tuple[Vec, Vec]:
+    """The difference directions x ⊟ y and u ⊟ v of two lines."""
+    xv, yv, uv, vv = _pair(x, y, u, v)
+    if uv == vv:
+        raise DegeneratePair("two distinct points are required")
+    return (
+        tuple(boxminus(a, b) for a, b in zip(xv, yv)),
+        tuple(boxminus(a, b) for a, b in zip(uv, vv)),
+    )
+
+
 def _collinear_ratio(d1: Vec, d2: Vec):
     """α with d1 = α·d2 exactly, or None."""
     alpha = None
@@ -418,13 +423,7 @@ def is_parallel(
     v: Sequence[ScalarLike],
 ) -> bool:
     """True iff the difference directions x ⊟ y and u ⊟ v are exactly collinear."""
-    xv, yv = _pair(x, y)
-    uv, vv = _pair(u, v)
-    if len(xv) != len(uv):
-        raise DimensionMismatch(f"dim {len(xv)} vs {len(uv)}")
-    dxy = tuple(boxminus(a, b) for a, b in zip(xv, yv))
-    duv = tuple(boxminus(a, b) for a, b in zip(uv, vv))
-    return _collinear_ratio(dxy, duv) is not None
+    return _collinear_ratio(*_directions(x, y, u, v)) is not None
 
 
 def parallel_ratio(
@@ -434,13 +433,7 @@ def parallel_ratio(
     v: Sequence[ScalarLike],
 ) -> ScalarQ:
     """The exact α with x ⊟ y = α·(u ⊟ v); raises NotParallel if none exists."""
-    xv, yv = _pair(x, y)
-    uv, vv = _pair(u, v)
-    if len(xv) != len(uv):
-        raise DimensionMismatch(f"dim {len(xv)} vs {len(uv)}")
-    dxy = tuple(boxminus(a, b) for a, b in zip(xv, yv))
-    duv = tuple(boxminus(a, b) for a, b in zip(uv, vv))
-    alpha = _collinear_ratio(dxy, duv)
+    alpha = _collinear_ratio(*_directions(x, y, u, v))
     if alpha is None:
         raise NotParallel("difference directions are not collinear")
     return alpha
@@ -462,10 +455,7 @@ def parallel_normal_form(
     """
     form_d = line2d_form(x, y)
     form_e = line2d_form(u, v)
-    xv, yv = vec(x), vec(y)
-    uv, vv = vec(u), vec(v)
-    dxy = tuple(boxminus(a, b) for a, b in zip(xv, yv))
-    duv = tuple(boxminus(a, b) for a, b in zip(uv, vv))
+    dxy, duv = _directions(x, y, u, v)
     beta = _collinear_ratio(duv, dxy)  # u ⊟ v = beta·(x ⊟ y)
     if beta is None:
         raise NotParallel("difference directions are not collinear")

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 from .errors import DimensionMismatch, NegativeRadius
 from .scalars import ScalarLike, ScalarQ, ZERO, q
-from .linalg import Vec, vec
+from .linalg import Vec, _vecs, vec
 
 __all__ = [
     "Fixed",
@@ -30,9 +30,7 @@ __all__ = [
 
 def dist_boxplus(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
     """Limit distance: the dominant disagreeing magnitude (an ultrametric)."""
-    xv, yv = vec(x), vec(y)
-    if len(xv) != len(yv):
-        raise DimensionMismatch(f"dim {len(xv)} vs {len(yv)}")
+    xv, yv = _vecs(x, y)
     best = ZERO
     for a, b in zip(xv, yv):
         if a != b:
@@ -112,13 +110,9 @@ def f_limit_check(
     exact afterwards; zero coordinates must satisfy |z_k| ≤ eps over the last
     quarter of the sequence.
     """
-    xv = vec(x)
-    seq = [vec(zk) for zk in sequence]
+    xv, *seq = _vecs(x, *sequence)
     if not seq:
         return False
-    for zk in seq:
-        if len(zk) != len(xv):
-            raise DimensionMismatch("sequence element dimension differs from target")
     bound = _as_eps(eps)
     n = len(seq)
     tail_start = n - max(1, n // 4)

@@ -19,7 +19,7 @@ import random
 from typing import Callable, Sequence
 
 from .linalg import Mat, Vec, _signed_perms
-from .scalars import ScalarQ, q
+from .scalars import ScalarQ, _net_by_magnitude, q
 
 __all__ = [
     "GAP_RATIO",
@@ -38,18 +38,16 @@ def gap_ok(values: Sequence[ScalarQ], ratio: ScalarQ = GAP_RATIO) -> bool:
     """Oracle-friendly n-ary sums: fully cancelled levels are exact at every
     p, so only surviving magnitudes matter — the top must survive with net
     count ±1 and dominate the next surviving magnitude by the gap ratio."""
-    net: dict = {}
-    for v in values:
-        if v:
-            a = abs(v)
-            net[a] = net.get(a, 0) + (1 if v > 0 else -1)
-    surviving = sorted((m for m, c in net.items() if c), reverse=True)
+    surviving = sorted(
+        ((q(n, d), c) for (n, d), c in _net_by_magnitude(values).items() if c),
+        reverse=True,
+    )
     if not surviving:
         return True
-    top = surviving[0]
-    if net[top] not in (1, -1):
+    top, count = surviving[0]
+    if count not in (1, -1):
         return False
-    return len(surviving) == 1 or surviving[1] <= ratio * top
+    return len(surviving) == 1 or surviving[1][0] <= ratio * top
 
 
 def norm_gap_ok(x: Sequence[ScalarQ], ratio: ScalarQ = GAP_RATIO) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .deform import DEFAULT_P_GRID, DEFAULT_TOL, _pp, _signed_root
+from .deform import DEFAULT_P_GRID, DEFAULT_TOL, _check_grid, _pp, _signed_root
 from .errors import (
     DimensionMismatch,
     NotOnUnitSquare,
@@ -20,7 +20,7 @@ from .errors import (
     NotRightAngled,
     ZeroVector,
 )
-from .linalg import Vec, det_infty, inner_infty, norm_infty, vec
+from .linalg import Vec, _vecs, det_infty, inner_infty, norm_infty, vec
 from .metric import dist_boxplus
 from .scalars import ONE, ZERO, ScalarLike, ScalarQ, _nary, q, qfloor
 
@@ -42,22 +42,12 @@ __all__ = [
 ]
 
 
-def _pair_dims(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> tuple[Vec, Vec]:
-    xv, yv = vec(x), vec(y)
-    if len(xv) != len(yv):
-        raise DimensionMismatch(f"dim {len(xv)} vs {len(yv)}")
-    return xv, yv
-
-
 def inner3_limit(
     x: Sequence[ScalarLike], y: Sequence[ScalarLike], z: Sequence[ScalarLike]
 ) -> ScalarQ:
     """Three-point inner form: the limit sum of the 4n-term multiset
     {x_i y_i} ∪ {−x_i z_i} ∪ {−y_i z_i} ∪ {z_i²}."""
-    xv, yv = _pair_dims(x, y)
-    zv = vec(z)
-    if len(zv) != len(xv):
-        raise DimensionMismatch(f"dim {len(zv)} vs {len(xv)}")
+    xv, yv, zv = _vecs(x, y, z)
     terms = []
     for a, b, c in zip(xv, yv, zv):
         terms.append(a * b)
@@ -93,7 +83,7 @@ def orthogonal_pairing(
     exists (zero products pair among themselves, at most one left over).
     Deterministic: indices are matched in increasing order per level.
     """
-    xv, yv = _pair_dims(x, y)
+    xv, yv = _vecs(x, y)
     if inner_infty(xv, yv) != 0:
         raise NotOrthogonal("inner product is nonzero")
     products = [a * b for a, b in zip(xv, yv)]
@@ -130,13 +120,12 @@ def pythagoras_check(
     Exact part: d(x, y) = max(d(x, z), d(y, z)) in the limit ultrametric.
     Deformed part: at each p, the squared deformed distances satisfy the
     p-deformed addition identity — equivalently the exact power sums obey
-    S_xy = S_xz + S_yz, checked through signed roots within tol.
+    S_xy = S_xz + S_yz, checked through signed roots within tol.  Raises
+    TooLarge before any work if a p of the grid exceeds MAX_P.
     """
-    xv, yv = _pair_dims(x, y)
-    zv = vec(z)
+    _check_grid(p_grid)
+    xv, yv, zv = _vecs(x, y, z)
     tol = float(tol)
-    if len(zv) != len(xv):
-        raise DimensionMismatch(f"dim {len(zv)} vs {len(xv)}")
     if inner3_limit(xv, yv, zv) != 0:
         raise NotRightAngled("no limit right angle at z")
     lhs = dist_boxplus(xv, yv)
@@ -159,7 +148,7 @@ def pythagoras_check(
 
 def cos_infty(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
     """Limit cosine: ⟨x, y⟩∞ / (‖x‖∞ ‖y‖∞), an exact rational in [−1, 1]."""
-    xv, yv = _pair_dims(x, y)
+    xv, yv = _vecs(x, y)
     nx, ny = norm_infty(xv), norm_infty(yv)
     if nx == 0 or ny == 0:
         raise ZeroVector("cosine needs nonzero vectors")
@@ -168,7 +157,7 @@ def cos_infty(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
 
 def sin_infty(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
     """Limit sine in dimension 2: |x, y|∞ / (‖x‖∞ ‖y‖∞) with x, y as columns."""
-    xv, yv = _pair_dims(x, y)
+    xv, yv = _vecs(x, y)
     if len(xv) != 2:
         raise DimensionMismatch("limit sine lives in dimension 2")
     nx, ny = norm_infty(xv), norm_infty(yv)
@@ -189,9 +178,7 @@ class AngleParam:
     theta: ScalarQ
 
     def __post_init__(self):
-        t = q(self.theta)
-        t = t - 8 * qfloor(t / 8)
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", _reduce8(self.theta))
 
 
 def _reduce8(theta: ScalarLike) -> ScalarQ:

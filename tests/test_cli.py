@@ -135,12 +135,23 @@ def test_domain_errors_exit_one_with_json(capsys):
     ("oracle", "--op", "sum", "--values", "3,-2,1", "--p-grid", f"1,{MAX_P + 1}"),
     ("trig", "--op", "pythagoras", "--x", "2,0", "--y", "0,-3", "--z", "0,0",
      "--p-grid", str(MAX_P + 1)),
+    ("plot", "--figure", "hull", "--x", "3,1", "--y", "1,-2", "--p", str(MAX_P + 1)),
 ])
 def test_cost_caps_exit_one_with_json(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "TooLarge"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_hull_samples_below_one_exit_one_with_json(capsys, samples):
+    code, out, err = run(capsys, "hull", "--x", "3,1", "--y", "1,-2", "--samples", samples)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "at least 1" in payload["detail"]
 
 
 def test_value_errors_exit_one(capsys):

@@ -26,7 +26,8 @@ from boxlim import (
     sin_infty,
     vec,
 )
-from boxlim.errors import DegeneratePair
+from boxlim.deform import MAX_P
+from boxlim.errors import DegeneratePair, TooLarge
 from boxlim.sampling import Sampler
 
 
@@ -40,6 +41,29 @@ def test_pparam_precision_schedule():
 def test_pparam_rejects_negative():
     with pytest.raises(ValueError):
         PParam(-1)
+
+
+def test_pparam_is_capped():
+    assert PParam(MAX_P).p == MAX_P
+    with pytest.raises(TooLarge):
+        PParam(MAX_P + 1)
+
+
+def test_converge_checks_the_whole_grid_before_evaluating():
+    calls = []
+
+    def evaluator(p):
+        calls.append(p)
+        return p_sum((3, -2, 1), p)
+
+    with pytest.raises(TooLarge):
+        converge(evaluator, 3, p_grid=(1, MAX_P + 1))
+    assert calls == []
+
+
+def test_deformed_operations_take_comma_literals():
+    assert p_sum("3,-2,1", 4) == p_sum((3, -2, 1), 4)
+    assert p_dist("3,1", "1,-2", 4) == p_dist((3, 1), (1, -2), 4)
 
 
 def test_p_zero_is_the_plain_sum():

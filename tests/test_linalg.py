@@ -11,20 +11,45 @@ from boxlim import (
     boxplus,
     check_pseudo_field_axioms,
     check_symmetric_space_axioms,
+    co_contains,
+    co_orthant,
+    co_p_sample,
+    co_point,
+    cos_infty,
     det_infty,
+    dist_boxplus,
+    half_lines,
+    inner3_limit,
     inner_infty,
+    is_parallel,
+    line2d_form,
+    line_contains_nd,
+    line_p_sample,
+    line_point,
     mat,
     nary_boxplus,
     nary_vec_boxplus,
     norm_infty,
+    orthogonal_pairing,
+    p_cos,
+    p_dist,
+    p_inner,
+    p_sin,
+    parallel_normal_form,
+    parallel_ratio,
+    pythagoras_check,
     q,
     real_vector_space,
     scale,
+    sin_infty,
     vec,
     vec_boxplus,
 )
-from boxlim.errors import DimensionMismatch
+from boxlim.deform import p_matvec
+from boxlim.errors import DegeneratePair, DimensionMismatch
 from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, subspace_closure_check
+from boxlim.lines import line_grid_probe
+from boxlim.metric import f_limit_check
 from boxlim.sampling import Sampler
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(q)
@@ -61,6 +86,57 @@ def test_vec_boxplus_is_componentwise(pair):
 def test_vec_boxplus_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         vec_boxplus((1, 2), (1, 2, 3))
+
+
+# Every entry point that takes several coordinate vectors, as a function of
+# those vectors alone, and the argument positions that must hold two
+# distinct generators (x, y and u, v of a line).
+VECTOR_ENTRY_POINTS = {
+    "vec_boxplus": (vec_boxplus, 2, ()),
+    "nary_vec_boxplus": (lambda x, y, z: nary_vec_boxplus([x, y, z]), 3, ()),
+    "inner_infty": (inner_infty, 2, ()),
+    "dist_boxplus": (dist_boxplus, 2, ()),
+    "f_limit_check": (lambda x, z1, z2: f_limit_check([z1, z2], x), 3, ()),
+    "co_point": (lambda x, y: co_point(x, y, (1, 0, 1, 0)), 2, ()),
+    "co_contains": (co_contains, 3, ()),
+    "co_orthant": (lambda x, y: co_orthant([x, y], (1, 1)), 2, ()),
+    "line_point": (lambda x, y: line_point(x, y, 1, 0, 0, 0), 2, ((0, 1),)),
+    "line2d_form": (line2d_form, 2, ((0, 1),)),
+    "line_contains_nd": (line_contains_nd, 3, ((0, 1),)),
+    "line_grid_probe": (lambda x, y, z: line_grid_probe(x, y, z, q(1, 2), 1), 3, ((0, 1),)),
+    "half_lines": (half_lines, 2, ((0, 1),)),
+    "is_parallel": (is_parallel, 4, ((0, 1), (2, 3))),
+    "parallel_ratio": (parallel_ratio, 4, ((0, 1), (2, 3))),
+    "parallel_normal_form": (parallel_normal_form, 4, ((0, 1), (2, 3))),
+    "inner3_limit": (inner3_limit, 3, ()),
+    "orthogonal_pairing": (orthogonal_pairing, 2, ()),
+    "pythagoras_check": (pythagoras_check, 3, ()),
+    "cos_infty": (cos_infty, 2, ()),
+    "sin_infty": (sin_infty, 2, ()),
+    "p_inner": (lambda x, y: p_inner(x, y, 1), 2, ()),
+    "p_dist": (lambda x, y: p_dist(x, y, 1), 2, ()),
+    "p_cos": (lambda x, y: p_cos(x, y, 1), 2, ()),
+    "p_sin": (lambda x, y: p_sin(x, y, 1), 2, ()),
+    "p_matvec": (lambda r1, r2, x: p_matvec([r1, r2], x, 1), 3, ()),
+    "co_p_sample": (lambda x, y: co_p_sample(x, y, 1, q(1, 2)), 2, ((0, 1),)),
+    "line_p_sample": (lambda x, y: line_p_sample(x, y, 1, q(1, 2)), 2, ((0, 1),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_ENTRY_POINTS))
+def test_vector_arguments_share_one_dimension(name):
+    fn, arity, pairs = VECTOR_ENTRY_POINTS[name]
+    base = [vec("3,1"), vec("1,-2"), vec("-2,4"), vec("-6,1")][:arity]
+    for i in range(arity):
+        args = list(base)
+        args[i] = args[i] + (q(1),)
+        with pytest.raises(DimensionMismatch):
+            fn(*args)
+    for i, j in pairs:
+        args = list(base)
+        args[j] = args[i]
+        with pytest.raises(DegeneratePair):
+            fn(*args)
 
 
 @given(dims.flatmap(lambda n: st.lists(vectors(n), min_size=1, max_size=4)))

@@ -7,244 +7,82 @@ determinants, two-point hulls, limit lines, square trigonometry, complex
 products, and the symmetrized max-plus bridge.  Every limit operation has a
 finite-p deformation in :mod:`boxlim.deform` whose convergence the oracle
 certifies numerically.
+
+``import boxlim`` loads no submodule: each public name and each submodule is
+imported on first access (PEP 562), so mpmath loads only with the finite-p
+layer (``deform``, ``pythagoras_check``, the suites and the figures).
 """
 
-from .cplane import (
-    BoxComplex,
-    cconj,
-    cinv,
-    cmod_infty,
-    cplus,
-    cplx,
-    ctimes,
-    from_polar,
-    on_unit_square,
-    polar,
-)
-from .deform import (
-    DEFAULT_P_GRID,
-    DEFAULT_TOL,
-    ConvergenceReport,
-    PParam,
-    co_p_sample,
-    converge,
-    exact_power_sum_is_zero,
-    line_p_sample,
-    p_cos,
-    p_det,
-    p_dist,
-    p_inner,
-    p_norm,
-    p_sin,
-    p_sum,
-)
-from .errors import (
-    DegenerateConfiguration,
-    DegeneratePair,
-    DimensionMismatch,
-    EmptyList,
-    InvalidCoefficients,
-    InvalidCombination,
-    LimitAlgebraError,
-    NotParallel,
-)
-from .hull import (
-    HullCombination,
-    chain_distance,
-    co_contains,
-    co_orthant,
-    co_point,
-    dist_decomposition_check,
-)
-from .linalg import (
-    AxiomReport,
-    check_pseudo_field_axioms,
-    check_symmetric_space_axioms,
-    det_infty,
-    inner_infty,
-    mat,
-    nary_vec_boxplus,
-    norm_infty,
-    real_vector_space,
-    scale,
-    vec,
-    vec_boxplus,
-)
-from .lines import (
-    HalfLine,
-    LineForm,
-    LineMembership,
-    half_lines,
-    hyperplane_form,
-    is_parallel,
-    line2d_form,
-    line_contains_2d,
-    line_contains_nd,
-    line_point,
-    parallel_normal_form,
-    parallel_ratio,
-)
-from .maxplus import (
-    MAXPLUS_PSEUDO_FIELD,
-    MSym,
-    MONE,
-    MZERO,
-    maxplus_vector_space,
-    mp_boxplus,
-    mp_dist,
-    mp_dist_std,
-    mp_format,
-    mp_nary,
-    mp_otimes,
-    mp_parse,
-    msym,
-    psi_exp,
-    psi_ln,
-)
-from .metric import (
-    BallDescriptor,
-    Fixed,
-    Free,
-    ball_contains,
-    ball_describe,
-    dist_boxplus,
-)
-from .scalars import (
-    boxminus,
-    boxplus,
-    lower_form,
-    nary_boxplus,
-    q,
-    smile_minus,
-    smile_plus,
-    upper_form,
-)
-from .suites import SUITES, CheckResult, run_all, run_suite
-from .svgfig import FIGURES, render_figure
-from .trig import (
-    AngleParam,
-    alpha,
-    alpha_inv,
-    cos_infty,
-    inner3_limit,
-    is_f_right_angled,
-    orthogonal_pairing,
-    pcos,
-    psin,
-    pythagoras_check,
-    sin_infty,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleParam",
-    "AxiomReport",
-    "BallDescriptor",
-    "BoxComplex",
-    "CheckResult",
-    "ConvergenceReport",
-    "DEFAULT_P_GRID",
-    "DEFAULT_TOL",
-    "DegenerateConfiguration",
-    "DegeneratePair",
-    "DimensionMismatch",
-    "EmptyList",
-    "FIGURES",
-    "Fixed",
-    "Free",
-    "HalfLine",
-    "HullCombination",
-    "InvalidCoefficients",
-    "InvalidCombination",
-    "LimitAlgebraError",
-    "LineForm",
-    "LineMembership",
-    "MAXPLUS_PSEUDO_FIELD",
-    "MSym",
-    "MONE",
-    "MZERO",
-    "NotParallel",
-    "PParam",
-    "SUITES",
-    "alpha",
-    "alpha_inv",
-    "ball_contains",
-    "ball_describe",
-    "boxminus",
-    "boxplus",
-    "cconj",
-    "chain_distance",
-    "check_pseudo_field_axioms",
-    "check_symmetric_space_axioms",
-    "cinv",
-    "cmod_infty",
-    "co_contains",
-    "co_orthant",
-    "co_p_sample",
-    "co_point",
-    "converge",
-    "cos_infty",
-    "cplus",
-    "cplx",
-    "ctimes",
-    "det_infty",
-    "dist_boxplus",
-    "dist_decomposition_check",
-    "exact_power_sum_is_zero",
-    "from_polar",
-    "half_lines",
-    "hyperplane_form",
-    "inner3_limit",
-    "inner_infty",
-    "is_f_right_angled",
-    "is_parallel",
-    "line2d_form",
-    "line_contains_2d",
-    "line_contains_nd",
-    "line_p_sample",
-    "line_point",
-    "lower_form",
-    "mat",
-    "maxplus_vector_space",
-    "mp_boxplus",
-    "mp_dist",
-    "mp_dist_std",
-    "mp_format",
-    "mp_nary",
-    "mp_otimes",
-    "mp_parse",
-    "msym",
-    "nary_boxplus",
-    "nary_vec_boxplus",
-    "norm_infty",
-    "on_unit_square",
-    "orthogonal_pairing",
-    "p_cos",
-    "p_det",
-    "p_dist",
-    "p_inner",
-    "p_norm",
-    "p_sin",
-    "p_sum",
-    "parallel_normal_form",
-    "parallel_ratio",
-    "pcos",
-    "polar",
-    "psi_exp",
-    "psi_ln",
-    "psin",
-    "pythagoras_check",
-    "q",
-    "real_vector_space",
-    "render_figure",
-    "run_all",
-    "run_suite",
-    "scale",
-    "sin_infty",
-    "smile_minus",
-    "smile_plus",
-    "upper_form",
-    "vec",
-    "vec_boxplus",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "cplane": (
+        "BoxComplex", "cconj", "cinv", "cmod_infty", "cplus", "cplx", "ctimes",
+        "from_polar", "on_unit_square", "polar",
+    ),
+    "deform": (
+        "DEFAULT_P_GRID", "DEFAULT_TOL", "ConvergenceReport", "PParam", "co_p_sample",
+        "converge", "exact_power_sum_is_zero", "line_p_sample", "p_cos", "p_det",
+        "p_dist", "p_inner", "p_norm", "p_sin", "p_sum",
+    ),
+    "errors": (
+        "DegenerateConfiguration", "DegeneratePair", "DimensionMismatch", "EmptyList",
+        "InvalidCoefficients", "InvalidCombination", "LimitAlgebraError", "NotParallel",
+    ),
+    "hull": (
+        "HullCombination", "chain_distance", "co_contains", "co_orthant", "co_point",
+        "dist_decomposition_check",
+    ),
+    "linalg": (
+        "AxiomReport", "check_pseudo_field_axioms", "check_symmetric_space_axioms",
+        "det_infty", "inner_infty", "mat", "nary_vec_boxplus", "norm_infty",
+        "real_vector_space", "scale", "vec", "vec_boxplus",
+    ),
+    "lines": (
+        "HalfLine", "LineForm", "LineMembership", "half_lines", "hyperplane_form",
+        "is_parallel", "line2d_form", "line_contains_2d", "line_contains_nd",
+        "line_point", "parallel_normal_form", "parallel_ratio",
+    ),
+    "maxplus": (
+        "MAXPLUS_PSEUDO_FIELD", "MSym", "MONE", "MZERO", "maxplus_vector_space",
+        "mp_boxplus", "mp_dist", "mp_dist_std", "mp_format", "mp_nary", "mp_otimes",
+        "mp_parse", "msym", "psi_exp", "psi_ln",
+    ),
+    "metric": (
+        "BallDescriptor", "Fixed", "Free", "ball_contains", "ball_describe",
+        "dist_boxplus",
+    ),
+    "scalars": (
+        "boxminus", "boxplus", "lower_form", "nary_boxplus", "q", "smile_minus",
+        "smile_plus", "upper_form",
+    ),
+    "suites": ("SUITES", "CheckResult", "run_all", "run_suite"),
+    "svgfig": ("FIGURES", "render_figure"),
+    "trig": (
+        "AngleParam", "alpha", "alpha_inv", "cos_infty", "inner3_limit",
+        "is_f_right_angled", "orthogonal_pairing", "pcos", "psin", "pythagoras_check",
+        "sin_infty",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"_certify", "cli", "sampling"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

@@ -21,42 +21,14 @@ import re
 import sys
 from typing import Sequence
 
-from .cplane import cconj, cinv, cmod_infty, cplus, cplx, ctimes, from_polar, polar
-from .deform import (
-    DEFAULT_P_GRID,
-    DEFAULT_TOL,
+from .errors import (
+    MAX_FIGURE_P,
     MAX_P,
-    converge,
-    p_cos,
-    p_det,
-    p_dist,
-    p_inner,
-    p_norm,
-    p_sin,
-    p_sum,
+    DimensionMismatch,
+    LimitAlgebraError,
+    TooLarge,
 )
-from .errors import DimensionMismatch, LimitAlgebraError, TooLarge
-from .hull import HullCombination, co_contains, co_point
 from .linalg import det_infty, inner_infty, mat, norm_infty, vec
-from .lines import (
-    half_lines,
-    hyperplane_form,
-    line2d_form,
-    line_contains_2d,
-    line_contains_nd,
-    parallel_ratio,
-)
-from .maxplus import (
-    mp_boxplus,
-    mp_dist,
-    mp_format,
-    mp_inv,
-    mp_nary,
-    mp_neg,
-    mp_otimes,
-    mp_parse,
-)
-from .metric import Fixed, ball_describe, dist_boxplus
 from .scalars import (
     ScalarQ,
     boxminus,
@@ -66,18 +38,10 @@ from .scalars import (
     smile_minus,
     smile_plus,
 )
-from .suites import SUITES, run_suite
-from .svgfig import FIGURES, render_figure
-from .trig import (
-    alpha,
-    alpha_inv,
-    cos_infty,
-    inner3_limit,
-    pcos,
-    psin,
-    pythagoras_check,
-    sin_infty,
-)
+
+# Only the modules above load with the parser; each handler imports its own
+# layer, so that mpmath (through deform) loads only for the subcommands that
+# evaluate at finite p.
 
 __all__ = ["main"]
 
@@ -85,6 +49,15 @@ __all__ = ["main"]
 # One hull point per sample, so the count is capped; the library caps every
 # p at MAX_P.
 MAX_HULL_SAMPLES = 8192
+
+# The option choices, without importing suites or svgfig; a test pins them
+# to suites.SUITES and svgfig.FIGURES.
+SUITE_NAMES = (
+    "worked-values", "scalar-laws", "convergence", "exact-cancellation",
+    "ultrametric", "pythagoras", "square-trig", "complex-product", "lines",
+    "maxplus-bridge",
+)
+FIGURE_NAMES = ("hull", "ball", "line", "unit-square", "pcos")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +109,9 @@ def _apply_file(args: argparse.Namespace) -> None:
         raise ValueError("--file must hold a JSON object of named inputs")
     for key, value in data.items():
         name = key.replace("-", "_")
+        # the finite-p settings default to None too, but they are not inputs
+        if name in ("p_grid", "tol"):
+            continue
         if getattr(args, name, None) is None and hasattr(args, name):
             if isinstance(value, list):
                 if value and isinstance(value[0], list):
@@ -195,6 +171,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from .metric import dist_boxplus
+
     _apply_file(args)
     if args.x is None or args.y is None:
         raise ValueError("dist needs --x and --y")
@@ -203,10 +181,14 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_ball(args) -> int:
+    from .metric import Fixed, ball_contains, ball_describe
+
     _apply_file(args)
     if args.center is None or args.radius is None:
         raise ValueError("ball needs --center and --radius")
     if args.format == "svg":
+        from .svgfig import render_figure
+
         _emit(render_figure("ball", center=args.center, radius=args.radius), args.out)
         return 0
     desc = ball_describe(vec(args.center), q(args.radius))
@@ -222,14 +204,14 @@ def _cmd_ball(args) -> int:
         "coords": coords,
     }
     if args.z is not None:
-        from .metric import ball_contains
-
         payload["contains"] = ball_contains(desc, vec(args.z))
     _json_out(payload, args)
     return 0
 
 
 def _cmd_hull(args) -> int:
+    from .hull import HullCombination, co_contains, co_point
+
     _apply_file(args)
     if args.x is None or args.y is None:
         raise ValueError("hull needs --x and --y")
@@ -241,6 +223,8 @@ def _cmd_hull(args) -> int:
     if args.format == "svg":
         if len(x) != 2:
             raise DimensionMismatch("hull figures need dimension-2 inputs")
+        from .svgfig import render_figure
+
         _emit(render_figure("hull", x=args.x, y=args.y, p=args.p), args.out)
         return 0
     n = args.samples
@@ -265,6 +249,15 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_line(args) -> int:
+    from .lines import (
+        half_lines,
+        hyperplane_form,
+        line2d_form,
+        line_contains_2d,
+        line_contains_nd,
+        parallel_ratio,
+    )
+
     _apply_file(args)
     action = args.action
     if action == "equation":
@@ -327,11 +320,24 @@ def _cmd_line(args) -> int:
     # plot
     if args.x is None or args.y is None:
         raise ValueError("line plot needs --x and --y")
+    from .svgfig import render_figure
+
     _emit(render_figure("line", x=args.x, y=args.y, p=args.p), args.out)
     return 0
 
 
 def _cmd_trig(args) -> int:
+    from .trig import (
+        alpha,
+        alpha_inv,
+        cos_infty,
+        inner3_limit,
+        pcos,
+        psin,
+        pythagoras_check,
+        sin_infty,
+    )
+
     _apply_file(args)
     if args.pcos is not None:
         _scalar_out(pcos(q(args.pcos)), args)
@@ -363,6 +369,8 @@ def _cmd_trig(args) -> int:
 
 
 def _cmd_complex(args) -> int:
+    from .cplane import cconj, cinv, cmod_infty, cplus, cplx, ctimes, from_polar, polar
+
     _apply_file(args)
 
     def pair(text: str):
@@ -400,6 +408,17 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_maxplus(args) -> int:
+    from .maxplus import (
+        mp_boxplus,
+        mp_dist,
+        mp_format,
+        mp_inv,
+        mp_nary,
+        mp_neg,
+        mp_otimes,
+        mp_parse,
+    )
+
     _apply_file(args)
 
     def elems(text: str) -> list:
@@ -432,6 +451,10 @@ def _cmd_maxplus(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .deform import converge, p_cos, p_det, p_dist, p_inner, p_norm, p_sin, p_sum
+    from .metric import dist_boxplus
+    from .trig import cos_infty, sin_infty
+
     _apply_file(args)
     op = args.op
     if op == "sum":
@@ -483,7 +506,9 @@ _QUICK_SIZES = {
 
 
 def _cmd_suite(args) -> int:
-    names = list(SUITES) if args.name == "all" else [args.name]
+    from .suites import run_suite
+
+    names = list(SUITE_NAMES) if args.name == "all" else [args.name]
     results = []
     for name in names:
         overrides = dict(_QUICK_SIZES.get(name, {})) if args.quick else {}
@@ -510,6 +535,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .svgfig import render_figure
+
     _apply_file(args)
     kwargs = {}
     if args.figure in ("hull", "line"):
@@ -593,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"{MAX_HULL_SAMPLES})")
     sp.add_argument("--p", type=int, default=6,
                     help="deformation level for SVG (default %(default)s, at most "
-                    f"{MAX_P})")
+                    f"{MAX_FIGURE_P})")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_hull)
 
@@ -611,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", metavar="CSV")
     sp.add_argument("--p", type=int, default=6,
                     help="deformation level for SVG (default %(default)s, at most "
-                    f"{MAX_P})")
+                    f"{MAX_FIGURE_P})")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_line)
 
@@ -626,10 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", metavar="CSV")
     sp.add_argument("--y", metavar="CSV")
     sp.add_argument("--z", metavar="CSV")
-    sp.add_argument("--p-grid", type=_p_grid, default=DEFAULT_P_GRID,
-                    dest="p_grid", metavar="CSV",
+    sp.add_argument("--p-grid", type=_p_grid, dest="p_grid", metavar="CSV",
                     help=f"deformation levels, each at most {MAX_P}")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=float)
     _add_common(sp, formats=("json", "csv"))
     sp.set_defaults(handler=_cmd_trig)
 
@@ -662,15 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", metavar="CSV")
     sp.add_argument("--y", metavar="CSV")
     sp.add_argument("--matrix", metavar="R1;R2;...")
-    sp.add_argument("--p-grid", type=_p_grid, default=DEFAULT_P_GRID,
-                    dest="p_grid", metavar="CSV",
+    sp.add_argument("--p-grid", type=_p_grid, dest="p_grid", metavar="CSV",
                     help=f"deformation levels, each at most {MAX_P}")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=float)
     _add_common(sp, formats=("json",))
     sp.set_defaults(handler=_cmd_oracle)
 
     sp = sub.add_parser("suite", help="verification suites")
-    sp.add_argument("name", choices=tuple(SUITES) + ("all",))
+    sp.add_argument("name", choices=SUITE_NAMES + ("all",))
     sp.add_argument("--seed", type=int, help="override the sampling seed")
     sp.add_argument("--quick", action="store_true",
                     help="reduced sample sizes for a fast smoke run")
@@ -678,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_suite)
 
     sp = sub.add_parser("plot", help="render a figure as SVG")
-    sp.add_argument("--figure", required=True, choices=tuple(FIGURES))
+    sp.add_argument("--figure", required=True, choices=FIGURE_NAMES)
     sp.add_argument("--x", metavar="CSV")
     sp.add_argument("--y", metavar="CSV")
     sp.add_argument("--center", metavar="CSV")
@@ -687,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lo", default="-4", metavar="Q")
     sp.add_argument("--hi", default="4", metavar="Q")
     sp.add_argument("--p", type=int, default=6,
-                    help=f"deformation level (default %(default)s, at most {MAX_P})")
+                    help="deformation level (default %(default)s, at most "
+                    f"{MAX_FIGURE_P})")
     _add_common(sp, formats=("svg",))
     sp.set_defaults(handler=_cmd_plot)
 

@@ -16,7 +16,14 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DegeneratePair, DimensionMismatch, EmptyList, TooLarge, ZeroVector
+from .errors import (
+    MAX_P,
+    DegeneratePair,
+    DimensionMismatch,
+    EmptyList,
+    TooLarge,
+    ZeroVector,
+)
 from .linalg import _bareiss, _integer_rows, _vecs, mat, vec
 from .scalars import ScalarLike, ScalarQ, q
 
@@ -41,11 +48,6 @@ __all__ = [
 
 DEFAULT_P_GRID = (1, 2, 4, 8, 16, 32)
 DEFAULT_TOL = 1e-6
-
-# Every p is capped: a finite-p evaluation takes an exact power x^(2p+1) and
-# a root at 64 + 16(2p+1) bits (one oracle evaluation took about 0.3 s at
-# p = 2048 and 11-15 s at p = 8192 on a 2-core Xeon, Python 3.11).
-MAX_P = 2048
 
 
 def _min_precision(p: int) -> int:

@@ -28,6 +28,15 @@ __all__ = [
     "NotParallel",
 ]
 
+# Every p is capped: a finite-p evaluation takes an exact power x^(2p+1) and
+# a root at 64 + 16(2p+1) bits (one oracle evaluation took about 0.3 s at
+# p = 2048 and 11-15 s at p = 8192 on a 2-core Xeon, Python 3.11).
+MAX_P = 2048
+
+# An SVG figure of a hull or line evaluates 512 deformed samples, so its p is
+# capped lower (1.5-1.9 s at p = 256, 56-57 s at p = 2048 on the same Xeon).
+MAX_FIGURE_P = 256
+
 
 class LimitAlgebraError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -57,7 +66,8 @@ class DimensionMismatch(LimitAlgebraError):
 
 class TooLarge(LimitAlgebraError):
     """Input exceeds the supported size (determinants stop at n = 8, every p
-    at deform.MAX_P; the CLI caps hull samples)."""
+    at MAX_P, the p of a hull or line figure at MAX_FIGURE_P; the CLI caps
+    hull samples)."""
 
 
 class ZeroVector(LimitAlgebraError):

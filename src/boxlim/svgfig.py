@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .deform import co_p_sample, line_p_sample
-from .errors import DimensionMismatch
+from .errors import MAX_FIGURE_P, DimensionMismatch, TooLarge
 from .hull import co_point
 from .linalg import vec
 from .lines import half_lines
@@ -170,6 +170,13 @@ def _pair2d(x, y) -> tuple:
     return xv, yv
 
 
+def _check_figure_p(p: int) -> None:
+    """Raise TooLarge, before the first of the deformed samples, above
+    MAX_FIGURE_P."""
+    if p > MAX_FIGURE_P:
+        raise TooLarge(f"figure p limited to p <= {MAX_FIGURE_P}, got {p}")
+
+
 def _bounds(points, pad: float = 0.2) -> tuple[float, float, float, float]:
     xs = [float(p[0]) for p in points] + [0.0]
     ys = [float(p[1]) for p in points] + [0.0]
@@ -182,6 +189,7 @@ def _bounds(points, pad: float = 0.2) -> tuple[float, float, float, float]:
 def figure_hull(x, y, p: int = 6) -> str:
     """Two-point hull: finite-p curve plus sampled limit staircase."""
     xv, yv = _pair2d(x, y)
+    _check_figure_p(p)
     n = CURVE_SAMPLES
     curve = [co_p_sample(xv, yv, p, q(i, n - 1)) for i in range(n)]
     limit = [co_point(xv, yv, (q(i, 384), ZERO, ONE, ZERO)) for i in range(384)]
@@ -231,6 +239,7 @@ def figure_ball(center, radius) -> str:
 def figure_line(x, y, p: int = 6) -> str:
     """Limit line through two points: central span plus both half-lines."""
     xv, yv = _pair2d(x, y)
+    _check_figure_p(p)
     n = CURVE_SAMPLES
     curve = [
         line_p_sample(xv, yv, p, q(-3) + q(6) * q(i, n - 1)) for i in range(n)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .deform import DEFAULT_P_GRID, DEFAULT_TOL, _check_grid, _pp, _signed_root
 from .errors import (
     DimensionMismatch,
     NotOnUnitSquare,
@@ -23,8 +22,6 @@ from .errors import (
 from .linalg import Vec, _vecs, det_infty, inner_infty, norm_infty, vec
 from .metric import dist_boxplus
 from .scalars import ONE, ZERO, ScalarLike, ScalarQ, _nary, q, qfloor
-
-import mpmath as mp
 
 __all__ = [
     "AngleParam",
@@ -112,20 +109,27 @@ def pythagoras_check(
     x: Sequence[ScalarLike],
     y: Sequence[ScalarLike],
     z: Sequence[ScalarLike],
-    p_grid: Sequence = DEFAULT_P_GRID,
-    tol: float = DEFAULT_TOL,
+    p_grid: Sequence | None = None,
+    tol: float | None = None,
 ) -> bool:
     """Pythagorean identity for a limit right angle at z.
 
     Exact part: d(x, y) = max(d(x, z), d(y, z)) in the limit ultrametric.
     Deformed part: at each p, the squared deformed distances satisfy the
     p-deformed addition identity — equivalently the exact power sums obey
-    S_xy = S_xz + S_yz, checked through signed roots within tol.  Raises
+    S_xy = S_xz + S_yz, checked through signed roots within tol.  The grid
+    and tol default to deform's DEFAULT_P_GRID and DEFAULT_TOL.  Raises
     TooLarge before any work if a p of the grid exceeds MAX_P.
     """
+    # the only finite-p code here: keep mpmath off the import of trig
+    from mpmath import workprec
+
+    from .deform import DEFAULT_P_GRID, DEFAULT_TOL, _check_grid, _pp, _signed_root
+
+    p_grid = DEFAULT_P_GRID if p_grid is None else p_grid
     _check_grid(p_grid)
     xv, yv, zv = _vecs(x, y, z)
-    tol = float(tol)
+    tol = float(DEFAULT_TOL if tol is None else tol)
     if inner3_limit(xv, yv, zv) != 0:
         raise NotRightAngled("no limit right angle at z")
     lhs = dist_boxplus(xv, yv)
@@ -138,7 +142,7 @@ def pythagoras_check(
         s_xy = sum(((a**k - b**k) ** 2 for a, b in zip(xv, yv)), ZERO)
         s_xz = sum(((a**k - c**k) ** 2 for a, c in zip(xv, zv)), ZERO)
         s_yz = sum(((b**k - c**k) ** 2 for b, c in zip(yv, zv)), ZERO)
-        with mp.workprec(p.working_precision):
+        with workprec(p.working_precision):
             left = _signed_root(s_xy, 2 * k)
             right = _signed_root(s_xz + s_yz, 2 * k)
             if abs(left - right) > tol:

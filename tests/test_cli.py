@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from boxlim.cli import MAX_HULL_SAMPLES, MAX_P, main
+from boxlim.cli import MAX_FIGURE_P, MAX_HULL_SAMPLES, MAX_P, main
 
 
 def run(capsys, *argv):
@@ -136,6 +136,8 @@ def test_domain_errors_exit_one_with_json(capsys):
     ("trig", "--op", "pythagoras", "--x", "2,0", "--y", "0,-3", "--z", "0,0",
      "--p-grid", str(MAX_P + 1)),
     ("plot", "--figure", "hull", "--x", "3,1", "--y", "1,-2", "--p", str(MAX_P + 1)),
+    ("plot", "--figure", "line", "--x", "3,1", "--y", "1,-2",
+     "--p", str(MAX_FIGURE_P + 1)),
 ])
 def test_cost_caps_exit_one_with_json(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -195,6 +197,15 @@ def test_file_supplies_missing_inputs(tmp_path, capsys):
     mdata.write_text(json.dumps({"matrix": [["3", "1"], ["1", "-2"]]}))
     code, out, _ = run(capsys, "det", "--file", str(mdata))
     assert code == 0 and out.strip() == "-6"
+
+
+def test_file_leaves_the_oracle_settings_alone(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"values": ["3", "-2", "1"], "p-grid": ["1", "2"],
+                                "tol": "1e-300"}))
+    code, out, _ = run(capsys, "oracle", "--op", "sum", "--file", str(data))
+    assert code == 0
+    assert json.loads(out)["p"] == [1, 2, 4, 8, 16, 32]
 
 
 def test_flag_values_starting_with_a_dash(capsys):

@@ -1,0 +1,129 @@
+"""The lazy package namespace and the import graph of the CLI subcommands."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import boxlim
+from boxlim import cli
+
+SRC = Path(boxlim.__file__).resolve().parents[1]
+
+# `boxlim.__all__` when every submodule was imported eagerly
+EAGER_ALL = set("""
+    AngleParam AxiomReport BallDescriptor BoxComplex CheckResult ConvergenceReport
+    DEFAULT_P_GRID DEFAULT_TOL DegenerateConfiguration DegeneratePair
+    DimensionMismatch EmptyList FIGURES Fixed Free HalfLine HullCombination
+    InvalidCoefficients InvalidCombination LimitAlgebraError LineForm
+    LineMembership MAXPLUS_PSEUDO_FIELD MSym MONE MZERO NotParallel PParam SUITES
+    alpha alpha_inv ball_contains ball_describe boxminus boxplus cconj
+    chain_distance check_pseudo_field_axioms check_symmetric_space_axioms cinv
+    cmod_infty co_contains co_orthant co_p_sample co_point converge cos_infty
+    cplus cplx ctimes det_infty dist_boxplus dist_decomposition_check
+    exact_power_sum_is_zero from_polar half_lines hyperplane_form inner3_limit
+    inner_infty is_f_right_angled is_parallel line2d_form line_contains_2d
+    line_contains_nd line_p_sample line_point lower_form mat maxplus_vector_space
+    mp_boxplus mp_dist mp_dist_std mp_format mp_nary mp_otimes mp_parse msym
+    nary_boxplus nary_vec_boxplus norm_infty on_unit_square orthogonal_pairing
+    p_cos p_det p_dist p_inner p_norm p_sin p_sum parallel_normal_form
+    parallel_ratio pcos polar psi_exp psi_ln psin pythagoras_check q
+    real_vector_space render_figure run_all run_suite scale sin_infty
+    smile_minus smile_plus upper_form vec vec_boxplus
+""".split())
+
+# the submodules that the eager `import boxlim` bound on the package
+EAGER_SUBMODULES = {
+    "_certify", "cplane", "deform", "errors", "hull", "linalg", "lines", "maxplus",
+    "metric", "sampling", "scalars", "suites", "svgfig", "trig",
+}
+
+
+def _python(program: str, *args: str) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", program, *args],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    return done.stdout
+
+
+def test_every_public_name_is_its_submodule_object():
+    for name in boxlim.__all__:
+        module = importlib.import_module(f"boxlim.{boxlim._HOME[name]}")
+        assert getattr(boxlim, name) is getattr(module, name), name
+
+
+def test_star_import_binds_the_eager_names():
+    namespace: dict = {}
+    exec("from boxlim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EAGER_ALL
+    assert set(boxlim.__all__) == EAGER_ALL
+
+
+def test_dir_lists_every_eager_name():
+    assert EAGER_ALL | EAGER_SUBMODULES | {"__version__"} <= set(dir(boxlim))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        boxlim.no_such_name
+    assert getattr(boxlim, "no_such_name", None) is None
+
+
+def test_submodule_attribute_after_a_bare_import():
+    assert _python("import boxlim; print(boxlim.scalars.ONE)").strip() == "1"
+
+
+def test_bare_import_loads_no_submodule_and_no_mpmath():
+    loaded = json.loads(_python(
+        "import json, sys; import boxlim; print(json.dumps(sorted("
+        "m for m in sys.modules if m == 'mpmath' or m.startswith('boxlim.'))))"
+    ))
+    assert loaded == []
+
+
+def test_cli_choices_match_the_registries():
+    from boxlim.suites import SUITES
+    from boxlim.svgfig import FIGURES
+
+    assert cli.SUITE_NAMES == tuple(SUITES)
+    assert cli.FIGURE_NAMES == tuple(FIGURES)
+
+
+# Run one subcommand in a fresh interpreter; print its exit code and which of
+# the finite-p modules it loaded.
+_PROBE = """
+import contextlib, io, json, sys
+from boxlim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+heavy = ("mpmath", "boxlim.deform", "boxlim.suites", "boxlim.svgfig")
+print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--nary", "-3,-2,3,3,1,-3"],
+    ["dist", "--x", "3,1", "--y", "1,-2"],
+    ["det", "--matrix", "3,1;1,-2"],
+    ["hull", "--x", "3,1", "--y", "1,-2", "--contains", "3,0"],
+    ["line", "contains", "--x", "3,-2,1", "--y", "1,-1,1", "--z", "6,-4,1"],
+    ["trig", "--pcos", "13/4"],
+    ["trig", "--op", "cos", "--x", "3,1", "--y", "1,-2"],
+    ["complex", "--times", "3,1;1,-2"],
+    ["maxplus", "--add", "3/2,3/2+ipi"],
+])
+def test_exact_subcommands_load_no_finite_p_module(argv):
+    assert json.loads(_python(_PROBE, json.dumps(argv))) == [0, []]
+
+
+def test_the_oracle_loads_deform():
+    code, loaded = json.loads(_python(
+        _PROBE, json.dumps(["oracle", "--op", "sum", "--values", "3,-2,1"])))
+    assert code == 0
+    assert "boxlim.deform" in loaded and "mpmath" in loaded

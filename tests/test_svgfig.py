@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from boxlim import FIGURES, render_figure
+from boxlim.errors import MAX_FIGURE_P, TooLarge
 
 
 def _root(svg: str) -> ET.Element:
@@ -18,6 +19,12 @@ def test_figure_registry_is_complete():
 def test_unknown_figure_raises():
     with pytest.raises(KeyError):
         render_figure("histogram")
+
+
+@pytest.mark.parametrize("name", ["hull", "line"])
+def test_deformed_figures_cap_p(name):
+    with pytest.raises(TooLarge):
+        render_figure(name, x="3,1", y="1,-2", p=MAX_FIGURE_P + 1)
 
 
 def test_renders_are_byte_identical():

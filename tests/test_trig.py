@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from boxlim import (
+    DEFAULT_P_GRID,
+    DEFAULT_TOL,
     AngleParam,
     PParam,
     alpha,
@@ -149,6 +151,10 @@ def test_pythagoras_on_a_right_triple():
     assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2, 4, 8), tol=1e-6)
     # tol may be an exact rational, like every other scalar input
     assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2), tol=q(1, 100))
+    # no grid and no tol means the oracle's defaults
+    assert pythagoras_check((2, 0), (0, -3), (0, 0)) == pythagoras_check(
+        (2, 0), (0, -3), (0, 0), p_grid=DEFAULT_P_GRID, tol=DEFAULT_TOL
+    )
 
 
 def test_pythagoras_with_paired_cancellation():

@@ -6,6 +6,9 @@ module evaluates the finite-p side: power sums are computed in exact
 rational arithmetic, and only the final odd root is taken in
 arbitrary-precision floating point (mpmath), at a working precision that
 grows with p.  Exact cancellations therefore stay exactly zero at every p.
+The deformed cosine and sine keep that promise too: their ratio of power
+sums is formed exactly, so each takes one root, and an exact ±1 or 0 comes
+out exact.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import (
     MAX_P,
@@ -89,8 +93,13 @@ def _pp(pp: PParam | int) -> PParam:
 
 
 def _to_mpf(v: ScalarQ) -> mpf:
-    """Exact rational -> mpf at the current working precision."""
-    return mpf(int(v.numerator)) / mpf(int(v.denominator))
+    """Exact rational -> mpf, rounded once at the current working precision."""
+    return _quotient_mpf(int(v.numerator), int(v.denominator))
+
+
+def _quotient_mpf(n: int, d: int) -> mpf:
+    """n/d (d > 0, not necessarily in lowest terms) rounded once to an mpf."""
+    return mp.make_mpf(from_rational(n, d, mp.prec, round_nearest))
 
 
 def _signed_root(value, k: int):
@@ -197,26 +206,45 @@ def p_matvec(
 
 
 def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
-    """Deformed cosine ⟨x,y⟩_p / (‖x‖_p ‖y‖_p)."""
+    """Deformed cosine ⟨x,y⟩_p / (‖x‖_p ‖y‖_p), from one root of an exact ratio."""
     pp = _pp(pp)
     xv, yv = _vecs(x, y)
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
         raise ZeroVector("deformed cosine needs nonzero vectors")
-    with mp.workprec(pp.working_precision):
-        return p_inner(xv, yv, pp) / (p_norm(xv, pp) * p_norm(yv, pp))
+    k = pp.exponent
+    s = sum((a * b) ** k for a, b in zip(xv, yv))
+    return _ratio_root(s, xv, yv, pp)
 
 
 def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
-    """Deformed sine: 2×2 deformed determinant over the norm product (dim 2)."""
+    """Deformed sine: 2×2 deformed determinant over the norm product (dim 2),
+    from one root of an exact ratio."""
     pp = _pp(pp)
     xv, yv = _vecs(x, y)
     if len(xv) != 2:
         raise DimensionMismatch("deformed sine is defined in dimension 2")
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
         raise ZeroVector("deformed sine needs nonzero vectors")
+    k = pp.exponent
+    s = (xv[0] * yv[1]) ** k - (yv[0] * xv[1]) ** k
+    return _ratio_root(s, xv, yv, pp)
+
+
+def _ratio_root(s: ScalarQ, xv, yv, pp: PParam) -> mpf:
+    """sign(s)·(s² / (N_x N_y))^(1/(2k)) with N_v = Σ v_i^(2k), k = 2p+1.
+
+    The ratio is one exact integer quotient, rounded once and rooted once.
+    """
+    if s == 0:
+        return mpf(0)
+    k2 = 2 * pp.exponent
+    nx = sum(v**k2 for v in xv)
+    ny = sum(v**k2 for v in yv)
+    num = s.numerator**2 * nx.denominator * ny.denominator
+    den = s.denominator**2 * nx.numerator * ny.numerator
     with mp.workprec(pp.working_precision):
-        det = p_det(((xv[0], yv[0]), (xv[1], yv[1])), pp)
-        return det / (p_norm(xv, pp) * p_norm(yv, pp))
+        r = mp.root(_quotient_mpf(int(num), int(den)), k2)
+        return r if s > 0 else -r
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyList, TooLarge
@@ -21,6 +22,7 @@ from .scalars import (
     ZERO,
     ScalarLike,
     ScalarQ,
+    _from_pair,
     _nary,
     boxplus,
     q,
@@ -52,10 +54,17 @@ Mat = tuple  # tuple of row tuples
 
 
 def vec(x: str | Iterable[ScalarLike]) -> Vec:
-    """Build a vector from an iterable or a comma-separated literal like "3,-1/2,0.25"."""
+    """Build a vector from an iterable or a comma-separated literal like "3,-1/2,0.25".
+
+    Every entry becomes the carrier: a plain ``fractions.Fraction`` is
+    already in lowest terms, so it is rebuilt from its pair without a gcd.
+    """
     if isinstance(x, str):
         return tuple(q(part) for part in x.split(","))
-    return tuple(q(v) for v in x)
+    return tuple(
+        _from_pair(v._numerator, v._denominator) if type(v) is Fraction else q(v)
+        for v in x
+    )
 
 
 def mat(rows: Iterable) -> Mat:

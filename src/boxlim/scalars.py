@@ -10,10 +10,11 @@ every exactly sign-symmetric group, then keep the dominant survivor).
 All scalars are exact rationals.  Magnitude ties decide results, so floating
 point would silently corrupt them; floats are rejected at the boundary.  The
 carrier is gmpy2's ``mpq`` when gmpy2 is installed, otherwise ``QFraction``
-below; ``q`` also passes ``fractions.Fraction`` values through unchanged
-under the fallback.  The kernel (``boxplus``, Ϝ, the smiles) compares
-magnitudes as |n_a|·d_b against |n_b|·d_a and reads only ``.numerator`` and
-``.denominator``, so the same code serves every carrier.
+below.  Under the fallback ``q`` passes a scalar ``fractions.Fraction``
+through unchanged; ``linalg.vec`` and ``linalg.mat`` convert the entries of
+vectors and matrices to the carrier.  The kernel (``boxplus``, Ϝ, the
+smiles) compares magnitudes as |n_a|·d_b against |n_b|·d_a and reads only
+``.numerator`` and ``.denominator``, so the same code serves every carrier.
 """
 
 from __future__ import annotations
@@ -330,6 +331,8 @@ def q(value: ScalarLike, den: int | None = None) -> ScalarQ:
     Accepts rationals, ints, ``fractions.Fraction``, and strings: ``"7"``,
     ``"3/4"``, ``"-0.25"`` (finite decimals convert exactly).  ``q(p, q)``
     builds a quotient directly.  Floats are rejected — ties must be exact.
+    Under the fallback a ``Fraction`` comes back as it is, not as the
+    carrier; ``vec`` and ``mat`` are where vector entries become the carrier.
     """
     if den is not None:
         return _Q(value, den)

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from boxlim import (
+    DEFAULT_P_GRID,
     PParam,
     co_p_sample,
     converge,
@@ -19,6 +21,7 @@ from boxlim import (
     norm_infty,
     p_det,
     p_dist,
+    p_cos,
     p_norm,
     p_sin,
     p_sum,
@@ -26,7 +29,7 @@ from boxlim import (
     sin_infty,
     vec,
 )
-from boxlim.deform import MAX_P
+from boxlim.deform import MAX_P, _to_mpf
 from boxlim.errors import DegeneratePair, TooLarge
 from boxlim.sampling import Sampler
 
@@ -105,13 +108,91 @@ def test_converge_rejects_an_increasing_tail():
     assert not report.converged
 
 
+def _noisy_at_p16(scale):
+    # the limit 3 at every p but p = 16, where the error is `scale` times the
+    # noise bound max(1, |limit|)·2^-(16(2p+1))
+    def evaluator(p):
+        with mp.workprec(4 * PParam(p).working_precision):
+            bound = 3 * mpf(2) ** (-16 * (2 * p + 1))
+            return mpf(3) + (scale * bound if p == 16 else 0)
+
+    report = converge(evaluator, 3)
+    assert report.errors[-1] == report.errors[-3] == 0 < report.errors[-2]
+    return report
+
+
 def test_converge_accepts_rounding_noise_in_the_tail():
-    # the deformed determinant and the norm product cancel exactly at every p,
-    # so the tail errors are rounding noise: 0, 1.2e-178, 0
+    # below the bound the tail 0, noise, 0 counts as 0, 0, 0
+    assert _noisy_at_p16(mpf(1) / 2).converged
+
+
+def test_converge_rejects_a_tail_error_above_the_noise_bound():
+    # above it the tail 0, error, 0 is not non-increasing
+    assert not _noisy_at_p16(mpf(2)).converged
+
+
+def test_p_sin_is_exact_where_the_ratio_is_one():
+    # S² = N_x·N_y exactly at every p: 8^(2k)·(4^k + 1)² on both sides
     x, y = (8, -4), (2, 4)
-    report = converge(lambda p: p_sin(x, y, p), sin_infty(x, y))
-    assert report.errors[-1] == 0 < report.errors[-2] < 1e-170
-    assert report.converged
+    assert sin_infty(x, y) == 1
+    for p in DEFAULT_P_GRID:
+        assert p_sin(x, y, p) == 1
+    assert converge(lambda p: p_sin(x, y, p), sin_infty(x, y)).errors == (0.0,) * 6
+
+
+def test_to_mpf_rounds_once():
+    rng = random.Random(8)
+    for p in (1, 8):
+        prec = PParam(p).working_precision
+        with mp.workprec(prec):
+            for _ in range(300):
+                n = rng.randrange(10**59, 10**61) * rng.choice((1, -1))
+                d = rng.randrange(1, 10**12)
+                v = q(n, d)
+                got = _to_mpf(v)
+                want = from_rational(v.numerator, v.denominator, prec, round_nearest)
+                assert got._mpf_ == want
+                # and the result is within half an ulp of n/d
+                sign, man, exp, bits = got._mpf_
+                exact = (-1) ** sign * man * Fraction(2) ** exp
+                assert abs(exact - Fraction(n, d)) <= Fraction(2) ** (exp + bits - prec) / 2
+
+
+def _three_root_ratio(s, xv, yv, p):
+    # the old evaluation: a signed root of s over the product of two norm roots
+    k = 2 * p + 1
+    with mp.workprec(2 * PParam(p).working_precision):
+        num = mp.sign(_to_mpf(s)) * mp.root(abs(_to_mpf(s)), k) if s else mpf(0)
+        nx = mp.root(_to_mpf(sum(v ** (2 * k) for v in xv)), 2 * k)
+        ny = mp.root(_to_mpf(sum(v ** (2 * k) for v in yv)), 2 * k)
+        return num / (nx * ny)
+
+
+@pytest.mark.parametrize("p", [1, 8, 32, 128])
+def test_one_root_cos_and_sin_match_three_roots(p):
+    s = Sampler(seed=800 + p)
+    k = 2 * p + 1
+    bound = mpf(2) ** -(PParam(p).working_precision - 8)
+    for _ in range(4):
+        x, y = s.gap_trig_pair()
+        xv, yv = vec(x), vec(y)
+        cos_ref = _three_root_ratio(sum((a * b) ** k for a, b in zip(xv, yv)), xv, yv, p)
+        sin_ref = _three_root_ratio((xv[0] * yv[1]) ** k - (yv[0] * xv[1]) ** k, xv, yv, p)
+        with mp.workprec(2 * PParam(p).working_precision):
+            for got, ref in ((p_cos(x, y, p), cos_ref), (p_sin(x, y, p), sin_ref)):
+                assert abs(got - ref) <= bound * abs(ref)
+
+
+@pytest.mark.parametrize("p", [1, 8, 32, 128])
+def test_cos_and_sin_are_exact_at_plus_minus_one_and_zero(p):
+    x, y = vec("3,-1/2"), vec("1,1")
+    minus_x = tuple(-v for v in x)
+    assert p_cos(x, x, p) == 1 and p_cos(x, minus_x, p) == -1
+    assert p_cos((1, 1), (1, -1), p) == 0 and p_cos((1, 0, 2), (0, 5, 0), p) == 0
+    assert p_sin(x, x, p) == 0 and p_sin(x, minus_x, p) == 0
+    assert p_sin((1, 0), (0, 1), p) == 1 and p_sin((0, 1), (1, 0), p) == -1
+    assert p_sin((2, -2), (1, 1), p) == 1
+    assert 0 < abs(p_cos(x, y, p)) < 1
 
 
 def test_exact_power_sum_cancellation():

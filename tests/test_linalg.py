@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxlim import (
     boxplus,
@@ -35,6 +35,7 @@ from boxlim import (
     p_dist,
     p_inner,
     p_sin,
+    p_sum,
     parallel_normal_form,
     parallel_ratio,
     pythagoras_check,
@@ -51,6 +52,7 @@ from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, subspace_closure_check
 from boxlim.lines import line_grid_probe
 from boxlim.metric import f_limit_check
 from boxlim.sampling import Sampler
+from boxlim.scalars import ScalarQ
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(q)
 
@@ -137,6 +139,69 @@ def test_vector_arguments_share_one_dimension(name):
         args[j] = args[i]
         with pytest.raises(DegeneratePair):
             fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# the carrier at the vector boundary
+
+fraction_entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+any_entry = st.one_of(st.integers(-6, 6), fraction_entries, fraction_entries.map(q))
+
+
+@given(st.lists(any_entry, min_size=1, max_size=4), st.integers(1, 3))
+def test_vec_and_mat_hold_the_carrier(entries, rows):
+    v = vec(entries)
+    assert all(type(c) is ScalarQ for c in v)
+    assert v == tuple(Fraction(e) for e in entries)
+    m = mat([entries] * rows)
+    assert all(type(c) is ScalarQ for r in m for c in r)
+    assert m == (v,) * rows
+
+
+def as_fractions(v):
+    """A carrier value, or a tuple of them, as plain Fractions."""
+    if isinstance(v, tuple):
+        return tuple(as_fractions(c) for c in v)
+    return Fraction(v.numerator, v.denominator)
+
+
+small = st.sampled_from([Fraction(k, 2) for k in (-4, -2, -1, 0, 1, 2, 4)])
+
+
+def small_vectors(n, count):
+    return st.tuples(*[st.lists(small, min_size=n, max_size=n).map(tuple)] * count)
+
+
+def carried(vectors):
+    return tuple(tuple(q(c.numerator, c.denominator) for c in v) for v in vectors)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: small_vectors(n, n)))
+def test_det_infty_is_the_same_on_fraction_and_carrier(rows):
+    assert as_fractions(det_infty(rows)) == as_fractions(det_infty(carried(rows)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 3).flatmap(lambda n: small_vectors(n, 3)))
+def test_searches_are_the_same_on_fraction_and_carrier(xyz):
+    x, y, z = xyz
+    cx, cy, cz = carried(xyz)
+    assert co_contains(x, y, z) == co_contains(cx, cy, cz)
+    assume(x != y)
+    plain, carrier = line_contains_nd(x, y, z), line_contains_nd(cx, cy, cz)
+    assert plain.found == carrier.found
+    if plain.found:
+        assert as_fractions(plain.certificate) == as_fractions(carrier.certificate)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: small_vectors(n, 2)))
+def test_vector_values_are_the_same_on_fraction_and_carrier(xy):
+    x, y = xy
+    cx, cy = carried(xy)
+    assert as_fractions(dist_boxplus(x, y)) == as_fractions(dist_boxplus(cx, cy))
+    assert as_fractions(inner_infty(x, y)) == as_fractions(inner_infty(cx, cy))
+    assert p_sum(x, 2) == p_sum(cx, 2)
 
 
 @given(dims.flatmap(lambda n: st.lists(vectors(n), min_size=1, max_size=4)))

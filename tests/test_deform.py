@@ -19,9 +19,9 @@ from boxlim import (
     line_p_sample,
     nary_boxplus,
     norm_infty,
+    p_cos,
     p_det,
     p_dist,
-    p_cos,
     p_norm,
     p_sin,
     p_sum,

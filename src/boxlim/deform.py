@@ -2,13 +2,19 @@
 
 Every limit operation in this package is the p → ∞ limit of ordinary
 arithmetic transported through the odd power map φ_p(λ) = λ^(2p+1).  This
-module evaluates the finite-p side: power sums are computed in exact
-rational arithmetic, and only the final odd root is taken in
-arbitrary-precision floating point (mpmath), at a working precision that
-grows with p.  Exact cancellations therefore stay exactly zero at every p.
-The deformed cosine and sine keep that promise too: their ratio of power
-sums is formed exactly, so each takes one root, and an exact ±1 or 0 comes
-out exact.
+module evaluates the finite-p side: power sums are computed exactly, over
+the integers left when each vector is scaled by the lcm of its
+denominators, and only the final odd root is taken in arbitrary-precision
+floating point (mpmath), at a working precision that grows with p.  Exact
+cancellations therefore stay exactly zero at every p.  The deformed cosine
+and sine keep that promise too: their ratio of power sums is formed
+exactly, so each takes one root, and an exact ±1 or 0 comes out exact.
+
+Every root is one rounding of an integer quotient and one root at the
+working precision, with the sign set exactly; no mpmath context is entered,
+so a result has the same bits whatever the caller's ``mp.prec``.  The
+convergence harness measures each error exactly, as one integer quotient
+rounded once to a float.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, mpf_neg, mpf_nthroot, round_nearest
 
 from .errors import (
     MAX_P,
@@ -94,12 +100,18 @@ def _pp(pp: PParam | int) -> PParam:
 
 def _to_mpf(v: ScalarQ) -> mpf:
     """Exact rational -> mpf, rounded once at the current working precision."""
-    return _quotient_mpf(int(v.numerator), int(v.denominator))
+    return mp.make_mpf(from_rational(int(v.numerator), int(v.denominator), mp.prec, round_nearest))
 
 
-def _quotient_mpf(n: int, d: int) -> mpf:
-    """n/d (d > 0, not necessarily in lowest terms) rounded once to an mpf."""
-    return mp.make_mpf(from_rational(n, d, mp.prec, round_nearest))
+def _root(n: int, d: int, k: int, prec: int) -> mpf:
+    """sign(n)·(|n|/d)^(1/k) for integers n and d > 0 (the odd-root convention).
+
+    |n|/d is rounded once at prec and rooted once at prec; the sign is set
+    exactly.  No mpmath context is entered, so the caller's precision
+    cannot touch the result.
+    """
+    r = mpf_nthroot(from_rational(abs(n), d, prec, round_nearest), k, prec, round_nearest)
+    return mp.make_mpf(mpf_neg(r) if n < 0 else r)
 
 
 def _signed_root(value, k: int):
@@ -136,10 +148,9 @@ def p_sum(values: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     vals = vec(values)
     if not vals:
         raise EmptyList("deformed sum of an empty list")
+    (ints,), (f,) = _integer_rows([vals])
     k = pp.exponent
-    total = sum(v**k for v in vals)  # exact
-    with mp.workprec(pp.working_precision):
-        return _signed_root(_to_mpf(q(total)), k)
+    return _root(sum(a**k for a in ints), f**k, k, pp.working_precision)
 
 
 def exact_power_sum_is_zero(values: Sequence[ScalarLike], p: int) -> bool:
@@ -150,32 +161,33 @@ def exact_power_sum_is_zero(values: Sequence[ScalarLike], p: int) -> bool:
 
 def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """(Σ (x_i y_i)^(2p+1))^(1/(2p+1)), converging to the limit inner product."""
+    pp = _pp(pp)
     xv, yv = _vecs(x, y)
-    return p_sum([a * b for a, b in zip(xv, yv)], pp)
+    if not xv:
+        raise EmptyList("deformed sum of an empty list")
+    (a, b), (fa, fb) = _integer_rows([xv, yv])
+    k = pp.exponent
+    return _root(sum((s * t) ** k for s, t in zip(a, b)), (fa * fb) ** k, k, pp.working_precision)
 
 
 def p_norm(x: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """(Σ |x_i|^(2(2p+1)))^(1/(2(2p+1))), converging to the Chebyshev norm."""
     pp = _pp(pp)
-    xv = vec(x)
+    (ints,), (f,) = _integer_rows([vec(x)])
     k2 = 2 * pp.exponent
-    total = sum(v**k2 for v in xv)  # even powers: exact and nonnegative
-    with mp.workprec(pp.working_precision):
-        if total == 0:
-            return mpf(0)
-        return mp.root(_to_mpf(q(total)), k2)
+    return _root(sum(a**k2 for a in ints), f**k2, k2, pp.working_precision)
 
 
 def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
     """(Σ |x_i^(2p+1) − y_i^(2p+1)|²)^(1/(2(2p+1))), converging to the limit distance."""
     pp = _pp(pp)
     xv, yv = _vecs(x, y)
+    # one common scale f, so that x_i^k − y_i^k = (a_i^k − b_i^k) / f^k
+    (ints,), (f,) = _integer_rows([xv + yv])
+    a, b = ints[: len(xv)], ints[len(xv) :]
     k = pp.exponent
-    total = sum((a**k - b**k) ** 2 for a, b in zip(xv, yv))  # exact, >= 0
-    with mp.workprec(pp.working_precision):
-        if total == 0:
-            return mpf(0)
-        return mp.root(_to_mpf(q(total)), 2 * k)
+    total = sum((s**k - t**k) ** 2 for s, t in zip(a, b))
+    return _root(total, f ** (2 * k), 2 * k, pp.working_precision)
 
 
 def p_det(A: Sequence[Sequence[ScalarLike]], pp: PParam | int) -> mpf:
@@ -192,9 +204,8 @@ def p_det(A: Sequence[Sequence[ScalarLike]], pp: PParam | int) -> mpf:
         raise DimensionMismatch("matrix must be square and nonempty")
     k = pp.exponent
     ints, factors = _integer_rows(rows)
-    total = q(_bareiss([[v**k for v in r] for r in ints]), math.prod(factors) ** k)
-    with mp.workprec(pp.working_precision):
-        return _signed_root(_to_mpf(total), k)
+    det = _bareiss([[v**k for v in r] for r in ints])
+    return _root(det, math.prod(factors) ** k, k, pp.working_precision)
 
 
 def p_matvec(
@@ -202,7 +213,7 @@ def p_matvec(
 ) -> tuple:
     """Coordinatewise deformed sum of row products (matrix action at finite p)."""
     xv, *rows = _vecs(x, *A)
-    return tuple(p_sum([a * b for a, b in zip(row, xv)], pp) for row in rows)
+    return tuple(p_inner(row, xv, pp) for row in rows)
 
 
 def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
@@ -211,9 +222,9 @@ def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) ->
     xv, yv = _vecs(x, y)
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
         raise ZeroVector("deformed cosine needs nonzero vectors")
+    (a, b), _ = _integer_rows([xv, yv])
     k = pp.exponent
-    s = sum((a * b) ** k for a, b in zip(xv, yv))
-    return _ratio_root(s, xv, yv, pp)
+    return _ratio_root(sum((s * t) ** k for s, t in zip(a, b)), a, b, pp)
 
 
 def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
@@ -225,26 +236,23 @@ def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) ->
         raise DimensionMismatch("deformed sine is defined in dimension 2")
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
         raise ZeroVector("deformed sine needs nonzero vectors")
+    (a, b), _ = _integer_rows([xv, yv])
     k = pp.exponent
-    s = (xv[0] * yv[1]) ** k - (yv[0] * xv[1]) ** k
-    return _ratio_root(s, xv, yv, pp)
+    return _ratio_root((a[0] * b[1]) ** k - (b[0] * a[1]) ** k, a, b, pp)
 
 
-def _ratio_root(s: ScalarQ, xv, yv, pp: PParam) -> mpf:
-    """sign(s)·(s² / (N_x N_y))^(1/(2k)) with N_v = Σ v_i^(2k), k = 2p+1.
+def _ratio_root(s: int, a: list[int], b: list[int], pp: PParam) -> mpf:
+    """sign(s)·(s² / (N_a N_b))^(1/(2k)) with N_v = Σ v_i^(2k), k = 2p+1.
 
-    The ratio is one exact integer quotient, rounded once and rooted once.
+    a and b are x and y scaled to integers by f_x and f_y, and s is the power
+    sum S scaled by (f_x f_y)^k; the scales cancel in S² / (N_x N_y), so the
+    ratio is one exact integer quotient, rounded once and rooted once.
     """
     if s == 0:
         return mpf(0)
     k2 = 2 * pp.exponent
-    nx = sum(v**k2 for v in xv)
-    ny = sum(v**k2 for v in yv)
-    num = s.numerator**2 * nx.denominator * ny.denominator
-    den = s.denominator**2 * nx.numerator * ny.numerator
-    with mp.workprec(pp.working_precision):
-        r = mp.root(_quotient_mpf(int(num), int(den)), k2)
-        return r if s > 0 else -r
+    norms = sum(v**k2 for v in a) * sum(v**k2 for v in b)
+    return _root(s * abs(s), norms, k2, pp.working_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +325,17 @@ def converge(
 ) -> ConvergenceReport:
     """Evaluate |evaluator(p) − limit| along the grid.
 
+    Each error is exact: an mpf is the binary rational man·2^exp, so
+    |value − limit| is one integer quotient, rounded once to the nearest
+    float (inf beyond float range; an inf or nan value gives an inf or nan
+    error).  A value that is not an mpf is first converted with ``mpf`` at
+    64 bits above the working precision for its p.
+
     converged ⇔ the final error is ≤ tol *and* the last three errors are
     non-increasing (early-p oscillation near magnitude ties is expected).
     In that tail rule an error below 2^-(16(2p+1))·max(1, |limit|) counts as
-    0: it is rounding noise of a finite-p value that equals the limit.
+    0: it is rounding noise of a finite-p value that equals the limit.  The
+    comparison is exact, over the integers.
     Raises TooLarge before the first evaluation if a p exceeds MAX_P.
     """
     grid = tuple(int(p) for p in (p_grid if p_grid is not None else DEFAULT_P_GRID))
@@ -331,16 +346,32 @@ def converge(
     if tol <= 0:
         raise ValueError("tol must be positive")
     lim = q(limit)
+    n, d = int(lim.numerator), int(lim.denominator)
+    scale = max(d, abs(n))  # max(1, |limit|) = scale / d
     errors = []
     ranked = []  # the errors with rounding noise counted as 0
     for p in grid:
         val = evaluator(p)
-        with mp.workprec(_min_precision(p) + 64):
-            limf = _to_mpf(lim)
-            err = abs(mpf(val) - limf)
-            errors.append(float(err))
-            noise = err < max(1, abs(limf)) * mpf(2) ** (-16 * (2 * p + 1))
-            ranked.append(0.0 if noise else errors[-1])
+        if type(val) is not mpf:
+            with mp.workprec(_min_precision(p) + 64):
+                val = mpf(val)
+        sign, man, exp, _ = val._mpf_
+        if not man and exp:  # ±inf or nan
+            errors.append(abs(float(val)))
+            ranked.append(errors[-1])
+            continue
+        # |val − n/d| = num / den, with den = d·2^max(0, −exp)
+        man = -man if sign else man
+        if exp >= 0:
+            num, den = abs((man << exp) * d - n), d
+        else:
+            num, den = abs(man * d - (n << -exp)), d << -exp
+        try:
+            errors.append(num / den)
+        except OverflowError:
+            errors.append(math.inf)
+        noise = (num * d) << (16 * (2 * p + 1)) < scale * den
+        ranked.append(0.0 if noise else errors[-1])
     tail = ranked[-3:]
     monotone = all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1))
     final = errors[-1]

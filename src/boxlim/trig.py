@@ -19,9 +19,9 @@ from .errors import (
     NotRightAngled,
     ZeroVector,
 )
-from .linalg import Vec, _vecs, det_infty, inner_infty, norm_infty, vec
+from .linalg import Vec, _integer_rows, _vecs, det_infty, inner_infty, norm_infty, vec
 from .metric import dist_boxplus
-from .scalars import ONE, ZERO, ScalarLike, ScalarQ, _nary, q, qfloor
+from .scalars import ONE, ScalarLike, ScalarQ, _nary, q, qfloor
 
 __all__ = [
     "AngleParam",
@@ -124,7 +124,7 @@ def pythagoras_check(
     # the only finite-p code here: keep mpmath off the import of trig
     from mpmath import workprec
 
-    from .deform import DEFAULT_P_GRID, DEFAULT_TOL, _check_grid, _pp, _signed_root
+    from .deform import DEFAULT_P_GRID, DEFAULT_TOL, _check_grid, _pp, _root
 
     p_grid = DEFAULT_P_GRID if p_grid is None else p_grid
     _check_grid(p_grid)
@@ -136,15 +136,20 @@ def pythagoras_check(
     rhs = max(dist_boxplus(xv, zv), dist_boxplus(yv, zv))
     if lhs != rhs:
         return False
+    # one common scale f: every power sum below is an integer over f^(2k)
+    (ints,), (f,) = _integer_rows([xv + yv + zv])
+    n = len(xv)
+    a, b, c = ints[:n], ints[n : 2 * n], ints[2 * n :]
     for p_like in p_grid:
         p = _pp(p_like)
         k = p.exponent
-        s_xy = sum(((a**k - b**k) ** 2 for a, b in zip(xv, yv)), ZERO)
-        s_xz = sum(((a**k - c**k) ** 2 for a, c in zip(xv, zv)), ZERO)
-        s_yz = sum(((b**k - c**k) ** 2 for b, c in zip(yv, zv)), ZERO)
+        ak, bk, ck = [v**k for v in a], [v**k for v in b], [v**k for v in c]
+        s_xy = sum((s - t) ** 2 for s, t in zip(ak, bk))
+        s_xz = sum((s - t) ** 2 for s, t in zip(ak, ck))
+        s_yz = sum((s - t) ** 2 for s, t in zip(bk, ck))
+        left = _root(s_xy, f ** (2 * k), 2 * k, p.working_precision)
+        right = _root(s_xz + s_yz, f ** (2 * k), 2 * k, p.working_precision)
         with workprec(p.working_precision):
-            left = _signed_root(s_xy, 2 * k)
-            right = _signed_root(s_xz + s_yz, 2 * k)
             if abs(left - right) > tol:
                 return False
     return True

@@ -1,12 +1,14 @@
 """Finite-p deformations and the convergence oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from boxlim import (
     DEFAULT_P_GRID,
@@ -22,6 +24,7 @@ from boxlim import (
     p_cos,
     p_det,
     p_dist,
+    p_inner,
     p_norm,
     p_sin,
     p_sum,
@@ -29,7 +32,7 @@ from boxlim import (
     sin_infty,
     vec,
 )
-from boxlim.deform import MAX_P, _to_mpf
+from boxlim.deform import MAX_P, _min_precision, _to_mpf
 from boxlim.errors import DegeneratePair, TooLarge
 from boxlim.sampling import Sampler
 
@@ -108,27 +111,104 @@ def test_converge_rejects_an_increasing_tail():
     assert not report.converged
 
 
-def _noisy_at_p16(scale):
-    # the limit 3 at every p but p = 16, where the error is `scale` times the
-    # noise bound max(1, |limit|)·2^-(16(2p+1))
-    def evaluator(p):
-        with mp.workprec(4 * PParam(p).working_precision):
-            bound = 3 * mpf(2) ** (-16 * (2 * p + 1))
-            return mpf(3) + (scale * bound if p == 16 else 0)
+def _exact_mpf(v: Fraction) -> mpf:
+    # a dyadic rational of fewer than 4000 bits, as an mpf with no rounding
+    return mp.make_mpf(from_rational(v.numerator, v.denominator, 4000, round_nearest))
 
-    report = converge(evaluator, 3)
+
+def _noisy_at_p16(limit, scale):
+    # the limit at every p but p = 16, where the error is `scale` times the
+    # noise bound max(1, |limit|)·2^-(16(2p+1)); scale may be negative
+    limit = Fraction(limit)
+
+    def evaluator(p):
+        bound = max(1, abs(limit)) * Fraction(2) ** (-16 * (2 * p + 1))
+        return _exact_mpf(limit + (scale * bound if p == 16 else 0))
+
+    report = converge(evaluator, limit)
     assert report.errors[-1] == report.errors[-3] == 0 < report.errors[-2]
     return report
 
 
+NOISE_CASES = [
+    (limit, sign) for limit in (3, Fraction(-5, 4), Fraction(1, 4), 0) for sign in (1, -1)
+]
+
+
 def test_converge_accepts_rounding_noise_in_the_tail():
-    # below the bound the tail 0, noise, 0 counts as 0, 0, 0
-    assert _noisy_at_p16(mpf(1) / 2).converged
+    # below the bound (2^-(16k+1)·max(1, |limit|)) the tail 0, noise, 0
+    # counts as 0, 0, 0
+    for limit, sign in NOISE_CASES:
+        assert _noisy_at_p16(limit, sign * Fraction(1, 2)).converged
 
 
 def test_converge_rejects_a_tail_error_above_the_noise_bound():
-    # above it the tail 0, error, 0 is not non-increasing
-    assert not _noisy_at_p16(mpf(2)).converged
+    # above it (2^-(16k-1)·max(1, |limit|)) the tail 0, error, 0 is not
+    # non-increasing
+    for limit, sign in NOISE_CASES:
+        assert not _noisy_at_p16(limit, sign * 2).converged
+
+
+def _fraction(v: mpf) -> Fraction:
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.integers(0, 2**200), st.integers(-600, 60)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.fractions(max_denominator=10**12).filter(lambda f: abs(f) < 10**15),
+)
+def test_converge_errors_are_the_exact_distance_rounded_once(values, limit):
+    vals = [mp.make_mpf(from_man_exp(-man if neg else man, exp)) for neg, man, exp in values]
+    grid = tuple(range(1, len(vals) + 1))
+    report = converge(lambda p: vals[p - 1], limit, p_grid=grid)
+    assert report.errors == tuple(float(abs(_fraction(v) - limit)) for v in vals)
+
+
+@pytest.mark.parametrize("value", [mpf("inf"), mpf("-inf")])
+def test_converge_reports_an_infinite_value_as_an_infinite_error(value):
+    report = converge(lambda p: value, 3, p_grid=(1, 2, 4))
+    assert report.errors == (math.inf,) * 3
+    assert not report.converged
+
+
+def test_converge_reports_nan_as_a_nan_error():
+    report = converge(lambda p: mpf("nan"), 3, p_grid=(1, 2, 4))
+    assert all(math.isnan(e) for e in report.errors)
+    assert not report.converged
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_converge_reports_an_error_beyond_float_range_as_inf(sign):
+    huge = mp.make_mpf(from_man_exp(sign * 3, 2000))
+    report = converge(lambda p: huge, 3, p_grid=(1, 2))
+    assert report.errors == (math.inf, math.inf)
+    assert not report.converged
+
+
+@pytest.mark.parametrize("value", [3, 2.5, q(1, 3), q(-7, 2)])
+def test_converge_takes_a_non_mpf_value_through_mpf(value):
+    # an int, float or carrier value is rounded by mpf at 64 bits above the
+    # working precision for its p, then measured exactly
+    limit = q(1, 3)
+    grid = (1, 8)
+    report = converge(lambda p: value, limit, p_grid=grid)
+    want = []
+    for p in grid:
+        with mp.workprec(_min_precision(p) + 64):
+            want.append(float(abs(_fraction(mpf(value)) - limit)))
+    assert report.errors == tuple(want)
+
+
+def test_converge_takes_no_plain_fraction_value():
+    # mpmath has no conversion for a plain Fraction
+    with pytest.raises(TypeError):
+        converge(lambda p: Fraction(1, 3), q(1, 3), p_grid=(1,))
 
 
 def test_p_sin_is_exact_where_the_ratio_is_one():
@@ -237,6 +317,77 @@ def _exact_p_det(rows, p):
     with mp.workprec(PParam(p).working_precision):
         root = mp.root(mpf(abs(total.numerator)) / mpf(total.denominator), k)
         return root if total >= 0 else -root
+
+
+def _reference_root(value: Fraction, k: int, p: int) -> mpf:
+    # one mp.root of |value| at the working precision, negated in that context
+    with mp.workprec(PParam(p).working_precision):
+        r = mp.root(_to_mpf(abs(value)), k)
+        return -r if value < 0 else r
+
+
+def _fsum(terms) -> Fraction:
+    return sum((Fraction(t) for t in terms), Fraction(0))
+
+
+# each op with inputs, and the exact rational and root order of its reference
+# at exponent k; the inputs give a negative power sum, inner product,
+# determinant, cosine and sine
+_X, _Y = (Fraction(1), Fraction(-3), Fraction(1, 2)), (Fraction(2), Fraction(1), Fraction(-5, 3))
+_M = [[Fraction(1, 2), 3, 0], [2, 1, -1], [0, Fraction(1, 3), 2]]
+OPS_AND_REFERENCES = {
+    "sum": (lambda p: p_sum(_X, p), lambda k: (_fsum(v**k for v in _X), k)),
+    "inner": (
+        lambda p: p_inner(_X, _Y, p),
+        lambda k: (_fsum((a * b) ** k for a, b in zip(_X, _Y)), k),
+    ),
+    "norm": (lambda p: p_norm(_Y, p), lambda k: (_fsum(v ** (2 * k) for v in _Y), 2 * k)),
+    "dist": (
+        lambda p: p_dist(_X, _Y, p),
+        lambda k: (_fsum((a**k - b**k) ** 2 for a, b in zip(_X, _Y)), 2 * k),
+    ),
+    "det": (lambda p: p_det(_M, p), lambda k: (_permutation_sum(_M, k), k)),
+    "cos": (
+        lambda p: p_cos(_X, _Y, p),
+        lambda k: (_signed_ratio(_fsum((a * b) ** k for a, b in zip(_X, _Y)), _X, _Y, k), 2 * k),
+    ),
+    "sin": (
+        lambda p: p_sin(_Y[:2], _X[:2], p),
+        lambda k: (
+            _signed_ratio((_Y[0] * _X[1]) ** k - (_X[0] * _Y[1]) ** k, _Y[:2], _X[:2], k),
+            2 * k,
+        ),
+    ),
+}
+
+
+def _signed_ratio(s: Fraction, xv, yv, k: int) -> Fraction:
+    # sign(S)·S² / (N_x N_y): its signed 2k-th root is the deformed cos or sin
+    return s * abs(s) / (_fsum(v ** (2 * k) for v in xv) * _fsum(v ** (2 * k) for v in yv))
+
+
+def _permutation_sum(rows, k: int) -> Fraction:
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            prod *= Fraction(rows[i][perm[i]]) ** k
+        total += prod
+    return total
+
+
+@pytest.mark.parametrize("op", sorted(OPS_AND_REFERENCES))
+@pytest.mark.parametrize("p", [1, 8, 32])
+def test_deformed_ops_ignore_the_ambient_precision(op, p):
+    fn, reference = OPS_AND_REFERENCES[op]
+    value, order = reference(2 * p + 1)
+    assert value < 0 or op in ("norm", "dist")
+    want = _reference_root(value, order, p)._mpf_
+    for prec in (20, 4000):
+        with mp.workprec(prec):
+            assert fn(p)._mpf_ == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -104,7 +104,7 @@ def _to_mpf(v: ScalarQ) -> mpf:
 
 
 def _root(n: int, d: int, k: int, prec: int) -> mpf:
-    """sign(n)·(|n|/d)^(1/k) for integers n and d > 0 (the odd-root convention).
+    """sign(n)·(|n|/d)^(1/k) for integers n and d > 0.
 
     |n|/d is rounded once at prec and rooted once at prec; the sign is set
     exactly.  No mpmath context is entered, so the caller's precision

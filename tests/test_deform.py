@@ -161,7 +161,7 @@ def _fraction(v: mpf) -> Fraction:
         min_size=1,
         max_size=4,
     ),
-    st.fractions(max_denominator=10**12).filter(lambda f: abs(f) < 10**15),
+    st.fractions(min_value=-(10**15), max_value=10**15, max_denominator=10**12),
 )
 def test_converge_errors_are_the_exact_distance_rounded_once(values, limit):
     vals = [mp.make_mpf(from_man_exp(-man if neg else man, exp)) for neg, man, exp in values]
@@ -303,9 +303,8 @@ def test_p_det_matches_the_limit_determinant():
         assert abs(p_det(mm, 32) - float(det_infty(mm))) < 1e-6
 
 
-def _exact_p_det(rows, p):
-    """Signed odd root of Σ_σ sgn(σ) Π a_iσ(i)^(2p+1), summed term by term."""
-    k = 2 * p + 1
+def _permutation_sum(rows, k: int) -> Fraction:
+    """Σ_σ sgn(σ) Π a_iσ(i)^k, summed term by term."""
     n = len(rows)
     total = Fraction(0)
     for perm in itertools.permutations(range(n)):
@@ -314,9 +313,7 @@ def _exact_p_det(rows, p):
         for i in range(n):
             prod *= Fraction(rows[i][perm[i]]) ** k
         total += prod
-    with mp.workprec(PParam(p).working_precision):
-        root = mp.root(mpf(abs(total.numerator)) / mpf(total.denominator), k)
-        return root if total >= 0 else -root
+    return total
 
 
 def _reference_root(value: Fraction, k: int, p: int) -> mpf:
@@ -330,9 +327,14 @@ def _fsum(terms) -> Fraction:
     return sum((Fraction(t) for t in terms), Fraction(0))
 
 
-# each op with inputs, and the exact rational and root order of its reference
-# at exponent k; the inputs give a negative power sum, inner product,
-# determinant, cosine and sine
+def _signed_ratio(s: Fraction, xv, yv, k: int) -> Fraction:
+    # sign(S)·S² / (N_x N_y): its signed 2k-th root is the deformed cos or sin
+    return s * abs(s) / (_fsum(v ** (2 * k) for v in xv) * _fsum(v ** (2 * k) for v in yv))
+
+
+# each op with its inputs, and the exact rational and root order of its
+# reference at exponent k; the inputs give a negative power sum, inner
+# product, determinant, cosine and sine
 _X, _Y = (Fraction(1), Fraction(-3), Fraction(1, 2)), (Fraction(2), Fraction(1), Fraction(-5, 3))
 _M = [[Fraction(1, 2), 3, 0], [2, 1, -1], [0, Fraction(1, 3), 2]]
 OPS_AND_REFERENCES = {
@@ -361,23 +363,6 @@ OPS_AND_REFERENCES = {
 }
 
 
-def _signed_ratio(s: Fraction, xv, yv, k: int) -> Fraction:
-    # sign(S)·S² / (N_x N_y): its signed 2k-th root is the deformed cos or sin
-    return s * abs(s) / (_fsum(v ** (2 * k) for v in xv) * _fsum(v ** (2 * k) for v in yv))
-
-
-def _permutation_sum(rows, k: int) -> Fraction:
-    n = len(rows)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        prod = Fraction(-1 if inversions % 2 else 1)
-        for i in range(n):
-            prod *= Fraction(rows[i][perm[i]]) ** k
-        total += prod
-    return total
-
-
 @pytest.mark.parametrize("op", sorted(OPS_AND_REFERENCES))
 @pytest.mark.parametrize("p", [1, 8, 32])
 def test_deformed_ops_ignore_the_ambient_precision(op, p):
@@ -397,7 +382,8 @@ def test_p_det_equals_the_exact_permutation_sum(n):
     for _ in range(3):
         rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
         for p in (1, 8):
-            assert p_det(rows, p) == _exact_p_det(rows, p)
+            k = 2 * p + 1
+            assert p_det(rows, p) == _reference_root(_permutation_sum(rows, k), k, p)
 
 
 def test_p_det_has_no_size_cap():

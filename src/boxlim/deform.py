@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_neg, mpf_nthroot, round_nearest
+from mpmath.libmp import from_rational, mpf_neg, mpf_nthroot, round_nearest, to_rational
 
 from .errors import (
     MAX_P,
@@ -35,7 +35,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import _bareiss, _integer_rows, _vecs, mat, vec
-from .scalars import ScalarLike, ScalarQ, q
+from .scalars import ScalarLike, ScalarQ, _as_exact, q
 
 __all__ = [
     "PParam",
@@ -98,11 +98,6 @@ def _pp(pp: PParam | int) -> PParam:
     return pp if isinstance(pp, PParam) else PParam(int(pp))
 
 
-def _to_mpf(v: ScalarQ) -> mpf:
-    """Exact rational -> mpf, rounded once at the current working precision."""
-    return mp.make_mpf(from_rational(int(v.numerator), int(v.denominator), mp.prec, round_nearest))
-
-
 def _root(n: int, d: int, k: int, prec: int) -> mpf:
     """sign(n)·(|n|/d)^(1/k) for integers n and d > 0.
 
@@ -114,28 +109,33 @@ def _root(n: int, d: int, k: int, prec: int) -> mpf:
     return mp.make_mpf(mpf_neg(r) if n < 0 else r)
 
 
-def _signed_root(value, k: int):
-    """Real k-th root with the odd-root sign convention (k odd unless value >= 0)."""
-    if value == 0:
-        return mpf(0)
-    if value > 0:
-        return mp.root(value, k)
-    return -mp.root(-value, k)
+def _settings(p_grid: Sequence | None, tol) -> tuple[tuple, float]:
+    """The p-grid and tol of a finite-p check, None meaning the default.
 
-
-def _real(v) -> mpf:
-    """Loose real parameter (oracle side only): floats allowed here."""
-    if isinstance(v, (int, float)) or type(v) is mpf:
-        return mpf(v)
-    return _to_mpf(q(v))
-
-
-def _check_grid(p_grid: Sequence) -> None:
-    """Raise TooLarge, before any evaluation, if a p of the grid exceeds MAX_P
-    (a PParam was checked when it was made)."""
-    top = max((int(p) for p in p_grid if not isinstance(p, PParam)), default=0)
+    Raises ValueError for an empty grid or a tol not > 0 (nan included), and
+    TooLarge for a p above MAX_P (a PParam was checked when it was made).
+    """
+    grid = tuple(DEFAULT_P_GRID if p_grid is None else p_grid)
+    if not grid:
+        raise ValueError("p_grid must be nonempty")
+    top = max((int(p) for p in grid if not isinstance(p, PParam)), default=0)
     if top > MAX_P:
         raise TooLarge(f"p-grid limited to p <= {MAX_P}, got {top}")
+    tol = DEFAULT_TOL if tol is None else float(tol)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return grid, tol
+
+
+def _param(v) -> ScalarQ:
+    """A sampling parameter read exactly: a float or an mpf is the binary
+    rational it stores, anything else goes through q; ±inf and nan raise
+    ValueError."""
+    if isinstance(v, mpf):
+        if not mp.isfinite(v):
+            raise ValueError(f"no exact rational from {v}")
+        return q(*to_rational(v._mpf_))
+    return _as_exact(v)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,6 @@ def _ratio_root(s: int, a: list[int], b: list[int], pp: PParam) -> mpf:
     sum S scaled by (f_x f_y)^k; the scales cancel in S² / (N_x N_y), so the
     ratio is one exact integer quotient, rounded once and rooted once.
     """
-    if s == 0:
-        return mpf(0)
     k2 = 2 * pp.exponent
     norms = sum(v**k2 for v in a) * sum(v**k2 for v in b)
     return _root(s * abs(s), norms, k2, pp.working_precision)
@@ -265,34 +263,37 @@ def co_p_sample(
     """Point of the deformed two-point hull at parameter t ∈ [0,1].
 
     Coordinates are φ_p^{-1}(t^(2p+1) φ_p(x_i) + (1 − t^(2p+1)) φ_p(y_i)).
+    t is a rational, int, string, float or mpf, read exactly.
     """
-    pp = _pp(pp)
-    with mp.workprec(pp.working_precision):
-        tm = _real(t)
-    if not 0 <= tm <= 1:
+    t = _param(t)
+    if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
-    return _p_sample(x, y, pp, tm, "hull")
+    return _p_sample(x, y, _pp(pp), t, "hull")
 
 
 def line_p_sample(
     x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int, s
 ) -> tuple:
-    """Point of the deformed line through x, y with coefficients (s, 1 ⊟_p s)."""
-    return _p_sample(x, y, _pp(pp), s, "line")
+    """Point of the deformed line through x, y with coefficients (s, 1 ⊟_p s),
+    for s a rational, int, string, float or mpf, read exactly."""
+    return _p_sample(x, y, _pp(pp), _param(s), "line")
 
 
-def _p_sample(x, y, pp: PParam, s, what: str) -> tuple:
-    # φ_p^{-1}(s^(2p+1) φ_p(x_i) + (1 − s^(2p+1)) φ_p(y_i)) per coordinate
+def _p_sample(x, y, pp: PParam, s: ScalarQ, what: str) -> tuple:
+    # φ_p^{-1}(s^k x_i^k + (1 − s^k) y_i^k) per coordinate, k = 2p+1: with
+    # s = n/d and one common scale f taking x, y to integers a, b, the root
+    # of (n^k a_i^k + (d^k − n^k) b_i^k) / (d^k f^k)
     xv, yv = _vecs(x, y)
     if xv == yv:
         raise DegeneratePair(f"{what} sampling needs two distinct points")
-    with mp.workprec(pp.working_precision):
-        k = pp.exponent
-        sk = _real(s) ** k
-        return tuple(
-            _signed_root(sk * _to_mpf(q(a**k)) + (1 - sk) * _to_mpf(q(b**k)), k)
-            for a, b in zip(xv, yv)
-        )
+    (ints,), (f,) = _integer_rows([xv + yv])
+    a, b = ints[: len(xv)], ints[len(xv) :]
+    k = pp.exponent
+    nk, dk = s.numerator**k, s.denominator**k
+    return tuple(
+        _root(nk * u**k + (dk - nk) * v**k, dk * f**k, k, pp.working_precision)
+        for u, v in zip(a, b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +337,11 @@ def converge(
     In that tail rule an error below 2^-(16(2p+1))·max(1, |limit|) counts as
     0: it is rounding noise of a finite-p value that equals the limit.  The
     comparison is exact, over the integers.
-    Raises TooLarge before the first evaluation if a p exceeds MAX_P.
+    Before the first evaluation, raises ValueError for an empty grid or a tol
+    that is not > 0, and TooLarge if a p exceeds MAX_P.
     """
-    grid = tuple(int(p) for p in (p_grid if p_grid is not None else DEFAULT_P_GRID))
-    if not grid:
-        raise ValueError("p_grid must be nonempty")
-    _check_grid(grid)
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    grid, tol = _settings(p_grid, tol)
+    grid = tuple(int(p) for p in grid)
     lim = q(limit)
     n, d = int(lim.numerator), int(lim.denominator)
     scale = max(d, abs(n))  # max(1, |limit|) = scale / d

@@ -35,7 +35,7 @@ __all__ = [
 MAX_P = 2048
 
 # An SVG figure of a hull or line evaluates 512 deformed samples, so its p is
-# capped lower (1.5-1.9 s at p = 256, 56-57 s at p = 2048 on the same Xeon).
+# capped lower (0.6 s at p = 256, 26-28 s at p = 2048 on the same Xeon).
 MAX_FIGURE_P = 256
 
 

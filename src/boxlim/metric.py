@@ -10,11 +10,10 @@ is pinned exactly to the center value, every other coordinate is free within
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, NegativeRadius
-from .scalars import ScalarLike, ScalarQ, ZERO, q
+from .scalars import ScalarLike, ScalarQ, ZERO, _as_exact, q
 from .linalg import Vec, _vecs, vec
 
 __all__ = [
@@ -93,12 +92,6 @@ def ball_contains(b: BallDescriptor, z: Sequence[ScalarLike]) -> bool:
     return True
 
 
-def _as_eps(eps: Union[ScalarLike, float]) -> ScalarQ:
-    if isinstance(eps, float):
-        return q(Fraction(eps))  # exact binary value of the float
-    return q(eps)
-
-
 def f_limit_check(
     sequence: Sequence[Sequence[ScalarLike]],
     x: Sequence[ScalarLike],
@@ -113,7 +106,7 @@ def f_limit_check(
     xv, *seq = _vecs(x, *sequence)
     if not seq:
         return False
-    bound = _as_eps(eps)
+    bound = _as_exact(eps)
     n = len(seq)
     tail_start = n - max(1, n // 4)
     for i, xi in enumerate(xv):

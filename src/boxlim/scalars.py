@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, EmptyIndexSet, EmptyList
@@ -345,6 +345,16 @@ def q(value: ScalarLike, den: int | None = None) -> ScalarQ:
     if isinstance(value, Fraction):
         return _Q(value)
     raise TypeError(f"no exact rational from {type(value).__name__}: {value!r}")
+
+
+def _as_exact(value: Union[ScalarLike, float]) -> ScalarQ:
+    """``q``, except that a float (a tolerance or a sampling parameter) is the
+    binary rational it stores; a float ±inf or nan raises ValueError."""
+    if not isinstance(value, float):
+        return q(value)
+    if not isfinite(value):
+        raise ValueError(f"no exact rational from {value!r}")
+    return q(*value.as_integer_ratio())
 
 
 def qfloor(value: ScalarQ) -> int:

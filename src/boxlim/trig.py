@@ -118,18 +118,17 @@ def pythagoras_check(
     Deformed part: at each p, the squared deformed distances satisfy the
     p-deformed addition identity — equivalently the exact power sums obey
     S_xy = S_xz + S_yz, checked through signed roots within tol.  The grid
-    and tol default to deform's DEFAULT_P_GRID and DEFAULT_TOL.  Raises
-    TooLarge before any work if a p of the grid exceeds MAX_P.
+    (ints or PParams) and tol default to deform's DEFAULT_P_GRID and
+    DEFAULT_TOL.  Before any work, raises ValueError for an empty grid or a
+    tol that is not > 0, and TooLarge if a p of the grid exceeds MAX_P.
     """
     # the only finite-p code here: keep mpmath off the import of trig
     from mpmath import workprec
 
-    from .deform import DEFAULT_P_GRID, DEFAULT_TOL, _check_grid, _pp, _root
+    from .deform import _pp, _root, _settings
 
-    p_grid = DEFAULT_P_GRID if p_grid is None else p_grid
-    _check_grid(p_grid)
+    p_grid, tol = _settings(p_grid, tol)
     xv, yv, zv = _vecs(x, y, z)
-    tol = float(DEFAULT_TOL if tol is None else tol)
     if inner3_limit(xv, yv, zv) != 0:
         raise NotRightAngled("no limit right angle at z")
     lhs = dist_boxplus(xv, yv)

@@ -156,6 +156,21 @@ def test_hull_samples_below_one_exit_one_with_json(capsys, samples):
     assert "at least 1" in payload["detail"]
 
 
+_PYTHAGORAS = ("trig", "--op", "pythagoras", "--x", "1,1", "--y", "1,-1", "--z", "0,0")
+_ORACLE = ("oracle", "--op", "sum", "--values", "3,-2,1")
+
+
+@pytest.mark.parametrize("command", [_PYTHAGORAS, _ORACLE])
+@pytest.mark.parametrize("setting", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0")])
+def test_bad_oracle_settings_exit_one_with_json(capsys, command, setting):
+    code, out, err = run(capsys, *command, *setting)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "tol" in payload["detail"]
+
+
 def test_value_errors_exit_one(capsys):
     code, _, err = run(capsys, "eval", "--nary", "not-a-number")
     assert code == 1

@@ -32,7 +32,7 @@ from boxlim import (
     sin_infty,
     vec,
 )
-from boxlim.deform import MAX_P, _min_precision, _to_mpf
+from boxlim.deform import MAX_P, _min_precision
 from boxlim.errors import DegeneratePair, TooLarge
 from boxlim.sampling import Sampler
 
@@ -64,6 +64,22 @@ def test_converge_checks_the_whole_grid_before_evaluating():
 
     with pytest.raises(TooLarge):
         converge(evaluator, 3, p_grid=(1, MAX_P + 1))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"tol": float("nan")}, {"tol": -1}, {"tol": 0}, {"tol": q(-1, 100)}, {"p_grid": ()}],
+)
+def test_converge_rejects_bad_settings_before_evaluating(settings):
+    calls = []
+
+    def evaluator(p):
+        calls.append(p)
+        return p_sum((3, -2, 1), p)
+
+    with pytest.raises(ValueError):
+        converge(evaluator, 3, **settings)
     assert calls == []
 
 
@@ -229,7 +245,7 @@ def test_to_mpf_rounds_once():
                 n = rng.randrange(10**59, 10**61) * rng.choice((1, -1))
                 d = rng.randrange(1, 10**12)
                 v = q(n, d)
-                got = _to_mpf(v)
+                got = mpf(v)
                 want = from_rational(v.numerator, v.denominator, prec, round_nearest)
                 assert got._mpf_ == want
                 # and the result is within half an ulp of n/d
@@ -238,13 +254,18 @@ def test_to_mpf_rounds_once():
                 assert abs(exact - Fraction(n, d)) <= Fraction(2) ** (exp + bits - prec) / 2
 
 
+def _rounded(v: Fraction) -> mpf:
+    # v rounded once at the current working precision
+    return mp.make_mpf(from_rational(v.numerator, v.denominator, mp.prec, round_nearest))
+
+
 def _three_root_ratio(s, xv, yv, p):
     # the old evaluation: a signed root of s over the product of two norm roots
     k = 2 * p + 1
     with mp.workprec(2 * PParam(p).working_precision):
-        num = mp.sign(_to_mpf(s)) * mp.root(abs(_to_mpf(s)), k) if s else mpf(0)
-        nx = mp.root(_to_mpf(sum(v ** (2 * k) for v in xv)), 2 * k)
-        ny = mp.root(_to_mpf(sum(v ** (2 * k) for v in yv)), 2 * k)
+        num = mp.sign(_rounded(s)) * mp.root(abs(_rounded(s)), k) if s else mpf(0)
+        nx = mp.root(_rounded(sum(v ** (2 * k) for v in xv)), 2 * k)
+        ny = mp.root(_rounded(sum(v ** (2 * k) for v in yv)), 2 * k)
         return num / (nx * ny)
 
 
@@ -319,7 +340,7 @@ def _permutation_sum(rows, k: int) -> Fraction:
 def _reference_root(value: Fraction, k: int, p: int) -> mpf:
     # one mp.root of |value| at the working precision, negated in that context
     with mp.workprec(PParam(p).working_precision):
-        r = mp.root(_to_mpf(abs(value)), k)
+        r = mp.root(_rounded(abs(value)), k)
         return -r if value < 0 else r
 
 
@@ -332,9 +353,16 @@ def _signed_ratio(s: Fraction, xv, yv, k: int) -> Fraction:
     return s * abs(s) / (_fsum(v ** (2 * k) for v in xv) * _fsum(v ** (2 * k) for v in yv))
 
 
-# each op with its inputs, and the exact rational and root order of its
-# reference at exponent k; the inputs give a negative power sum, inner
-# product, determinant, cosine and sine
+def _sample_values(xv, yv, s, k: int) -> tuple:
+    # s^k·x_i^k + (1 − s^k)·y_i^k: the signed k-th roots are a deformed sample
+    sk = Fraction(s) ** k
+    return tuple(sk * Fraction(a) ** k + (1 - sk) * Fraction(b) ** k for a, b in zip(xv, yv))
+
+
+# each op with its inputs, and the exact rational (or, for a sampler, the
+# tuple of rationals) and root order of its reference at exponent k; the
+# inputs give a negative power sum, inner product, determinant, cosine,
+# sine and sample coordinate
 _X, _Y = (Fraction(1), Fraction(-3), Fraction(1, 2)), (Fraction(2), Fraction(1), Fraction(-5, 3))
 _M = [[Fraction(1, 2), 3, 0], [2, 1, -1], [0, Fraction(1, 3), 2]]
 OPS_AND_REFERENCES = {
@@ -360,7 +388,20 @@ OPS_AND_REFERENCES = {
             2 * k,
         ),
     ),
+    "hull": (
+        lambda p: co_p_sample(_X, _Y, p, Fraction(2, 3)),
+        lambda k: (_sample_values(_X, _Y, Fraction(2, 3), k), k),
+    ),
+    "line": (
+        lambda p: line_p_sample(_X, _Y, p, Fraction(-5, 4)),
+        lambda k: (_sample_values(_X, _Y, Fraction(-5, 4), k), k),
+    ),
 }
+
+
+def _mpfs(v) -> list:
+    # the _mpf_ tuples of one result or of every coordinate of a sample
+    return [c._mpf_ for c in (v if isinstance(v, tuple) else (v,))]
 
 
 @pytest.mark.parametrize("op", sorted(OPS_AND_REFERENCES))
@@ -368,11 +409,12 @@ OPS_AND_REFERENCES = {
 def test_deformed_ops_ignore_the_ambient_precision(op, p):
     fn, reference = OPS_AND_REFERENCES[op]
     value, order = reference(2 * p + 1)
-    assert value < 0 or op in ("norm", "dist")
-    want = _reference_root(value, order, p)._mpf_
+    values = value if isinstance(value, tuple) else (value,)
+    assert min(values) < 0 or op in ("norm", "dist")
+    want = [_reference_root(v, order, p)._mpf_ for v in values]
     for prec in (20, 4000):
         with mp.workprec(prec):
-            assert fn(p)._mpf_ == want
+            assert _mpfs(fn(p)) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -424,6 +466,44 @@ def test_line_p_sample_hits_the_generators():
     at_zero = line_p_sample(x, y, 6, 0)
     assert all(abs(a - float(b)) < 1e-12 for a, b in zip(at_one, x))
     assert all(abs(a - float(b)) < 1e-12 for a, b in zip(at_zero, y))
+
+
+@pytest.mark.parametrize("p", [1, 8, 32])
+def test_samples_are_one_rounding_of_the_exact_coordinates(p):
+    # each coordinate is the signed root of s^k·x_i^k + (1 − s^k)·y_i^k,
+    # rounded once; the draws include coordinates that are exactly 0
+    rng = random.Random(300 + p)
+    entries = [Fraction(v, d) for v in range(-6, 7) for d in (1, 2, 3)]
+    k = 2 * p + 1
+    for _ in range(25):
+        x = [rng.choice(entries) for _ in range(3)]
+        y = [rng.choice(entries) for _ in range(3)]
+        if x == y:
+            continue
+        t = Fraction(rng.randrange(13), 12)
+        s = Fraction(rng.randrange(-24, 25), 12)
+        for sample, param in ((co_p_sample, t), (line_p_sample, s)):
+            want = [_reference_root(v, k, p)._mpf_ for v in _sample_values(x, y, param, k)]
+            assert _mpfs(sample(x, y, p, param)) == want
+
+
+@pytest.mark.parametrize("sample", [co_p_sample, line_p_sample])
+def test_float_and_mpf_parameters_are_the_rationals_they_store(sample):
+    x, y = vec("3,-1/2,1"), vec("1,2,-1")
+    wide = mp.make_mpf(from_man_exp(3**100, -160))  # 159 bits, about 0.35
+    for v in (0.0, 0.1, 1 / 3, 0.75, 1.0, mpf(0.1), wide):
+        exact = _fraction(v) if isinstance(v, mpf) else Fraction(v)
+        for p in (1, 8):
+            assert _mpfs(sample(x, y, p, v)) == _mpfs(sample(x, y, p, exact))
+
+
+@pytest.mark.parametrize("sample", [co_p_sample, line_p_sample])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, mpf("nan"), mpf("inf"), mpf("-inf")]
+)
+def test_a_non_finite_parameter_raises(sample, bad):
+    with pytest.raises(ValueError):
+        sample(vec("3,1"), vec("1,-2"), 4, bad)
 
 
 def test_deformed_samples_are_finite_precision_stable():

@@ -223,6 +223,22 @@ def test_grid_probe_equals_the_unpruned_enumeration(triple):
     assert probe.found == (probe.certificate is not None)
 
 
+_HALVES = st.integers(-8, 8).map(lambda k: q(k, 2))
+_POINTS_2D = st.tuples(_HALVES, _HALVES)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_POINTS_2D, _POINTS_2D, _POINTS_2D)
+def test_nd_search_agrees_with_the_2d_line_equation(x, y, z):
+    # in 2D the line equation is exact, so it is an oracle for the search,
+    # NotFound answers included
+    try:
+        form = line2d_form(x, y)
+    except (DegeneratePair, DegenerateConfiguration):
+        assume(False)
+    assert bool(line_contains_nd(x, y, z)) == line_contains_2d(form, z)
+
+
 def test_notfound_answers_agree_with_the_grid_probe():
     rng = random.Random(4)
     misses = 0

@@ -132,3 +132,13 @@ def test_f_limit_check_bounds_zero_coordinates():
 def test_f_limit_check_rejects_late_departure():
     seq = [(q(3), q(0))] * 39 + [(q(2), q(0))]
     assert not f_limit_check(seq, (3, 0))
+
+
+def test_f_limit_check_reads_a_float_eps_exactly():
+    # 0.1 stores slightly more than 1/10, so a tail at exactly 1/10 passes
+    seq = [(q(3), q(1, 10))] * 40
+    assert f_limit_check(seq, (3, 0), eps=0.1)
+    assert not f_limit_check(seq, (3, 0), eps=q(1, 11))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            f_limit_check(seq, (3, 0), eps=bad)

@@ -1,5 +1,6 @@
 """Figure rendering: deterministic bytes, well-formed markup, regime shapes."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -37,6 +38,21 @@ def test_renders_are_byte_identical():
     }
     for name, kw in kwargs.items():
         assert render_figure(name, **kw) == render_figure(name, **kw), name
+
+
+@pytest.mark.parametrize(
+    "name, p, digest",
+    [
+        ("hull", 6, "2678917dddeced8345c93421208489f0921238919ad11e8a696f8e208ac4a957"),
+        ("hull", 256, "11f8f5bf607e0b880e6c41d0a51b47dbba911e40e7cbd7af921401f8d82458b8"),
+        ("line", 6, "b94e4d229ec03e5d3cc82624fa64ac10b4cf4c2683121085c16e4127a6ad14d7"),
+        ("line", 256, "9870466a9dc662d7f728f834469ef36b6e343c38708f9e9c6906f0c265921edd"),
+    ],
+)
+def test_deformed_figure_bytes_are_pinned(name, p, digest):
+    # a change to the deformed samplers that moves a drawn point shows here
+    svg = render_figure(name, x="3,1", y="1,-2", p=p)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_svg_structure_and_viewport():

@@ -25,10 +25,12 @@ from boxlim import (
     vec,
 )
 from boxlim.errors import (
+    MAX_P,
     DimensionMismatch,
     NotOnUnitSquare,
     NotOrthogonal,
     NotRightAngled,
+    TooLarge,
     ZeroVector,
 )
 from boxlim.sampling import Sampler
@@ -151,6 +153,8 @@ def test_pythagoras_on_a_right_triple():
     assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2, 4, 8), tol=1e-6)
     # tol may be an exact rational, like every other scalar input
     assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2), tol=q(1, 100))
+    # and the grid may hold PParams
+    assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(PParam(1), PParam(2)))
     # no grid and no tol means the oracle's defaults
     assert pythagoras_check((2, 0), (0, -3), (0, 0)) == pythagoras_check(
         (2, 0), (0, -3), (0, 0), p_grid=DEFAULT_P_GRID, tol=DEFAULT_TOL
@@ -168,3 +172,23 @@ def test_pythagoras_with_paired_cancellation():
 def test_pythagoras_rejects_oblique_triples():
     with pytest.raises(NotRightAngled):
         pythagoras_check((2, 0), (1, 1), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "settings, error",
+    [
+        ({"tol": float("nan")}, ValueError),
+        ({"tol": -1}, ValueError),
+        ({"tol": 0}, ValueError),
+        ({"tol": q(-1, 100)}, ValueError),
+        ({"p_grid": ()}, ValueError),
+        ({"p_grid": (1, MAX_P + 1)}, TooLarge),
+    ],
+)
+def test_pythagoras_checks_its_settings_before_any_work(settings, error):
+    # the same gate as converge's; on an oblique triple it fires before the
+    # exact part could raise NotRightAngled
+    with pytest.raises(error):
+        pythagoras_check((2, 0), (0, -3), (0, 0), **settings)
+    with pytest.raises(error):
+        pythagoras_check((2, 0), (1, 1), (0, 0), **settings)

@@ -24,9 +24,9 @@ _EXPORTS = {
         "from_polar", "on_unit_square", "polar",
     ),
     "deform": (
-        "DEFAULT_P_GRID", "DEFAULT_TOL", "ConvergenceReport", "PParam", "co_p_sample",
-        "converge", "exact_power_sum_is_zero", "line_p_sample", "p_cos", "p_det",
-        "p_dist", "p_inner", "p_norm", "p_sin", "p_sum",
+        "DEFAULT_P_GRID", "DEFAULT_TOL", "ConvergenceReport", "co_p_sample", "converge",
+        "exact_power_sum_is_zero", "line_p_sample", "p_cos", "p_det", "p_dist",
+        "p_inner", "p_norm", "p_sin", "p_sum",
     ),
     "errors": (
         "DegenerateConfiguration", "DegeneratePair", "DimensionMismatch", "EmptyList",

@@ -15,6 +15,12 @@ working precision, with the sign set exactly; no mpmath context is entered,
 so a result has the same bits whatever the caller's ``mp.prec``.  The
 convergence harness measures each error exactly, as one integer quotient
 rounded once to a float.
+
+p is a plain int, checked in one place: an int p with 0 ≤ p ≤ ``MAX_P``
+gives the exponent 2p+1 and the working precision ``_min_precision(p)`` =
+64 + 16(2p+1) bits; any other p raises (``ValueError``, or ``TooLarge``
+above the cap).  The harness defaults are the constants ``DEFAULT_P_GRID``
+and ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .linalg import _bareiss, _integer_rows, _vecs, mat, vec
 from .scalars import ScalarLike, ScalarQ, _as_exact, q
 
 __all__ = [
-    "PParam",
     "ConvergenceReport",
     "DEFAULT_P_GRID",
     "DEFAULT_TOL",
@@ -65,37 +70,16 @@ def _min_precision(p: int) -> int:
     return 64 + 16 * (2 * p + 1)
 
 
-@dataclass(frozen=True)
-class PParam:
-    """Deformation parameter p plus the binary working precision for roots.
+def _power(p: int) -> tuple[int, int]:
+    """The exponent 2p+1 and the working precision for p.
 
-    Raises TooLarge for p > MAX_P.
+    Raises ValueError unless p is an int ≥ 0, and TooLarge above MAX_P.
     """
-
-    p: int
-    working_precision: int = 0  # 0 means "use the minimum for this p"
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("p must be a nonnegative integer")
-        if self.p > MAX_P:
-            raise TooLarge(f"p limited to p <= {MAX_P}, got {self.p}")
-        least = _min_precision(self.p)
-        if self.working_precision == 0:
-            object.__setattr__(self, "working_precision", least)
-        elif self.working_precision < least:
-            raise ValueError(
-                f"working_precision {self.working_precision} < required {least} for p={self.p}"
-            )
-
-    @property
-    def exponent(self) -> int:
-        """The odd exponent 2p+1 of the power map."""
-        return 2 * self.p + 1
-
-
-def _pp(pp: PParam | int) -> PParam:
-    return pp if isinstance(pp, PParam) else PParam(int(pp))
+    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+        raise ValueError(f"p must be a nonnegative integer, got {p!r}")
+    if p > MAX_P:
+        raise TooLarge(f"p limited to p <= {MAX_P}, got {p}")
+    return 2 * p + 1, _min_precision(p)
 
 
 def _root(n: int, d: int, k: int, prec: int) -> mpf:
@@ -109,18 +93,17 @@ def _root(n: int, d: int, k: int, prec: int) -> mpf:
     return mp.make_mpf(mpf_neg(r) if n < 0 else r)
 
 
-def _settings(p_grid: Sequence | None, tol) -> tuple[tuple, float]:
+def _settings(p_grid: Sequence[int] | None, tol) -> tuple[tuple[int, ...], float]:
     """The p-grid and tol of a finite-p check, None meaning the default.
 
-    Raises ValueError for an empty grid or a tol not > 0 (nan included), and
-    TooLarge for a p above MAX_P (a PParam was checked when it was made).
+    Every entry goes through ``_power`` before any evaluation; ValueError
+    also for an empty grid or a tol not > 0 (nan included).
     """
     grid = tuple(DEFAULT_P_GRID if p_grid is None else p_grid)
     if not grid:
         raise ValueError("p_grid must be nonempty")
-    top = max((int(p) for p in grid if not isinstance(p, PParam)), default=0)
-    if top > MAX_P:
-        raise TooLarge(f"p-grid limited to p <= {MAX_P}, got {top}")
+    for p in grid:
+        _power(p)
     tol = DEFAULT_TOL if tol is None else float(tol)
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -142,115 +125,109 @@ def _param(v) -> ScalarQ:
 # deformed scalar/vector operations
 
 
-def p_sum(values: Sequence[ScalarLike], pp: PParam | int) -> mpf:
+def p_sum(values: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ x_i^(2p+1))^(1/(2p+1)) — the deformed indexed sum, converging to Ϝ."""
-    pp = _pp(pp)
+    k, prec = _power(p)
     vals = vec(values)
     if not vals:
         raise EmptyList("deformed sum of an empty list")
     (ints,), (f,) = _integer_rows([vals])
-    k = pp.exponent
-    return _root(sum(a**k for a in ints), f**k, k, pp.working_precision)
+    return _root(sum(a**k for a in ints), f**k, k, prec)
 
 
 def exact_power_sum_is_zero(values: Sequence[ScalarLike], p: int) -> bool:
     """Exact rational test Σ x_i^(2p+1) = 0 (no floating point involved)."""
-    k = 2 * int(p) + 1
+    k, _ = _power(p)
     return sum(v**k for v in vec(values)) == 0
 
 
-def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
+def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ (x_i y_i)^(2p+1))^(1/(2p+1)), converging to the limit inner product."""
-    pp = _pp(pp)
+    k, prec = _power(p)
     xv, yv = _vecs(x, y)
     if not xv:
         raise EmptyList("deformed sum of an empty list")
     (a, b), (fa, fb) = _integer_rows([xv, yv])
-    k = pp.exponent
-    return _root(sum((s * t) ** k for s, t in zip(a, b)), (fa * fb) ** k, k, pp.working_precision)
+    return _root(sum((s * t) ** k for s, t in zip(a, b)), (fa * fb) ** k, k, prec)
 
 
-def p_norm(x: Sequence[ScalarLike], pp: PParam | int) -> mpf:
+def p_norm(x: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ |x_i|^(2(2p+1)))^(1/(2(2p+1))), converging to the Chebyshev norm."""
-    pp = _pp(pp)
+    k, prec = _power(p)
     (ints,), (f,) = _integer_rows([vec(x)])
-    k2 = 2 * pp.exponent
-    return _root(sum(a**k2 for a in ints), f**k2, k2, pp.working_precision)
+    return _root(sum(a ** (2 * k) for a in ints), f ** (2 * k), 2 * k, prec)
 
 
-def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
+def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ |x_i^(2p+1) − y_i^(2p+1)|²)^(1/(2(2p+1))), converging to the limit distance."""
-    pp = _pp(pp)
+    k, prec = _power(p)
     xv, yv = _vecs(x, y)
     # one common scale f, so that x_i^k − y_i^k = (a_i^k − b_i^k) / f^k
     (ints,), (f,) = _integer_rows([xv + yv])
     a, b = ints[: len(xv)], ints[len(xv) :]
-    k = pp.exponent
     total = sum((s**k - t**k) ** 2 for s, t in zip(a, b))
-    return _root(total, f ** (2 * k), 2 * k, pp.working_precision)
+    return _root(total, f ** (2 * k), 2 * k, prec)
 
 
-def p_det(A: Sequence[Sequence[ScalarLike]], pp: PParam | int) -> mpf:
+def p_det(A: Sequence[Sequence[ScalarLike]], p: int) -> mpf:
     """Signed odd root of the exact determinant of the entry powers.
 
     Each row of the powered matrix is scaled to integers by its
     denominators' lcm to the power 2p+1, so the determinant is one integer
     Bareiss elimination, O(n³), divided back by the scales.
     """
-    pp = _pp(pp)
+    k, prec = _power(p)
     rows = mat(A)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise DimensionMismatch("matrix must be square and nonempty")
-    k = pp.exponent
     ints, factors = _integer_rows(rows)
     det = _bareiss([[v**k for v in r] for r in ints])
-    return _root(det, math.prod(factors) ** k, k, pp.working_precision)
+    return _root(det, math.prod(factors) ** k, k, prec)
 
 
 def p_matvec(
-    A: Sequence[Sequence[ScalarLike]], x: Sequence[ScalarLike], pp: PParam | int
+    A: Sequence[Sequence[ScalarLike]], x: Sequence[ScalarLike], p: int
 ) -> tuple:
     """Coordinatewise deformed sum of row products (matrix action at finite p)."""
+    _power(p)
     xv, *rows = _vecs(x, *A)
-    return tuple(p_inner(row, xv, pp) for row in rows)
+    return tuple(p_inner(row, xv, p) for row in rows)
 
 
-def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
+def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """Deformed cosine ⟨x,y⟩_p / (‖x‖_p ‖y‖_p), from one root of an exact ratio."""
-    pp = _pp(pp)
+    k, prec = _power(p)
     xv, yv = _vecs(x, y)
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
         raise ZeroVector("deformed cosine needs nonzero vectors")
     (a, b), _ = _integer_rows([xv, yv])
-    k = pp.exponent
-    return _ratio_root(sum((s * t) ** k for s, t in zip(a, b)), a, b, pp)
+    return _ratio_root(sum((s * t) ** k for s, t in zip(a, b)), a, b, k, prec)
 
 
-def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int) -> mpf:
+def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """Deformed sine: 2×2 deformed determinant over the norm product (dim 2),
     from one root of an exact ratio."""
-    pp = _pp(pp)
+    k, prec = _power(p)
     xv, yv = _vecs(x, y)
     if len(xv) != 2:
         raise DimensionMismatch("deformed sine is defined in dimension 2")
     if all(v == 0 for v in xv) or all(v == 0 for v in yv):
         raise ZeroVector("deformed sine needs nonzero vectors")
     (a, b), _ = _integer_rows([xv, yv])
-    k = pp.exponent
-    return _ratio_root((a[0] * b[1]) ** k - (b[0] * a[1]) ** k, a, b, pp)
+    return _ratio_root((a[0] * b[1]) ** k - (b[0] * a[1]) ** k, a, b, k, prec)
 
 
-def _ratio_root(s: int, a: list[int], b: list[int], pp: PParam) -> mpf:
+def _ratio_root(s: int, a: list[int], b: list[int], k: int, prec: int) -> mpf:
     """sign(s)·(s² / (N_a N_b))^(1/(2k)) with N_v = Σ v_i^(2k), k = 2p+1.
 
     a and b are x and y scaled to integers by f_x and f_y, and s is the power
     sum S scaled by (f_x f_y)^k; the scales cancel in S² / (N_x N_y), so the
     ratio is one exact integer quotient, rounded once and rooted once.
     """
-    k2 = 2 * pp.exponent
+    k2 = 2 * k
     norms = sum(v**k2 for v in a) * sum(v**k2 for v in b)
-    return _root(s * abs(s), norms, k2, pp.working_precision)
+    return _root(s * abs(s), norms, k2, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +235,7 @@ def _ratio_root(s: int, a: list[int], b: list[int], pp: PParam) -> mpf:
 
 
 def co_p_sample(
-    x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int, t
+    x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int, t
 ) -> tuple:
     """Point of the deformed two-point hull at parameter t ∈ [0,1].
 
@@ -268,18 +245,18 @@ def co_p_sample(
     t = _param(t)
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
-    return _p_sample(x, y, _pp(pp), t, "hull")
+    return _p_sample(x, y, *_power(p), t, "hull")
 
 
 def line_p_sample(
-    x: Sequence[ScalarLike], y: Sequence[ScalarLike], pp: PParam | int, s
+    x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int, s
 ) -> tuple:
     """Point of the deformed line through x, y with coefficients (s, 1 ⊟_p s),
     for s a rational, int, string, float or mpf, read exactly."""
-    return _p_sample(x, y, _pp(pp), _param(s), "line")
+    return _p_sample(x, y, *_power(p), _param(s), "line")
 
 
-def _p_sample(x, y, pp: PParam, s: ScalarQ, what: str) -> tuple:
+def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple:
     # φ_p^{-1}(s^k x_i^k + (1 − s^k) y_i^k) per coordinate, k = 2p+1: with
     # s = n/d and one common scale f taking x, y to integers a, b, the root
     # of (n^k a_i^k + (d^k − n^k) b_i^k) / (d^k f^k)
@@ -288,10 +265,9 @@ def _p_sample(x, y, pp: PParam, s: ScalarQ, what: str) -> tuple:
         raise DegeneratePair(f"{what} sampling needs two distinct points")
     (ints,), (f,) = _integer_rows([xv + yv])
     a, b = ints[: len(xv)], ints[len(xv) :]
-    k = pp.exponent
     nk, dk = s.numerator**k, s.denominator**k
     return tuple(
-        _root(nk * u**k + (dk - nk) * v**k, dk * f**k, k, pp.working_precision)
+        _root(nk * u**k + (dk - nk) * v**k, dk * f**k, k, prec)
         for u, v in zip(a, b)
     )
 
@@ -337,11 +313,11 @@ def converge(
     In that tail rule an error below 2^-(16(2p+1))·max(1, |limit|) counts as
     0: it is rounding noise of a finite-p value that equals the limit.  The
     comparison is exact, over the integers.
-    Before the first evaluation, raises ValueError for an empty grid or a tol
-    that is not > 0, and TooLarge if a p exceeds MAX_P.
+    Before the first evaluation, raises ValueError for an empty grid, a p
+    that is not an int ≥ 0 or a tol that is not > 0, and TooLarge if a p
+    exceeds MAX_P.
     """
     grid, tol = _settings(p_grid, tol)
-    grid = tuple(int(p) for p in grid)
     lim = q(limit)
     n, d = int(lim.numerator), int(lim.denominator)
     scale = max(d, abs(n))  # max(1, |limit|) = scale / d

@@ -198,7 +198,8 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
     return prod if (prod > 0) == (count > 0) else -prod
 
 
-def _det_enumerate(rows: Mat) -> ScalarQ:
+def _signed_products(rows: Mat) -> list:
+    """sign(σ)·Π_i rows[i][σ(i)] for every permutation σ, in one fixed order."""
     n = len(rows)
     products = []
     for sign, perm in _signed_perms(n):
@@ -206,7 +207,11 @@ def _det_enumerate(rows: Mat) -> ScalarQ:
         for i in range(1, n):
             prod = prod * rows[i][perm[i]]
         products.append(prod if sign > 0 else -prod)
-    return _nary(products)
+    return products
+
+
+def _det_enumerate(rows: Mat) -> ScalarQ:
+    return _nary(_signed_products(rows))
 
 
 def _integer_rows(rows: Mat) -> tuple[list[list[int]], list[int]]:

@@ -3,11 +3,11 @@
 The deformation oracle converges geometrically only when no two surviving
 magnitudes are close: a second magnitude at ratio ρ of the top contributes
 an absolute error of order T·ρ^(2p+1), with T the top magnitude (up to ~10³
-for 3×3 determinant products).  The documented filter ratio is 3/4 — at the
-default final grid point p = 32 that gives ρ^65 ≈ 7.5·10⁻⁹, keeping the
-worst accepted sample inside the 10⁻⁶ acceptance tolerance for every
-operation, whereas a loose ratio like 9/10 (0.9^65 ≈ 10⁻³) would not
-converge within tolerance at all.
+for 3×3 determinant products).  Every filter uses the one constant
+``GAP_RATIO`` = 3/4 — at the default final grid point p = 32 that gives
+ρ^65 ≈ 7.5·10⁻⁹, keeping the worst accepted sample inside the 10⁻⁶
+acceptance tolerance for every operation, whereas a loose ratio like 9/10
+(0.9^65 ≈ 10⁻³) would not converge within tolerance at all.
 
 Filters reject near-ties; exact ties that cancel completely are kept, since
 cancellation is exact at every p.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from .linalg import Mat, Vec, _signed_perms
+from .linalg import Mat, Vec, _signed_products
 from .scalars import ScalarQ, _net_by_magnitude, q
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 GAP_RATIO = q(3, 4)
 
 
-def gap_ok(values: Sequence[ScalarQ], ratio: ScalarQ = GAP_RATIO) -> bool:
+def gap_ok(values: Sequence[ScalarQ]) -> bool:
     """Oracle-friendly n-ary sums: fully cancelled levels are exact at every
     p, so only surviving magnitudes matter — the top must survive with net
     count ±1 and dominate the next surviving magnitude by the gap ratio."""
@@ -47,20 +47,18 @@ def gap_ok(values: Sequence[ScalarQ], ratio: ScalarQ = GAP_RATIO) -> bool:
     top, count = surviving[0]
     if count not in (1, -1):
         return False
-    return len(surviving) == 1 or surviving[1][0] <= ratio * top
+    return len(surviving) == 1 or surviving[1][0] <= GAP_RATIO * top
 
 
-def norm_gap_ok(x: Sequence[ScalarQ], ratio: ScalarQ = GAP_RATIO) -> bool:
+def norm_gap_ok(x: Sequence[ScalarQ]) -> bool:
     """Unique top magnitude dominating the rest (zero vector is exact)."""
     mags = sorted((abs(v) for v in x), reverse=True)
     if not mags or mags[0] == 0 or len(mags) == 1:
         return True
-    return mags[1] <= ratio * mags[0]
+    return mags[1] <= GAP_RATIO * mags[0]
 
 
-def dist_gap_ok(
-    x: Sequence[ScalarQ], y: Sequence[ScalarQ], ratio: ScalarQ = GAP_RATIO
-) -> bool:
+def dist_gap_ok(x: Sequence[ScalarQ], y: Sequence[ScalarQ]) -> bool:
     """Within each disagreeing coordinate the two magnitudes must be gapped
     (this rejects antipodal ties a = −b), and across coordinates the top
     disagreement magnitude must be unique and gapped."""
@@ -69,42 +67,30 @@ def dist_gap_ok(
         if a == b:
             continue
         hi, lo = max(abs(a), abs(b)), min(abs(a), abs(b))
-        if lo != 0 and lo > ratio * hi:
+        if lo != 0 and lo > GAP_RATIO * hi:
             return False
         tops.append(hi)
     if not tops:
         return True
     tops.sort(reverse=True)
-    return len(tops) == 1 or tops[1] <= ratio * tops[0]
+    return len(tops) == 1 or tops[1] <= GAP_RATIO * tops[0]
 
 
-def det_gap_ok(m: Mat, ratio: ScalarQ = GAP_RATIO) -> bool:
+def det_gap_ok(m: Mat) -> bool:
     """Gap condition on the signed permutation products."""
-    n = len(m)
-    products = [
-        sign * _prod(m[i][perm[i]] for i in range(n))
-        for sign, perm in _signed_perms(n)
-    ]
-    return gap_ok(products, ratio)
+    return gap_ok(_signed_products(m))
 
 
-def _prod(values) -> ScalarQ:
-    out = q(1)
-    for v in values:
-        out *= v
-    return out
-
-
-def trig_gap_ok(x: Vec, y: Vec, ratio: ScalarQ = GAP_RATIO) -> bool:
+def trig_gap_ok(x: Vec, y: Vec) -> bool:
     """Joint filter for limit cosine and (2D) sine: gapped inner products,
     gapped determinant products, gapped norms, nonzero vectors."""
     if all(v == 0 for v in x) or all(v == 0 for v in y):
         return False
-    if not gap_ok([a * b for a, b in zip(x, y)], ratio):
+    if not gap_ok([a * b for a, b in zip(x, y)]):
         return False
-    if len(x) == 2 and not gap_ok((x[0] * y[1], -x[1] * y[0]), ratio):
+    if len(x) == 2 and not gap_ok((x[0] * y[1], -x[1] * y[0])):
         return False
-    return norm_gap_ok(x, ratio) and norm_gap_ok(y, ratio)
+    return norm_gap_ok(x) and norm_gap_ok(y)
 
 
 class Sampler:
@@ -139,33 +125,31 @@ class Sampler:
 
     # gap-filtered generators for the convergence suite
 
-    def gap_tuple(self, n: int, ratio: ScalarQ = GAP_RATIO) -> tuple:
-        return self.reject(lambda: self.vector(n), lambda v: gap_ok(v, ratio))
+    def gap_tuple(self, n: int) -> tuple:
+        return self.reject(lambda: self.vector(n), gap_ok)
 
-    def gap_norm_vector(self, n: int, ratio: ScalarQ = GAP_RATIO) -> Vec:
-        return self.reject(lambda: self.vector(n), lambda v: norm_gap_ok(v, ratio))
+    def gap_norm_vector(self, n: int) -> Vec:
+        return self.reject(lambda: self.vector(n), norm_gap_ok)
 
-    def gap_inner_pair(self, n: int, ratio: ScalarQ = GAP_RATIO) -> tuple[Vec, Vec]:
+    def gap_inner_pair(self, n: int) -> tuple[Vec, Vec]:
         return self.reject(
             lambda: (self.vector(n), self.vector(n)),
-            lambda p: gap_ok([a * b for a, b in zip(*p)], ratio),
+            lambda p: gap_ok([a * b for a, b in zip(*p)]),
         )
 
-    def gap_dist_pair(self, n: int, ratio: ScalarQ = GAP_RATIO) -> tuple[Vec, Vec]:
+    def gap_dist_pair(self, n: int) -> tuple[Vec, Vec]:
         return self.reject(
             lambda: (self.vector(n), self.vector(n)),
-            lambda p: dist_gap_ok(p[0], p[1], ratio),
+            lambda p: dist_gap_ok(*p),
         )
 
-    def gap_det_matrix(self, n: int, ratio: ScalarQ = GAP_RATIO) -> Mat:
+    def gap_det_matrix(self, n: int) -> Mat:
         # smaller entries keep the top product magnitude (hence the absolute
         # oracle error) well inside tolerance
-        return self.reject(
-            lambda: self.matrix(n, lo=-6, hi=6), lambda m: det_gap_ok(m, ratio)
-        )
+        return self.reject(lambda: self.matrix(n, lo=-6, hi=6), det_gap_ok)
 
-    def gap_trig_pair(self, ratio: ScalarQ = GAP_RATIO) -> tuple[Vec, Vec]:
+    def gap_trig_pair(self) -> tuple[Vec, Vec]:
         return self.reject(
             lambda: (self.vector(2), self.vector(2)),
-            lambda p: trig_gap_ok(p[0], p[1], ratio),
+            lambda p: trig_gap_ok(*p),
         )

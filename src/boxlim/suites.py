@@ -28,7 +28,8 @@ from .cplane import (
     polar,
 )
 from .deform import (
-    PParam,
+    DEFAULT_TOL,
+    _min_precision,
     converge,
     exact_power_sum_is_zero,
     line_p_sample,
@@ -280,18 +281,14 @@ def check_scalar_laws(samples: int = 100_000, seed: int = 1202) -> CheckResult:
 # 3. convergence oracle
 
 
-def check_convergence(
-    per_op: int = 500,
-    p_grid: Sequence[int] = (1, 2, 4, 8, 16, 32),
-    tol: float = 1e-6,
-    seed: int = 1203,
-) -> CheckResult:
+def check_convergence(per_op: int = 500, seed: int = 1203) -> CheckResult:
     """Finite-p convergence to the limit values on gap-filtered random inputs.
 
     Each operation (n-ary sum, inner product, norm, distance, 3×3
     determinant, cosine/sine) is sampled ``per_op`` times; near-ties are
     excluded by the documented magnitude-gap filter so the geometric error
-    term dominates.  Every report must end ≤ tol with a non-increasing tail.
+    term dominates.  Every report, on the oracle's ``DEFAULT_P_GRID``, must
+    end ≤ ``DEFAULT_TOL`` with a non-increasing tail.
     """
     t0 = perf_counter()
     s = Sampler(seed)
@@ -323,7 +320,7 @@ def check_convergence(
     total = 0
     for op, evaluator, limit in draws():
         total += 1
-        report = converge(evaluator, limit, p_grid=p_grid, tol=tol)
+        report = converge(evaluator, limit)
         worst = max(worst, report.final_error)
         if not report.converged:
             problems.append(f"{op} sample with final error {report.final_error:.3g}")
@@ -337,7 +334,7 @@ def check_convergence(
         problems=problems,
         ok_detail=(
             f"{total} oracle runs across six operations, "
-            f"worst final error {worst:.3g} <= {tol:g}"
+            f"worst final error {worst:.3g} <= {DEFAULT_TOL:g}"
         ),
         budget=60.0,
     )
@@ -465,14 +462,13 @@ def check_ultrametric(
 # 6. right angles
 
 
-def check_pythagoras(
-    samples: int = 1000,
-    p_grid: Sequence[int] = (1, 2, 4, 8, 16),
-    tol: float = 1e-6,
-    seed: int = 1206,
-) -> CheckResult:
+_PYTHAGORAS_P_GRID = (1, 2, 4, 8, 16)
+
+
+def check_pythagoras(samples: int = 1000, seed: int = 1206) -> CheckResult:
     """Constructed limit right angles at the origin satisfy the exact
-    hypotenuse identity and the deformed squared identity within tol.
+    hypotenuse identity and the deformed squared identity within
+    ``DEFAULT_TOL`` at p = 1, 2, 4, 8, 16.
 
     Half the triples pair coordinates into cancelling products; the other
     half are planar Euclidean right angles (y a scaled rotation of x).
@@ -521,7 +517,7 @@ def check_pythagoras(
         if sorted(seen) != list(range(1, len(x) + 1)):
             problems.append(f"pairing does not cover ({x},{y})")
 
-        if not pythagoras_check(x, y, z, p_grid=p_grid, tol=tol):
+        if not pythagoras_check(x, y, z, p_grid=_PYTHAGORAS_P_GRID):
             problems.append(f"squared identity fails at ({x},{y})")
         if problems and len(problems) > 5:
             break
@@ -533,7 +529,7 @@ def check_pythagoras(
         problems=problems,
         ok_detail=(
             f"{samples} right-angled triples, exact hypotenuse and "
-            f"deformed identity <= {tol:g} at p <= {max(p_grid)}"
+            f"deformed identity <= {DEFAULT_TOL:g} at p <= {max(_PYTHAGORAS_P_GRID)}"
         ),
     )
 
@@ -542,16 +538,19 @@ def check_pythagoras(
 # 7. square trigonometry
 
 
+_SQUARE_TRIG_P_GRID = (1, 2, 4, 8)
+_SQUARE_TRIG_TOL = 1e-9
+
+
 def check_square_trig(
     theta_samples: int = 100_000,
     roundtrips: int = 10_000,
     pairs: int = 200,
-    p_grid: Sequence[int] = (1, 2, 4, 8),
-    tol: float = 1e-9,
     seed: int = 1207,
 ) -> CheckResult:
     """Square cosine/sine laws: boundary identity, period 8, angle
-    round-trips, and the deformed unit-circle identity within tol."""
+    round-trips, and the deformed unit-circle identity within 1e-9 at
+    p = 1, 2, 4, 8."""
     t0 = perf_counter()
     s = Sampler(seed)
     problems: list[str] = []
@@ -589,15 +588,15 @@ def check_square_trig(
     worst = 0.0
     for _ in range(pairs):
         x, y = nonzero_vec2(), nonzero_vec2()
-        for p in p_grid:
+        for p in _SQUARE_TRIG_P_GRID:
             k = 2 * p + 1
-            with mp.workprec(PParam(p).working_precision):
+            with mp.workprec(_min_precision(p)):
                 c = p_cos(x, y, p)
                 sn = p_sin(x, y, p)
                 r = (c ** (2 * k) + sn ** (2 * k)) ** (mpf(1) / k)
                 err = float(abs(r - 1))
             worst = max(worst, err)
-            if err > tol:
+            if err > _SQUARE_TRIG_TOL:
                 problems.append(f"deformed circle identity at ({x},{y}), p={p}")
                 break
 
@@ -608,7 +607,7 @@ def check_square_trig(
         problems=problems,
         ok_detail=(
             f"{theta_samples} boundary identities, {roundtrips} round-trips, "
-            f"deformed circle within {worst:.3g} <= {tol:g}"
+            f"deformed circle within {worst:.3g} <= {_SQUARE_TRIG_TOL:g}"
         ),
     )
 
@@ -692,18 +691,20 @@ def _line_sample_ok(x, y, coeff, form) -> bool:
     return True
 
 
+_LINE_P = 32
+_LINE_SLACK = q(Fraction(1e-4))  # the binary double nearest 10^-4, read exactly
+
+
 def check_lines(
     pairs: int = 10_000,
     hull_samples: int = 10_000,
     nd_samples: int = 2_000,
     line_samples: int = 300,
-    p: int = 32,
-    slack: float = 1e-4,
     seed: int = 1209,
 ) -> CheckResult:
     """Line membership: generator self-membership, hull points on the line,
-    deformed samples within slack of the form inequalities, and the worked
-    parallel pair's shared normal form."""
+    deformed samples at p = 32 within 1e-4 of the form inequalities, and the
+    worked parallel pair's shared normal form."""
     t0 = perf_counter()
     s = Sampler(seed)
     problems: list[str] = []
@@ -732,7 +733,6 @@ def check_lines(
             problems.append(f"hull point not certified at ({x},{y},{z})")
             break
 
-    slack_q = q(Fraction(slack))
     checked = 0
     while checked < line_samples:
         x, y = _nondegenerate_pair(s)
@@ -741,11 +741,11 @@ def check_lines(
         if not _line_sample_ok(x, y, coeff, form):
             continue
         checked += 1
-        zp = line_p_sample(x, y, p, coeff)
+        zp = line_p_sample(x, y, _LINE_P, coeff)
         zq = tuple(q(Fraction(float(v))) for v in zp)
         low, up = lower_form(form.coeffs, zq), upper_form(form.coeffs, zq)
         c = form.constant
-        if not (low <= c + slack_q and c <= up + slack_q):
+        if not (low <= c + _LINE_SLACK and c <= up + _LINE_SLACK):
             problems.append(f"deformed sample outside slack at ({x},{y},{coeff})")
             if len(problems) > 5:
                 break
@@ -763,7 +763,7 @@ def check_lines(
         problems=problems,
         ok_detail=(
             f"{pairs} generator pairs, {hull_samples} hull points on their "
-            f"lines, {line_samples} deformed samples within {slack:g}"
+            f"lines, {line_samples} deformed samples within {float(_LINE_SLACK):g}"
         ),
     )
 
@@ -772,11 +772,12 @@ def check_lines(
 # 10. max-plus bridge
 
 
-def check_maxplus_bridge(
-    samples: int = 10_000, tol: float = 1e-9, seed: int = 1210
-) -> CheckResult:
+_BRIDGE_TOL = 1e-9
+
+
+def check_maxplus_bridge(samples: int = 10_000, seed: int = 1210) -> CheckResult:
     """Symmetrized max-plus: exact pseudo-field and symmetric-space axiom
-    suites, and float transport agreement within tol."""
+    suites, and float transport agreement within 1e-9."""
     t0 = perf_counter()
     s = Sampler(seed)
     problems: list[str] = []
@@ -821,7 +822,7 @@ def check_maxplus_bridge(
         xw = tuple(q(Fraction(psi_exp(v))) for v in ws)
         err = max(err, abs(mp_dist_std(zs, ws) - float(dist_boxplus(xz, xw))))
         worst = max(worst, err)
-        if err > tol:
+        if err > _BRIDGE_TOL:
             problems.append(f"float transport off by {err:.3g} at ({z},{w})")
             break
 
@@ -832,7 +833,7 @@ def check_maxplus_bridge(
         problems=problems,
         ok_detail=(
             f"{samples} axiom samples exact per suite, float transport "
-            f"within {worst:.3g} <= {tol:g}"
+            f"within {worst:.3g} <= {_BRIDGE_TOL:g}"
         ),
     )
 

@@ -109,7 +109,7 @@ def pythagoras_check(
     x: Sequence[ScalarLike],
     y: Sequence[ScalarLike],
     z: Sequence[ScalarLike],
-    p_grid: Sequence | None = None,
+    p_grid: Sequence[int] | None = None,
     tol: float | None = None,
 ) -> bool:
     """Pythagorean identity for a limit right angle at z.
@@ -118,14 +118,14 @@ def pythagoras_check(
     Deformed part: at each p, the squared deformed distances satisfy the
     p-deformed addition identity — equivalently the exact power sums obey
     S_xy = S_xz + S_yz, checked through signed roots within tol.  The grid
-    (ints or PParams) and tol default to deform's DEFAULT_P_GRID and
-    DEFAULT_TOL.  Before any work, raises ValueError for an empty grid or a
-    tol that is not > 0, and TooLarge if a p of the grid exceeds MAX_P.
+    and tol default to deform's DEFAULT_P_GRID and DEFAULT_TOL.  Before any
+    work, raises ValueError for an empty grid, a p that is not an int ≥ 0 or
+    a tol that is not > 0, and TooLarge if a p of the grid exceeds MAX_P.
     """
     # the only finite-p code here: keep mpmath off the import of trig
     from mpmath import workprec
 
-    from .deform import _pp, _root, _settings
+    from .deform import _power, _root, _settings
 
     p_grid, tol = _settings(p_grid, tol)
     xv, yv, zv = _vecs(x, y, z)
@@ -139,16 +139,15 @@ def pythagoras_check(
     (ints,), (f,) = _integer_rows([xv + yv + zv])
     n = len(xv)
     a, b, c = ints[:n], ints[n : 2 * n], ints[2 * n :]
-    for p_like in p_grid:
-        p = _pp(p_like)
-        k = p.exponent
+    for p in p_grid:
+        k, prec = _power(p)
         ak, bk, ck = [v**k for v in a], [v**k for v in b], [v**k for v in c]
         s_xy = sum((s - t) ** 2 for s, t in zip(ak, bk))
         s_xz = sum((s - t) ** 2 for s, t in zip(ak, ck))
         s_yz = sum((s - t) ** 2 for s, t in zip(bk, ck))
-        left = _root(s_xy, f ** (2 * k), 2 * k, p.working_precision)
-        right = _root(s_xz + s_yz, f ** (2 * k), 2 * k, p.working_precision)
-        with workprec(p.working_precision):
+        left = _root(s_xy, f ** (2 * k), 2 * k, prec)
+        right = _root(s_xz + s_yz, f ** (2 * k), 2 * k, prec)
+        with workprec(prec):
             if abs(left - right) > tol:
                 return False
     return True

@@ -12,7 +12,6 @@ from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from boxlim import (
     DEFAULT_P_GRID,
-    PParam,
     co_p_sample,
     converge,
     det_infty,
@@ -32,27 +31,55 @@ from boxlim import (
     sin_infty,
     vec,
 )
-from boxlim.deform import MAX_P, _min_precision
+from boxlim.deform import MAX_P, _min_precision, p_matvec
 from boxlim.errors import DegeneratePair, TooLarge
 from boxlim.sampling import Sampler
 
 
-def test_pparam_precision_schedule():
+def test_precision_schedule():
     for p in (0, 1, 4, 32):
-        pp = PParam(p)
-        assert pp.exponent == 2 * p + 1
-        assert pp.working_precision == 64 + 16 * (2 * p + 1)
+        assert _min_precision(p) == 64 + 16 * (2 * p + 1)
+        # the exponent is 2p+1: p_sum((3, -2), p) is (3^k − 2^k)^(1/k)
+        k = 2 * p + 1
+        assert abs(p_sum((3, -2), p) ** k / (3**k - 2**k) - 1) < 1e-12
 
 
-def test_pparam_rejects_negative():
+# every function that takes p, at one valid input each
+AT_P = {
+    "p_sum": lambda p: p_sum((3, -2, 1), p),
+    "p_inner": lambda p: p_inner((3, 1), (1, -2), p),
+    "p_norm": lambda p: p_norm((3, -2, 1), p),
+    "p_dist": lambda p: p_dist((3, 1), (1, -2), p),
+    "p_det": lambda p: p_det(((3, 1), (1, -2)), p),
+    "p_matvec": lambda p: p_matvec((), (1, 1), p),  # no row: p is checked first
+    "p_cos": lambda p: p_cos((3, 1), (1, -2), p),
+    "p_sin": lambda p: p_sin((3, 1), (1, -2), p),
+    "co_p_sample": lambda p: co_p_sample((3, 1), (1, -2), p, q(1, 2)),
+    "line_p_sample": lambda p: line_p_sample((3, 1), (1, -2), p, q(1, 2)),
+    "exact_power_sum_is_zero": lambda p: exact_power_sum_is_zero((3, -3), p),
+}
+
+
+@pytest.mark.parametrize("op", sorted(AT_P))
+def test_negative_p_is_rejected(op):
     with pytest.raises(ValueError):
-        PParam(-1)
+        AT_P[op](-1)
 
 
-def test_pparam_is_capped():
-    assert PParam(MAX_P).p == MAX_P
+def test_p_is_capped():
+    assert p_sum((3, -2, 1), MAX_P) > 0
     with pytest.raises(TooLarge):
-        PParam(MAX_P + 1)
+        p_sum((3, -2, 1), MAX_P + 1)
+
+
+@pytest.mark.parametrize(
+    "p", [2.7, 2.0, "2", True, mpf(2), q(2)], ids=["2.7", "2.0", "str", "bool", "mpf", "q"]
+)
+@pytest.mark.parametrize("op", sorted(AT_P))
+def test_a_non_integer_p_is_rejected(op, p):
+    AT_P[op](2)
+    with pytest.raises(ValueError):
+        AT_P[op](p)
 
 
 def test_converge_checks_the_whole_grid_before_evaluating():
@@ -69,7 +96,16 @@ def test_converge_checks_the_whole_grid_before_evaluating():
 
 @pytest.mark.parametrize(
     "settings",
-    [{"tol": float("nan")}, {"tol": -1}, {"tol": 0}, {"tol": q(-1, 100)}, {"p_grid": ()}],
+    [
+        {"tol": float("nan")},
+        {"tol": -1},
+        {"tol": 0},
+        {"tol": q(-1, 100)},
+        {"p_grid": ()},
+        {"p_grid": (1, 4, -1)},
+        {"p_grid": (1.5, 4)},
+        {"p_grid": ("2",)},
+    ],
 )
 def test_converge_rejects_bad_settings_before_evaluating(settings):
     calls = []
@@ -239,7 +275,7 @@ def test_p_sin_is_exact_where_the_ratio_is_one():
 def test_to_mpf_rounds_once():
     rng = random.Random(8)
     for p in (1, 8):
-        prec = PParam(p).working_precision
+        prec = _min_precision(p)
         with mp.workprec(prec):
             for _ in range(300):
                 n = rng.randrange(10**59, 10**61) * rng.choice((1, -1))
@@ -262,7 +298,7 @@ def _rounded(v: Fraction) -> mpf:
 def _three_root_ratio(s, xv, yv, p):
     # the old evaluation: a signed root of s over the product of two norm roots
     k = 2 * p + 1
-    with mp.workprec(2 * PParam(p).working_precision):
+    with mp.workprec(2 * _min_precision(p)):
         num = mp.sign(_rounded(s)) * mp.root(abs(_rounded(s)), k) if s else mpf(0)
         nx = mp.root(_rounded(sum(v ** (2 * k) for v in xv)), 2 * k)
         ny = mp.root(_rounded(sum(v ** (2 * k) for v in yv)), 2 * k)
@@ -273,13 +309,13 @@ def _three_root_ratio(s, xv, yv, p):
 def test_one_root_cos_and_sin_match_three_roots(p):
     s = Sampler(seed=800 + p)
     k = 2 * p + 1
-    bound = mpf(2) ** -(PParam(p).working_precision - 8)
+    bound = mpf(2) ** -(_min_precision(p) - 8)
     for _ in range(4):
         x, y = s.gap_trig_pair()
         xv, yv = vec(x), vec(y)
         cos_ref = _three_root_ratio(sum((a * b) ** k for a, b in zip(xv, yv)), xv, yv, p)
         sin_ref = _three_root_ratio((xv[0] * yv[1]) ** k - (yv[0] * xv[1]) ** k, xv, yv, p)
-        with mp.workprec(2 * PParam(p).working_precision):
+        with mp.workprec(2 * _min_precision(p)):
             for got, ref in ((p_cos(x, y, p), cos_ref), (p_sin(x, y, p), sin_ref)):
                 assert abs(got - ref) <= bound * abs(ref)
 
@@ -339,7 +375,7 @@ def _permutation_sum(rows, k: int) -> Fraction:
 
 def _reference_root(value: Fraction, k: int, p: int) -> mpf:
     # one mp.root of |value| at the working precision, negated in that context
-    with mp.workprec(PParam(p).working_precision):
+    with mp.workprec(_min_precision(p)):
         r = mp.root(_rounded(abs(value)), k)
         return -r if value < 0 else r
 
@@ -508,6 +544,6 @@ def test_a_non_finite_parameter_raises(sample, bad):
 
 def test_deformed_samples_are_finite_precision_stable():
     x, y = vec("3,1"), vec("1,-2")
-    with mp.workprec(PParam(8).working_precision):
+    with mp.workprec(_min_precision(8)):
         z = co_p_sample(x, y, 8, q(1, 3))
     assert all(abs(c) < 4 for c in z)

@@ -20,7 +20,7 @@ EAGER_ALL = set("""
     DEFAULT_P_GRID DEFAULT_TOL DegenerateConfiguration DegeneratePair
     DimensionMismatch EmptyList FIGURES Fixed Free HalfLine HullCombination
     InvalidCoefficients InvalidCombination LimitAlgebraError LineForm
-    LineMembership MAXPLUS_PSEUDO_FIELD MSym MONE MZERO NotParallel PParam SUITES
+    LineMembership MAXPLUS_PSEUDO_FIELD MSym MONE MZERO NotParallel SUITES
     alpha alpha_inv ball_contains ball_describe boxminus boxplus cconj
     chain_distance check_pseudo_field_axioms check_symmetric_space_axioms cinv
     cmod_infty co_contains co_orthant co_p_sample co_point converge cos_infty

@@ -8,7 +8,6 @@ from boxlim import (
     DEFAULT_P_GRID,
     DEFAULT_TOL,
     AngleParam,
-    PParam,
     alpha,
     alpha_inv,
     cos_infty,
@@ -24,6 +23,7 @@ from boxlim import (
     sin_infty,
     vec,
 )
+from boxlim.deform import _min_precision
 from boxlim.errors import (
     MAX_P,
     DimensionMismatch,
@@ -116,8 +116,8 @@ def test_deformed_circle_identity():
     for _ in range(5):
         x, y = s.gap_trig_pair()
         for p in (1, 2, 4, 8):
-            k = PParam(p).exponent
-            with mp.workprec(PParam(p).working_precision):
+            k = 2 * p + 1
+            with mp.workprec(_min_precision(p)):
                 c = p_cos(x, y, p)
                 sn = p_sin(x, y, p)
                 r = (c ** (2 * k) + sn ** (2 * k)) ** (mpf(1) / k)
@@ -153,8 +153,9 @@ def test_pythagoras_on_a_right_triple():
     assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2, 4, 8), tol=1e-6)
     # tol may be an exact rational, like every other scalar input
     assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2), tol=q(1, 100))
-    # and the grid may hold PParams
-    assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(PParam(1), PParam(2)))
+    # but every p is an int
+    with pytest.raises(ValueError):
+        pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1.5, 2))
     # no grid and no tol means the oracle's defaults
     assert pythagoras_check((2, 0), (0, -3), (0, 0)) == pythagoras_check(
         (2, 0), (0, -3), (0, 0), p_grid=DEFAULT_P_GRID, tol=DEFAULT_TOL
@@ -183,6 +184,7 @@ def test_pythagoras_rejects_oblique_triples():
         ({"tol": q(-1, 100)}, ValueError),
         ({"p_grid": ()}, ValueError),
         ({"p_grid": (1, MAX_P + 1)}, TooLarge),
+        ({"p_grid": (1, -1)}, ValueError),
     ],
 )
 def test_pythagoras_checks_its_settings_before_any_work(settings, error):

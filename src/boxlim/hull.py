@@ -10,11 +10,8 @@ can occur).  Completeness of that candidate set is conjectural, so a False
 answer is advisory; it is cross-validated against dense grid sampling in
 the test suite.
 
-The enumeration is pruned by one lemma: a nonzero limit sum of a list is
-one of the list's entries, so each coordinate with z_i ≠ 0 needs t or r to
-equal z_i/x_i, or s or w to equal z_i/y_i.  With three coefficients fixed,
-the coordinates they miss force the fourth to one value or rule every value
-out (``_certify``); only combinations that provably fail are skipped.
+The enumeration and its pruning live in ``_certify``; only combinations
+that provably fail are skipped.
 """
 
 from __future__ import annotations
@@ -118,40 +115,26 @@ def co_contains(
 ) -> bool:
     """Decide hull membership of z by exact candidate enumeration.
 
-    Enumerates (t, r, s, w) over the breakpoint candidates with the
-    symmetries t ≥ r, s ≥ w factored out and max = 1 enforced; each
-    surviving combination is verified coordinatewise in exact arithmetic.
-    The innermost slot only takes the value its three fixed neighbours
-    force (see ``_certify``), which skips no combination that could match.
+    Every quadruple over the breakpoint candidates with max = 1 is tried,
+    up to the symmetries t ≥ r and s ≥ w, and verified coordinatewise in
+    exact arithmetic; only quadruples that provably fail are skipped (see
+    ``_certify``).
     """
     xv, yv, zv = _vecs(x, y, z)
     if not all(_coord_feasible(zi, xi, yi) for zi, xi, yi in zip(zv, xv, yv)):
         SEARCH_STAGES["hull:infeasible"] += 1
         return False
 
-    core = Certifier(xv, yv, zv)
     cand = _hull_candidates(xv, yv, zv)
-    hits, at = core.table(cand)
-    one_x, one_y = core.hits(ONE)
-    size = len(cand)
-    # max = 1 with t >= r and s >= w canonicalized: either t = 1 or s = 1;
-    # cand is sorted and distinct, so w <= s is a prefix of cand
-    for ks, s in enumerate(cand):
-        ts = one_x | hits[ks][1]
-        for kw in range(ks + 1):
-            for kr in core.fill(ts | hits[kw][1], True, at, size):
-                if core.matches(ONE, cand[kr], s, cand[kw]):
-                    SEARCH_STAGES["hull:t1"] += 1
-                    return True
-    for kt, t in enumerate(cand):
-        if t == 1:
-            continue
-        ts = hits[kt][0] | one_y
-        for kr in range(kt + 1):
-            for kw in core.fill(ts | hits[kr][0], False, at, size):
-                if core.matches(t, cand[kr], ONE, cand[kw]):
-                    SEARCH_STAGES["hull:s1"] += 1
-                    return True
+    core = Certifier(xv, yv, zv, cand)
+    # cand is sorted and ends with 1, so max = 1 means t or s at position last
+    last = len(cand) - 1
+    if core.first_bounded((last,), range(len(cand))) is not None:
+        SEARCH_STAGES["hull:t1"] += 1
+        return True
+    if core.first_bounded(range(last), (last,)) is not None:
+        SEARCH_STAGES["hull:s1"] += 1
+        return True
     SEARCH_STAGES["hull:notfound"] += 1
     return False
 

@@ -14,19 +14,14 @@ certificate search enumerates a finite breakpoint candidate set in stages
 (exact arithmetic, deterministic order), and NotFound is advisory — backed
 by a structural grid probe over the coefficient box.
 
-Both the search and the grid probe are pruned by one lemma: a nonzero limit
-sum of a list is one of the list's entries, so each coordinate with z_i ≠ 0
-needs t or r to equal z_i/x_i, or s or w to equal z_i/y_i.  With three
-coefficients fixed, the coordinates they miss force the fourth to one value
-or rule every value out (``_certify``).  Only quadruples that provably fail
-are skipped, so every certificate is the one the plain enumeration would
-find first, and NotFound remains advisory.
+Both the search and the grid probe enumerate through ``_certify``, which
+skips only quadruples that provably fail, so every certificate is the one
+the plain enumeration would find first, and NotFound remains advisory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 from ._certify import FREE, SEARCH_STAGES, Certifier
@@ -251,10 +246,9 @@ def line_contains_nd(
     if zv == yv:
         return member("line:generator", (ZERO, ZERO, ONE, ZERO))
 
-    core = Certifier(xv, yv, zv)
     cand = _line_candidates(xv, yv, zv)
     bounded = [c for c in cand if abs(c) <= 1]
-    hits, at = core.table(bounded)
+    core = Certifier(xv, yv, zv, bounded)
 
     # stage 1: cancellation families (always valid coefficient quadruples)
     for c in cand:
@@ -267,39 +261,18 @@ def line_contains_nd(
     for c in cand:
         quad = core.first_of(
             ((ONE, FREE, c, -c), (c, -c, ONE, FREE), (ONE, c, -c, FREE), (FREE, c, ONE, -c)),
-            bounded,
-            at,
             lambda u: u != -1,
         )
         if quad is not None:
             return member("line:pair", quad)
 
-    # stage 3: all-bounded quadruples (x-side and y-side unordered); w runs
-    # over bounded up to the first entry above s, which top[k] (the largest
-    # of the first k + 1 entries) tells without a scan
-    top = list(accumulate(bounded, max))
-    size = len(bounded)
-    one_x, one_y = core.hits(ONE)
-    for kr, r in enumerate(bounded):
-        tr = one_x | hits[kr][0]
-        for ks, s in enumerate(bounded):
-            for kw in core.fill(tr | hits[ks][1], False, at, size):
-                if top[kw] > s:
-                    break
-                quad = (ONE, r, s, bounded[kw])
-                if _count_valid_bounded(quad) and core.matches(*quad):
-                    return member("line:bounded", quad)
-    for kt, t in enumerate(bounded):
-        if t == 1:
-            continue
-        ts = hits[kt][0] | one_y
-        for kr, r in enumerate(bounded):
-            if r > t:
-                break
-            for kw in core.fill(ts | hits[kr][0], False, at, size):
-                quad = (t, r, ONE, bounded[kw])
-                if _count_valid_bounded(quad) and core.matches(*quad):
-                    return member("line:bounded", quad)
+    # stage 3: all-bounded quadruples with t = 1 or s = 1; bounded is
+    # ordered by (|v|, v), so 1 is its last entry
+    last = len(bounded) - 1
+    for ts, ss in (((last,), range(len(bounded))), (range(last), (last,))):
+        quad = core.first_bounded(ts, ss, _count_valid_bounded)
+        if quad is not None:
+            return member("line:bounded", quad)
     SEARCH_STAGES["line:notfound"] += 1
     return LineMembership(False, None)
 
@@ -330,21 +303,15 @@ def line_grid_probe(
     k_unit = int(k_unit)
     k_bound = int((bound / step).numerator // (bound / step).denominator)
 
-    core = Certifier(xv, yv, zv)
     unit_vals = [i * step for i in range(-k_unit, k_unit + 1)]
-    hits, at = core.table(unit_vals)
+    core = Certifier(xv, yv, zv, unit_vals)
 
-    # shape A: everything within [-1, 1], each side an unordered pair a >= b
-    # (unit_vals ascending, so b runs over the prefix up to a); the +1s must
-    # outnumber the -1s
-    for kt, t in enumerate(unit_vals):
-        for kr in range(kt + 1):
-            tr = hits[kt][0] | hits[kr][0]
-            for ks, s in enumerate(unit_vals):
-                for kw in core.fill(tr | hits[ks][1], False, at, ks + 1):
-                    quad = (t, unit_vals[kr], s, unit_vals[kw])
-                    if _count_valid_bounded(quad) and core.matches(*quad):
-                        return LineMembership(True, quad)
+    # shape A: everything within [-1, 1], each side an unordered pair with
+    # r <= t and w <= s; the +1s must outnumber the -1s
+    every = range(len(unit_vals))
+    quad = core.first_bounded(every, every, _count_valid_bounded)
+    if quad is not None:
+        return LineMembership(True, quad)
 
     # shape B: cancelling pair beyond magnitude 1 plus residual (1, v)
     big_vals = [i * step for i in range(k_unit + 1, k_bound + 1)]
@@ -358,8 +325,6 @@ def line_grid_probe(
                 (FREE, c, ONE, -c),
                 (FREE, -c, ONE, c),
             ),
-            unit_vals,
-            at,
             lambda v: v != -1,
         )
         if quad is not None:

@@ -23,6 +23,7 @@ from boxlim.errors import (
     NotAMember,
     OrthantViolation,
 )
+from boxlim._certify import SEARCH_STAGES
 from boxlim.hull import _coord_feasible, _hull_candidates
 from boxlim.scalars import nary_boxplus
 
@@ -89,9 +90,12 @@ def test_membership_frozen_probes():
 
 
 def _ref_co_contains(x, y, z):
-    """co_contains without pruning: every candidate quadruple, in its order."""
+    """co_contains without pruning: every candidate quadruple, in its order.
+
+    Returns the ``SEARCH_STAGES`` key of the part that matched first
+    (``hull:t1`` or ``hull:s1``), or None for a non-member."""
     if not all(_coord_feasible(c, a, b) for c, a, b in zip(z, x, y)):
-        return False
+        return None
 
     def matches(t, r, s, w):
         return all(
@@ -102,11 +106,13 @@ def _ref_co_contains(x, y, z):
     one = q(1)
     cand = _hull_candidates(x, y, z)
     if any(matches(one, r, s, w) for s in cand for w in cand if w <= s for r in cand):
-        return True
-    return any(
+        return "hull:t1"
+    if any(
         matches(t, r, one, w)
         for t in cand if t != 1 for r in cand if r <= t for w in cand
-    )
+    ):
+        return "hull:s1"
+    return None
 
 
 TIES = tuple(Fraction(v) for v in ("0", "1/2", "-1/2", "1", "-1", "2", "-2"))
@@ -132,7 +138,11 @@ def tie_heavy_triples(draw):
 @settings(deadline=None, max_examples=200)
 @given(tie_heavy_triples())
 def test_membership_equals_the_unpruned_enumeration(triple):
-    assert co_contains(*triple) == _ref_co_contains(*triple)
+    part = _ref_co_contains(*triple)
+    before = SEARCH_STAGES.copy()
+    assert co_contains(*triple) == (part is not None)
+    if part is not None:
+        assert SEARCH_STAGES[part] == before[part] + 1
 
 
 def test_membership_dimension_mismatch():

@@ -108,6 +108,22 @@ def test_notfound_search_bumps_its_stage_counter():
     assert SEARCH_STAGES["line:notfound"] == before + 1
 
 
+@pytest.mark.parametrize(
+    "x, y, z, certificate",
+    [
+        # found by the t = 1 part of stage 3
+        ("1,-1,1/2", "2,2,2", "1,-1,-1", (1, 1, q(1, 4), q(-1, 2))),
+        # found by the s = 1 part of stage 3
+        ("-2,-2,-2", "-1,-1/2,1", "-1,1,1", (q(1, 4), q(-1, 2), 1, 1)),
+    ],
+)
+def test_bounded_stage_certificates(x, y, z, certificate):
+    before = SEARCH_STAGES["line:bounded"]
+    member = line_contains_nd(vec(x), vec(y), vec(z))
+    assert member.certificate == tuple(q(v) for v in certificate)
+    assert SEARCH_STAGES["line:bounded"] == before + 1
+
+
 # ---------------------------------------------------------------------------
 # the pruned searches against unpruned enumerations in the same stage order
 

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boxlim import (
     MAXPLUS_PSEUDO_FIELD,
@@ -219,6 +219,28 @@ def test_transported_hull_membership():
     assert mp_hull_contains(x, y, y)
     z = mp_hull_point(x, y, (msym(1, -1), MZERO, MONE, MZERO))
     assert mp_hull_contains(x, y, z)
+
+
+_thirds = st.builds(q, st.integers(-8, 8), st.sampled_from((1, 2, 3)))
+_coords = st.one_of(st.just(MZERO), st.builds(msym, st.sampled_from((1, -1)), _thirds))
+_weights = st.one_of(st.just(MZERO), st.builds(msym, st.just(1), _thirds.filter(lambda l: l <= 0)))
+
+
+@st.composite
+def _hull_instances(draw):
+    """x, y in dimension n ≤ 3 and hull coefficients with the unit among them."""
+    n = draw(st.integers(1, 3))
+    x, y = (tuple(draw(_coords) for _ in range(n)) for _ in range(2))
+    coeffs = [draw(_weights) for _ in range(4)]
+    coeffs[draw(st.integers(0, 3))] = MONE
+    return x, y, tuple(coeffs)
+
+
+@settings(deadline=None)
+@given(_hull_instances())
+def test_transported_hull_points_are_members(instance):
+    x, y, coeffs = instance
+    assert mp_hull_contains(x, y, mp_hull_point(x, y, coeffs))
 
 
 def test_transported_hull_membership_with_huge_log_magnitudes():

@@ -1,5 +1,6 @@
 """The lazy package namespace and the import graph of the CLI subcommands."""
 
+import ast
 import importlib
 import json
 import os
@@ -127,3 +128,24 @@ def test_the_oracle_loads_deform():
         _PROBE, json.dumps(["oracle", "--op", "sum", "--values", "3,-2,1"])))
     assert code == 0
     assert "boxlim.deform" in loaded and "mpmath" in loaded
+
+
+def test_every_module_level_import_is_used():
+    # no linter is a dependency; a name imported at the top of a module must
+    # be read somewhere in it, or be re-exported through its __all__
+    for path in sorted((SRC / "boxlim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(
+                    n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)
+                )
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert imported <= used | exported, (path.name, sorted(imported - used - exported))

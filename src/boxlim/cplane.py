@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ZeroArgument
-from .scalars import ScalarLike, ScalarQ, boxminus, boxplus, q
+from .scalars import ScalarLike, ScalarQ, _carrier, boxminus, boxplus
 from .trig import AngleParam, alpha, pcos, psin
 
 __all__ = [
@@ -35,8 +35,8 @@ class BoxComplex:
     im: ScalarQ
 
     def __post_init__(self):
-        object.__setattr__(self, "re", q(self.re))
-        object.__setattr__(self, "im", q(self.im))
+        object.__setattr__(self, "re", _carrier(self.re))
+        object.__setattr__(self, "im", _carrier(self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -46,7 +46,7 @@ class BoxComplex:
 
 
 def cplx(re: ScalarLike, im: ScalarLike = 0) -> BoxComplex:
-    return BoxComplex(q(re), q(im))
+    return BoxComplex(re, im)
 
 
 CZERO = cplx(0, 0)
@@ -99,6 +99,6 @@ def polar(z: BoxComplex) -> tuple[ScalarQ, AngleParam]:
 
 def from_polar(modulus: ScalarLike, theta) -> BoxComplex:
     """Rebuild a complex number from its modulus and square angle."""
-    m = q(modulus)
-    t = theta.theta if isinstance(theta, AngleParam) else q(theta)
+    m = _carrier(modulus)
+    t = theta.theta if isinstance(theta, AngleParam) else _carrier(theta)
     return BoxComplex(m * pcos(t), m * psin(t))

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import Vec, _vecs, nary_vec_boxplus, scale, vec
 from .metric import dist_boxplus
-from .scalars import ONE, ZERO, ScalarLike, ScalarQ, _nary, q
+from .scalars import ONE, ZERO, ScalarLike, ScalarQ, _carrier, _nary
 
 __all__ = [
     "HullCombination",
@@ -52,7 +52,7 @@ class HullCombination:
 
     def __post_init__(self):
         for name in ("t", "r", "s", "w"):
-            object.__setattr__(self, name, q(getattr(self, name)))
+            object.__setattr__(self, name, _carrier(getattr(self, name)))
         cs = (self.t, self.r, self.s, self.w)
         if any(c < 0 or c > 1 for c in cs):
             raise InvalidCombination("coefficients must lie in [0, 1]")
@@ -153,7 +153,7 @@ def co_orthant(
     if not pts:
         raise EmptyList("no points")
     n = len(pts[0])
-    ts = [q(t) for t in coeffs]
+    ts = [_carrier(t) for t in coeffs]
     if len(ts) != len(pts):
         raise InvalidCoefficients(f"{len(ts)} coefficients for {len(pts)} points")
     if any(t < 0 or t > 1 for t in ts):

@@ -13,7 +13,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyList, TooLarge
@@ -22,7 +21,7 @@ from .scalars import (
     ZERO,
     ScalarLike,
     ScalarQ,
-    _from_pair,
+    _carrier,
     _nary,
     boxplus,
     q,
@@ -56,15 +55,11 @@ Mat = tuple  # tuple of row tuples
 def vec(x: str | Iterable[ScalarLike]) -> Vec:
     """Build a vector from an iterable or a comma-separated literal like "3,-1/2,0.25".
 
-    Every entry becomes the carrier: a plain ``fractions.Fraction`` is
-    already in lowest terms, so it is rebuilt from its pair without a gcd.
+    Every entry becomes the carrier (``scalars._carrier``).
     """
     if isinstance(x, str):
         return tuple(q(part) for part in x.split(","))
-    return tuple(
-        _from_pair(v._numerator, v._denominator) if type(v) is Fraction else q(v)
-        for v in x
-    )
+    return tuple(_carrier(v) for v in x)
 
 
 def mat(rows: Iterable) -> Mat:
@@ -99,7 +94,7 @@ def nary_vec_boxplus(vectors: Sequence[Sequence[ScalarLike]]) -> Vec:
 
 def scale(alpha: ScalarLike, x: Sequence[ScalarLike]) -> Vec:
     """Ordinary scalar multiple α·x (the module action is the usual one)."""
-    a = q(alpha)
+    a = _carrier(alpha)
     return tuple(a * v for v in vec(x))
 
 
@@ -489,7 +484,7 @@ def subspace_closure_check(
     if not gens:
         raise EmptyList("no generators")
     for row in coeffs:
-        ts = [q(t) for t in row]
+        ts = [_carrier(t) for t in row]
         if len(ts) != len(gens):
             raise DimensionMismatch(f"{len(ts)} coefficients for {len(gens)} generators")
         combo = nary_vec_boxplus([scale(t, g) for t, g in zip(ts, gens)])

@@ -38,6 +38,7 @@ from .scalars import (
     ZERO,
     ScalarLike,
     ScalarQ,
+    _carrier,
     _nary,
     boxminus,
     lower_form,
@@ -85,12 +86,12 @@ class HalfLine:
     sense: int = 1
 
     def point(self, t: ScalarLike) -> Vec:
-        t = q(t)
+        t = _carrier(t)
         return tuple(o + t * d for o, d in zip(self.offset, self.direction))
 
     def certificate(self, t: ScalarLike) -> tuple:
         """Line-membership coefficients of point(t) relative to the generators."""
-        t = q(t)
+        t = _carrier(t)
         if self.sense >= 0:
             return (ONE, t, -t, ZERO)
         return (-t, ZERO, ONE, t)
@@ -126,7 +127,7 @@ def line_point(
 ) -> Vec:
     """The line point with coefficients (t, r, s, w); their limit sum must be 1."""
     xv, yv = _pair(x, y)
-    t, r, s, w = q(t), q(r), q(s), q(w)
+    t, r, s, w = _carrier(t), _carrier(r), _carrier(s), _carrier(w)
     if _nary((t, r, s, w)) != 1:
         raise InvalidCoefficients("coefficient quadruple must have limit sum 1")
     return tuple(_nary((t * a, r * a, s * b, w * b)) for a, b in zip(xv, yv))
@@ -293,8 +294,8 @@ def line_grid_probe(
     arithmetic, so no grid point is missed.
     """
     xv, yv, zv = _pair(x, y, z)
-    step = q(step)
-    bound = q(bound)
+    step = _carrier(step)
+    bound = _carrier(bound)
     if step <= 0 or bound < 1:
         raise ValueError("need step > 0 and bound >= 1")
     k_unit = ONE / step

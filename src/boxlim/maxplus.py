@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyList, InvalidCombination
 from .linalg import PseudoFieldOps, SymmetricSpaceOps
-from .scalars import ZERO, ScalarLike, ScalarQ, q
+from .scalars import ZERO, ScalarLike, ScalarQ, _carrier, q
 
 __all__ = [
     "MSym",
@@ -56,7 +56,7 @@ class MSym:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
-        lm = ZERO if self.sign == 0 else q(self.logmag)
+        lm = ZERO if self.sign == 0 else _carrier(self.logmag)
         object.__setattr__(self, "logmag", lm)
 
     def __bool__(self) -> bool:
@@ -71,7 +71,7 @@ MONE = MSym(1, ZERO)
 
 
 def msym(sign: int, logmag: ScalarLike = 0) -> MSym:
-    return MSym(sign, q(logmag))
+    return MSym(sign, _carrier(logmag))
 
 
 def mp_parse(text: str) -> MSym:
@@ -80,8 +80,8 @@ def mp_parse(text: str) -> MSym:
     if t in ("-inf", "-Inf", "-INF"):
         return MZERO
     if t.endswith("+ipi"):
-        return MSym(-1, q(t[: -len("+ipi")]))
-    return MSym(1, q(t))
+        return MSym(-1, _carrier(t[: -len("+ipi")]))
+    return MSym(1, _carrier(t))
 
 
 def mp_format(z: MSym) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, NegativeRadius
-from .scalars import ScalarLike, ScalarQ, ZERO, _as_exact, q
+from .scalars import ScalarLike, ScalarQ, ZERO, _as_exact, _carrier
 from .linalg import Vec, _vecs, vec
 
 __all__ = [
@@ -70,7 +70,7 @@ def ball_describe(x: Sequence[ScalarLike], alpha: ScalarLike) -> BallDescriptor:
     around the origin) fall out of the same rule.
     """
     center = vec(x)
-    a = q(alpha)
+    a = _carrier(alpha)
     if a < 0:
         raise NegativeRadius(f"radius {a} < 0")
     coords = tuple(Fixed(v) if abs(v) > a else Free(a) for v in center)

@@ -10,21 +10,24 @@ every exactly sign-symmetric group, then keep the dominant survivor).
 All scalars are exact rationals.  Magnitude ties decide results, so floating
 point would silently corrupt them; floats are rejected at the boundary.  The
 carrier is gmpy2's ``mpq`` when gmpy2 is installed, otherwise ``QFraction``
-below.  Under the fallback ``q`` passes a scalar ``fractions.Fraction``
-through unchanged; ``linalg.vec`` and ``linalg.mat`` convert the entries of
-vectors and matrices to the carrier.  The kernel (``boxplus``, Ϝ, the
-smiles) compares magnitudes as |n_a|·d_b against |n_b|·d_a and reads only
-``.numerator`` and ``.denominator``, so the same code serves every carrier.
+below.  One rule serves both: ``q`` returns a ``fractions.Fraction`` as it
+is, and every operation converts a ``Fraction`` to the carrier on the way in
+(``_carrier``), so every result is the carrier under either one.  The kernel
+(``boxplus``, Ϝ, the smiles) compares magnitudes as |n_a|·d_b against
+|n_b|·d_a and reads only ``.numerator`` and ``.denominator``, so the same
+code serves every carrier.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, EmptyIndexSet, EmptyList
+from .errors import DimensionMismatch, EmptyIndexSet, EmptyList, TooLarge
 
 _new = object.__new__
 # stores into Fraction's slots that bypass QFraction.__setattr__
@@ -318,21 +321,26 @@ ScalarLike = Union[ScalarQ, int, str, Fraction]
 ZERO = _Q(0)
 ONE = _Q(1)
 
-# what q() passes through unchanged: the carrier, and under the fallback any
-# Fraction (the kernel reads only .numerator/.denominator, which both have)
+# what q() returns unchanged: the carrier, and under the fallback any Fraction
+# (a caller that keeps its Fractions and calls q on each would otherwise hold
+# every scalar twice)
 _EXACT = Fraction if _Q is QFraction else _Q
 # the carrier from a canonical pair
 _from_pair = _make if _Q is QFraction else _Q
+# the exponent of a decimal literal, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def q(value: ScalarLike, den: int | None = None) -> ScalarQ:
     """Coerce ``value`` to an exact rational.
 
     Accepts rationals, ints, ``fractions.Fraction``, and strings: ``"7"``,
-    ``"3/4"``, ``"-0.25"`` (finite decimals convert exactly).  ``q(p, q)``
-    builds a quotient directly.  Floats are rejected — ties must be exact.
-    Under the fallback a ``Fraction`` comes back as it is, not as the
-    carrier; ``vec`` and ``mat`` are where vector entries become the carrier.
+    ``"3/4"``, ``"-0.25"``, ``"1e-3"`` (finite decimals convert exactly).
+    ``q(p, q)`` builds a quotient directly.  Floats are rejected — ties must
+    be exact.  A ``Fraction`` comes back as it is; the operations convert it
+    to the carrier on the way in.  A literal whose exponent has a larger
+    magnitude than Python's int/str digit limit (4300 by default) raises
+    ``TooLarge`` before any power of ten is built.
     """
     if den is not None:
         return _Q(value, den)
@@ -341,10 +349,35 @@ def q(value: ScalarLike, den: int | None = None) -> ScalarQ:
     if isinstance(value, int):
         return _Q(value)
     if isinstance(value, str):
+        m = _EXPONENT.search(value)
+        if m:
+            limit = _digit_limit()
+            if abs(int(m.group(1))) > limit:
+                raise TooLarge(f"decimal exponent limited to {limit} in magnitude")
         return _Q(Fraction(value.strip()))
     if isinstance(value, Fraction):
         return _Q(value)
     raise TypeError(f"no exact rational from {type(value).__name__}: {value!r}")
+
+
+def _digit_limit() -> int:
+    """Python's int/str conversion limit on digits, 4300 where it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.10.7
+    return (get() if get else 0) or 4300
+
+
+def _carrier(v: ScalarLike) -> ScalarQ:
+    """The carrier for an operation's scalar input.
+
+    A carrier is returned as it is, a ``Fraction`` (already in lowest terms)
+    is rebuilt from its pair without a gcd, and anything else goes through
+    ``q``.
+    """
+    if type(v) is _Q:
+        return v
+    if isinstance(v, Fraction):
+        return _from_pair(v._numerator, v._denominator)
+    return q(v)
 
 
 def _as_exact(value: Union[ScalarLike, float]) -> ScalarQ:
@@ -373,9 +406,9 @@ def boxplus(a: ScalarLike, b: ScalarLike) -> ScalarQ:
     ``|a| = |b|`` has no other cases over an ordered field).
     """
     if type(a) is not _Q:
-        a = q(a)
+        a = _carrier(a)
     if type(b) is not _Q:
-        b = q(b)
+        b = _carrier(b)
     # magnitudes |n_a|/d_a against |n_b|/d_b, cross-multiplied over integers
     na = a.numerator
     nb = b.numerator
@@ -391,7 +424,7 @@ def boxplus(a: ScalarLike, b: ScalarLike) -> ScalarQ:
 
 def boxminus(a: ScalarLike, b: ScalarLike) -> ScalarQ:
     """Limit difference ``a ⊟ b = a ⊞ (−b)``; zero iff ``a = b``."""
-    return boxplus(q(a), -q(b))
+    return boxplus(a, -_carrier(b))
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +443,29 @@ class IndexedTuple:
     index_set: frozenset | None = None
 
     def __post_init__(self):
-        vals = tuple(q(v) for v in self.values)
+        vals = tuple(_carrier(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if self.index_set is None:
             idx = frozenset(range(1, len(vals) + 1))
         else:
-            idx = frozenset(int(j) for j in self.index_set)
-        for j in idx:
-            if not 1 <= j <= len(vals):
-                raise IndexError(f"position {j} outside 1..{len(vals)}")
+            idx = _positions(self.index_set, len(vals))
         object.__setattr__(self, "index_set", idx)
+
+
+def _positions(index_set: Iterable[int], n: int) -> frozenset:
+    """The 1-based positions of an index set of a length-n tuple.
+
+    Raises ValueError for a position that is not an int (a bool, float or
+    string included) and IndexError for one outside 1..n.
+    """
+    pos = set()
+    for j in index_set:
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise ValueError(f"a position must be an integer, got {j!r}")
+        if not 1 <= j <= n:
+            raise IndexError(f"position {j} outside 1..{n}")
+        pos.add(j)
+    return frozenset(pos)
 
 
 def _coerce_indexed(
@@ -431,14 +477,10 @@ def _coerce_indexed(
         if index_set is not None:
             raise TypeError("index_set is already part of the IndexedTuple")
         return x.values, tuple(sorted(x.index_set))
-    vals = tuple(q(v) for v in x)
+    vals = tuple(_carrier(v) for v in x)
     if index_set is None:
         return vals, tuple(range(1, len(vals) + 1))
-    pos = tuple(sorted({int(j) for j in index_set}))
-    for j in pos:
-        if not 1 <= j <= len(vals):
-            raise IndexError(f"position {j} outside 1..{len(vals)}")
-    return vals, pos
+    return vals, tuple(sorted(_positions(index_set, len(vals))))
 
 
 def xi(
@@ -448,7 +490,7 @@ def xi(
 ) -> int:
     """Occurrence-symmetry count ξ: #{i: x_i = α} − #{i: x_i = −α} over the index set."""
     vals, pos = _coerce_indexed(x, index_set)
-    a = q(alpha)
+    a = _carrier(alpha)
     na = -a
     plus = sum(1 for j in pos if vals[j - 1] == a)
     minus = sum(1 for j in pos if vals[j - 1] == na)
@@ -537,7 +579,7 @@ def nary_boxplus(
     is nothing to evaluate.
     """
     if index_set is None and not isinstance(x, IndexedTuple):
-        vals = [v if type(v) is _Q else q(v) for v in x]
+        vals = [v if type(v) is _Q else _carrier(v) for v in x]
     else:
         values, pos = _coerce_indexed(x, index_set)
         vals = [values[j - 1] for j in pos]
@@ -555,7 +597,7 @@ def _smile(values: Sequence[ScalarLike], lower: bool) -> ScalarQ:
     best, best_m, best_d = None, 0, 1
     for v in values:
         if type(v) is not _Q:
-            v = q(v)
+            v = _carrier(v)
         n = v.numerator
         d = v.denominator
         m = n if n >= 0 else -n
@@ -583,8 +625,8 @@ def smile_plus(values: Sequence[ScalarLike]) -> ScalarQ:
 
 
 def _products(a: Sequence[ScalarLike], x: Sequence[ScalarLike]) -> list:
-    av = [v if type(v) is _Q else q(v) for v in a]
-    xv = [v if type(v) is _Q else q(v) for v in x]
+    av = [v if type(v) is _Q else _carrier(v) for v in a]
+    xv = [v if type(v) is _Q else _carrier(v) for v in x]
     if len(av) != len(xv):
         raise DimensionMismatch(f"coefficients dim {len(av)} vs vector dim {len(xv)}")
     return [u * v for u, v in zip(av, xv)]

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import Vec, _integer_rows, _vecs, det_infty, inner_infty, norm_infty, vec
 from .metric import dist_boxplus
-from .scalars import ONE, ScalarLike, ScalarQ, _nary, q, qfloor
+from .scalars import ONE, ScalarLike, ScalarQ, _carrier, _from_pair, _nary
 
 __all__ = [
     "AngleParam",
@@ -189,8 +189,13 @@ class AngleParam:
 
 
 def _reduce8(theta: ScalarLike) -> ScalarQ:
-    t = q(theta)
-    return t - 8 * qfloor(t / 8)
+    """θ − 8·⌊θ/8⌋ over the integers: for θ = n/d, n mod 8d over d, which
+    needs no gcd because gcd(n mod 8d, d) = gcd(n, d) = 1."""
+    t = _carrier(theta)
+    n = t.numerator
+    d = t.denominator
+    r = n % (8 * d)
+    return t if r == n else _from_pair(r, d)
 
 
 def pcos(theta: ScalarLike) -> ScalarQ:
@@ -243,5 +248,5 @@ def alpha(z: Sequence[ScalarLike]) -> AngleParam:
 
 def alpha_inv(theta) -> Vec:
     """Inverse angle map: the boundary point (pcos θ, psin θ)."""
-    t = theta.theta if isinstance(theta, AngleParam) else q(theta)
+    t = theta.theta if isinstance(theta, AngleParam) else _carrier(theta)
     return (pcos(t), psin(t))

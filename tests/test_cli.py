@@ -146,6 +146,15 @@ def test_cost_caps_exit_one_with_json(capsys, argv):
     assert json.loads(err)["error"] == "TooLarge"
 
 
+def test_a_huge_decimal_exponent_exits_one_with_json(capsys):
+    code, out, err = run(capsys, "eval", "--boxplus", "1e10000000,2")
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "TooLarge"
+    assert "exponent" in payload["detail"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_hull_samples_below_one_exit_one_with_json(capsys, samples):
     code, out, err = run(capsys, "hull", "--x", "3,1", "--y", "1,-2", "--samples", samples)

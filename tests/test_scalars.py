@@ -3,6 +3,8 @@
 import math
 import numbers
 import operator
+import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +21,7 @@ from boxlim import (
     smile_plus,
     upper_form,
 )
-from boxlim.errors import EmptyIndexSet, EmptyList
+from boxlim.errors import EmptyIndexSet, EmptyList, TooLarge
 from boxlim.scalars import (
     IndexedTuple,
     QFraction,
@@ -48,6 +50,27 @@ def test_q_parses_ints_strings_fractions():
 def test_q_rejects_floats():
     with pytest.raises(TypeError):
         q(0.1)
+
+
+def test_q_reads_decimal_exponents_exactly():
+    assert q("1e3") == 1000
+    assert q("-2.5E-2") == q(-1, 40)
+    assert q("1_0e1_0") == 10**11
+    assert q(" 3e+2 ") == 300
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "-2.5e-10000000", "1E100000000", "1e4301"])
+def test_q_bounds_the_decimal_exponent_before_building_a_power(literal):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        q(literal)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_q_accepts_an_exponent_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert q(f"1e{limit}") == 10**limit
+    assert q(f"1e-{limit}") == q(1, 10**limit)
 
 
 def test_qfloor_is_exact():
@@ -199,6 +222,28 @@ def test_indexed_tuple_validates_positions():
     assert nary_boxplus(IndexedTuple((5, -5, 3), frozenset({1, 3}))) == 5
     with pytest.raises(IndexError):
         IndexedTuple((1, 2), frozenset({3}))
+
+
+@pytest.mark.parametrize("positions", [[1.9, 2.5], [2.0], [True], [1, False], ["2"], [q(2)]])
+def test_positions_that_are_not_ints_raise(positions):
+    with pytest.raises(ValueError):
+        nary_boxplus((3, -2, 1), index_set=positions)
+    with pytest.raises(ValueError):
+        IndexedTuple((3, -2, 1), frozenset(positions))
+
+
+@pytest.mark.parametrize("positions", [[0], [4], [-1]])
+def test_positions_out_of_range_raise_index_error(positions):
+    with pytest.raises(IndexError):
+        nary_boxplus((3, -2, 1), index_set=positions)
+    with pytest.raises(IndexError):
+        residual_index_set((3, -2, 1), positions)
+
+
+def test_positions_may_come_from_any_iterable():
+    assert nary_boxplus((3, -2, 1), index_set=iter([2, 3])) == -2
+    assert nary_boxplus((3, -2, 1), index_set=range(2, 4)) == -2
+    assert xi((3, -3, 3), 3, index_set=(1, 2, 2)) == 0
 
 
 def test_nary_over_index_subset():

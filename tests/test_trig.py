@@ -34,8 +34,22 @@ from boxlim.errors import (
     ZeroVector,
 )
 from boxlim.sampling import Sampler
+from boxlim.scalars import ScalarQ, qfloor
+from boxlim.trig import _reduce8
 
 angles = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(q)
+
+
+@given(st.one_of(
+    st.fractions(min_value=-100, max_value=100, max_denominator=12),
+    st.integers(-12, 12).map(lambda k: q(8 * k)),
+    st.just(q(0)),
+))
+def test_integer_angle_reduction_equals_the_rational_floor(t):
+    got = _reduce8(t)
+    assert type(got) is ScalarQ
+    assert got == t - 8 * qfloor(t / 8)
+    assert 0 <= got < 8
 
 
 def test_pcos_psin_integer_table():

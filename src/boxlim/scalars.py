@@ -351,19 +351,14 @@ def q(value: ScalarLike, den: int | None = None) -> ScalarQ:
     if isinstance(value, str):
         m = _EXPONENT.search(value)
         if m:
-            limit = _digit_limit()
+            # Python's int/str digit limit (none before 3.10.7 or when set to 0)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
             if abs(int(m.group(1))) > limit:
                 raise TooLarge(f"decimal exponent limited to {limit} in magnitude")
         return _Q(Fraction(value.strip()))
     if isinstance(value, Fraction):
         return _Q(value)
     raise TypeError(f"no exact rational from {type(value).__name__}: {value!r}")
-
-
-def _digit_limit() -> int:
-    """Python's int/str conversion limit on digits, 4300 where it has none."""
-    get = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.10.7
-    return (get() if get else 0) or 4300
 
 
 def _carrier(v: ScalarLike) -> ScalarQ:

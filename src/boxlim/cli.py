@@ -68,9 +68,20 @@ def _points(text: str) -> list:
     return [vec(part) for part in text.split(";")]
 
 
+def _printable(r: ScalarQ) -> ScalarQ:
+    """``r``, or ``TooLarge`` if it has more digits than Python's int/str
+    limit lets it print; every exact value the CLI prints is checked here."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = max(abs(r.numerator), r.denominator)
+    # below 3·limit bits an integer has fewer than limit digits
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise TooLarge(f"result has more than {limit} digits, the int/str digit limit")
+    return r
+
+
 def _sj(v) -> int | str:
     """JSON encoding of an exact rational: plain integer or "p/q" string."""
-    r = q(v)
+    r = _printable(q(v))
     if r.denominator == 1:
         return int(r)
     return f"{r.numerator}/{r.denominator}"
@@ -424,27 +435,31 @@ def _cmd_maxplus(args) -> int:
     def elems(text: str) -> list:
         return [mp_parse(part.strip()) for part in text.split(",")]
 
+    def out(z) -> None:
+        _printable(z.logmag)
+        _json_out(mp_format(z), args)
+
     if args.add is not None:
         zs = elems(args.add)
         if len(zs) != 2:
             raise ValueError("expected --add 'z,w'")
-        _json_out(mp_format(mp_boxplus(*zs)), args)
+        out(mp_boxplus(*zs))
     elif args.mul is not None:
         zs = elems(args.mul)
         if len(zs) != 2:
             raise ValueError("expected --mul 'z,w'")
-        _json_out(mp_format(mp_otimes(*zs)), args)
+        out(mp_otimes(*zs))
     elif args.neg is not None:
-        _json_out(mp_format(mp_neg(mp_parse(args.neg))), args)
+        out(mp_neg(mp_parse(args.neg)))
     elif args.inv is not None:
-        _json_out(mp_format(mp_inv(mp_parse(args.inv))), args)
+        out(mp_inv(mp_parse(args.inv)))
     elif args.nary is not None:
-        _json_out(mp_format(mp_nary(elems(args.nary))), args)
+        out(mp_nary(elems(args.nary)))
     elif args.dist is not None:
         sides = args.dist.split(";")
         if len(sides) != 2:
             raise ValueError("expected --dist 'z1,z2;w1,w2'")
-        _json_out(mp_format(mp_dist(elems(sides[0]), elems(sides[1]))), args)
+        out(mp_dist(elems(sides[0]), elems(sides[1])))
     else:
         raise ValueError("choose a max-plus operation")
     return 0
@@ -491,30 +506,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-_QUICK_SIZES = {
-    "scalar-laws": {"samples": 2000},
-    "convergence": {"per_op": 25},
-    "exact-cancellation": {"samples": 200},
-    "ultrametric": {"triples": 2000, "balls": 400},
-    "pythagoras": {"samples": 80},
-    "square-trig": {"theta_samples": 2000, "roundtrips": 400, "pairs": 25},
-    "complex-product": {"samples": 600},
-    "lines": {"pairs": 300, "hull_samples": 300, "nd_samples": 60,
-              "line_samples": 40},
-    "maxplus-bridge": {"samples": 600},
-}
-
-
 def _cmd_suite(args) -> int:
     from .suites import run_suite
 
     names = list(SUITE_NAMES) if args.name == "all" else [args.name]
-    results = []
-    for name in names:
-        overrides = dict(_QUICK_SIZES.get(name, {})) if args.quick else {}
-        if args.seed is not None and name != "worked-values":
-            overrides["seed"] = args.seed
-        results.append(run_suite(name, **overrides))
+    results = [run_suite(name, quick=args.quick, seed=args.seed) for name in names]
     if args.format == "json":
         payload = [
             {

@@ -38,6 +38,12 @@ MAX_P = 2048
 # capped lower (0.6 s at p = 256, 26-28 s at p = 2048 on the same Xeon).
 MAX_FIGURE_P = 256
 
+# The transported hull test embeds log-magnitude l as 2^(l·D), D the lcm of
+# every denominator, so its cost grows with the largest |l·D|: a 2-D
+# non-member took 9 s at 159 568 bits, and the slowest found at this cap
+# took 61 s, on the same Xeon.
+MAX_EMBED_BITS = 200_000
+
 
 class LimitAlgebraError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -66,9 +72,11 @@ class DimensionMismatch(LimitAlgebraError):
 
 
 class TooLarge(LimitAlgebraError):
-    """Input exceeds the supported size (determinants stop at n = 8, every p
-    at MAX_P, the p of a hull or line figure at MAX_FIGURE_P; the CLI caps
-    hull samples)."""
+    """Input exceeds the supported size: determinants stop at n = 8, every p
+    at MAX_P, the p of a hull or line figure at MAX_FIGURE_P, the max-plus
+    hull embedding at exponents of MAX_EMBED_BITS, and a decimal literal's
+    exponent at Python's int/str digit limit.  The CLI also caps hull samples
+    and refuses to print a result with more digits than that limit."""
 
 
 class ZeroVector(LimitAlgebraError):

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, EmptyList, InvalidCombination
+from .errors import (
+    MAX_EMBED_BITS,
+    DimensionMismatch,
+    EmptyList,
+    InvalidCombination,
+    TooLarge,
+)
 from .linalg import PseudoFieldOps, SymmetricSpaceOps
 from .scalars import ZERO, ScalarLike, ScalarQ, _carrier, q
 
@@ -198,15 +204,20 @@ def mp_dist_std(zs: Sequence[MSym], ws: Sequence[MSym]) -> float:
 
 
 def _embed(values: Sequence[MSym]) -> tuple:
-    """Exact order/product-preserving embedding MSym(s, l) ↦ s·2^(l·D)."""
+    """Exact order/product-preserving embedding MSym(s, l) ↦ s·2^(l·D); raises
+    ``TooLarge`` before any power is built if some |l·D| > ``MAX_EMBED_BITS``."""
     denoms = [int(z.logmag.denominator) for z in values if z.sign]
     d = math.lcm(*denoms) if denoms else 1
+    # zero has log-magnitude 0, so its exponent is 0 as well
+    exps = [int(z.logmag.numerator) * (d // int(z.logmag.denominator)) for z in values]
+    top = max(map(abs, exps), default=0)
+    if top > MAX_EMBED_BITS:
+        raise TooLarge(f"hull embedding exponent limited to {MAX_EMBED_BITS}, got {top}")
     out = []
-    for z in values:
+    for z, e in zip(values, exps):
         if z.sign == 0:
             out.append(ZERO)
         else:
-            e = int(z.logmag.numerator) * (d // int(z.logmag.denominator))
             mag = q(2) ** e if e >= 0 else q(1, 2 ** (-e))
             out.append(z.sign * mag)
     return tuple(out)
@@ -249,7 +260,8 @@ def mp_hull_contains(
     Decided through the exact embedding s·2^(l·D) into the rational carrier:
     the hull search only manipulates products, ratios, and magnitude
     comparisons of instance values, all of which the embedding preserves,
-    and any certificate it returns lies in the embedded subgroup.
+    and any certificate it returns lies in the embedded subgroup.  Raises
+    ``TooLarge`` when an exponent l·D would exceed ``MAX_EMBED_BITS``.
     """
     from .hull import co_contains
 

@@ -51,11 +51,9 @@ def gap_ok(values: Sequence[ScalarQ]) -> bool:
 
 
 def norm_gap_ok(x: Sequence[ScalarQ]) -> bool:
-    """Unique top magnitude dominating the rest (zero vector is exact)."""
-    mags = sorted((abs(v) for v in x), reverse=True)
-    if not mags or mags[0] == 0 or len(mags) == 1:
-        return True
-    return mags[1] <= GAP_RATIO * mags[0]
+    """The gap rule on the magnitudes: a unique top magnitude dominating the
+    rest (the zero vector is exact)."""
+    return gap_ok([abs(v) for v in x])
 
 
 def dist_gap_ok(x: Sequence[ScalarQ], y: Sequence[ScalarQ]) -> bool:

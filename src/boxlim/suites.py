@@ -3,13 +3,16 @@
 Each suite draws a deterministic sample (fixed seed), checks a batch of exact
 identities or oracle convergences, and returns a :class:`CheckResult` with a
 one-line summary.  The default sizes are the full acceptance sizes; every
-suite also accepts smaller sizes for quick interactive runs.  Suites are pure
-functions of their arguments — two runs with the same arguments produce the
-same result object.
+suite also declares smaller ``--quick`` sizes for interactive runs.  Suites
+are pure functions of their arguments — two runs with the same arguments
+produce the same result object, apart from its elapsed time.  Each suite is
+declared once, by :func:`_suite`, which registers it in ``SUITES``.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
@@ -41,7 +44,7 @@ from .deform import (
     p_sin,
     p_sum,
 )
-from .errors import DegenerateConfiguration, DegeneratePair
+from .errors import DegenerateConfiguration
 from .hull import HullCombination, co_point
 from .linalg import (
     check_pseudo_field_axioms,
@@ -153,16 +156,64 @@ def _finish(
     return CheckResult(name, passed, samples, detail, elapsed)
 
 
+SUITES: dict[str, Callable[..., CheckResult]] = {}
+
+
+def _suite(
+    name: str,
+    *,
+    budget: float | None = None,
+    seed: int | None = None,
+    quick: dict[str, int] | None = None,
+) -> Callable[[Callable[..., tuple[int, str]]], Callable[..., CheckResult]]:
+    """Declare a suite: its wall-clock ``budget`` (s), default ``seed`` (None:
+    it draws nothing) and ``quick`` sizes, and register its check under ``name``.
+
+    The body takes the problem list, a :class:`Sampler` on the seed if there
+    is one, and its sizes; it appends a text per failed check and returns its
+    sample count and success detail.  The check takes the sizes, then ``seed``.
+    """
+
+    def register(body: Callable[..., tuple[int, str]]) -> Callable[..., CheckResult]:
+        params = list(inspect.signature(body).parameters.values())
+        if seed is None:
+            params = params[1:]
+        else:
+            params = params[2:] + [inspect.Parameter(
+                "seed", inspect.Parameter.POSITIONAL_OR_KEYWORD, default=seed,
+                annotation=int,
+            )]
+        signature = inspect.Signature(params, return_annotation=CheckResult)
+
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            sizes = signature.bind(*args, **kwargs).arguments
+            t0 = perf_counter()
+            problems: list[str] = []
+            if seed is None:
+                samples, ok_detail = body(problems, **sizes)
+            else:
+                sampler = Sampler(sizes.pop("seed", seed))
+                samples, ok_detail = body(problems, sampler, **sizes)
+            return _finish(name, t0, samples, problems, ok_detail, budget)
+
+        check.__signature__ = signature
+        check.seed = seed
+        check.quick = quick or {}
+        SUITES[name] = check
+        return check
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # 1. worked values
 
 
-def check_worked_values() -> CheckResult:
+@_suite("worked-values", budget=1.0)
+def check_worked_values(problems: list[str]) -> tuple[int, str]:
     """Frozen worked values: n-ary sum, three-point product, determinants,
     and the unbounded certified family on a 3-dimensional line."""
-    t0 = perf_counter()
-    problems: list[str] = []
-
     if nary_boxplus((-3, -2, 3, 3, 1, -3)) != -2:
         problems.append("n-ary limit sum of (-3,-2,3,3,1,-3) != -2")
 
@@ -193,21 +244,17 @@ def check_worked_values() -> CheckResult:
             problems.append(f"certificate search missed (1,{d},{-d},0) for z_{d}")
         count += 1
 
-    return _finish(
-        "worked-values",
-        t0,
-        samples=5 + count,
-        problems=problems,
-        ok_detail=f"all frozen values exact, {count} certified family points",
-        budget=1.0,
-    )
+    return 5 + count, f"all frozen values exact, {count} certified family points"
 
 
 # ---------------------------------------------------------------------------
 # 2. scalar laws
 
 
-def check_scalar_laws(samples: int = 100_000, seed: int = 1202) -> CheckResult:
+@_suite("scalar-laws", budget=10.0, seed=1202, quick={"samples": 2000})
+def check_scalar_laws(
+    problems: list[str], s: Sampler, samples: int = 100_000
+) -> tuple[int, str]:
     """Exact scalar laws on random rational triples.
 
     Idempotence, commutativity, symmetric cancellation, weak associativity
@@ -215,9 +262,6 @@ def check_scalar_laws(samples: int = 100_000, seed: int = 1202) -> CheckResult:
     the bracket decomposition, smile associativity, the half-sum bridge, and
     the lower/upper sandwich around the n-ary sum of products.
     """
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
     half = q(1, 2)
 
     for i in range(samples):
@@ -232,31 +276,30 @@ def check_scalar_laws(samples: int = 100_000, seed: int = 1202) -> CheckResult:
 
         bc = boxplus(b, c)
         ac = boxplus(a, c)
+        f3 = nary_boxplus((a, b, c))
+        brackets = (boxplus(a, bc), boxplus(b, ac), boxplus(c, ab))
         if ab != 0 and bc != 0 and ac != 0:
-            left, right = boxplus(ab, c), boxplus(a, bc)
-            nary = nary_boxplus((a, b, c))
-            if not (left == right == nary):
+            if not (boxplus(ab, c) == brackets[0] == f3):
                 problems.append(f"weak associativity at ({a},{b},{c})")
 
         if c * ab != boxplus(c * a, c * b):
             problems.append(f"homogeneity at ({a},{b},{c})")
 
-        f3 = nary_boxplus((a, b, c))
         if abs(f3) > max(abs(a), abs(b), abs(c)):
             problems.append(f"magnitude bound at ({a},{b},{c})")
 
-        brackets = (boxplus(a, bc), boxplus(b, ac), boxplus(c, ab))
         if any(br != 0 and br != f3 for br in brackets):
             problems.append(f"bracket values at ({a},{b},{c})")
         elif nary_boxplus(brackets) != f3:
             problems.append(f"bracket recombination at ({a},{b},{c})")
 
-        if smile_minus((smile_minus((a, b)), c)) != smile_minus((a, b, c)):
+        lo, hi = smile_minus((a, b)), smile_plus((a, b))
+        if smile_minus((lo, c)) != smile_minus((a, b, c)):
             problems.append(f"lower smile associativity at ({a},{b},{c})")
-        if smile_plus((smile_plus((a, b)), c)) != smile_plus((a, b, c)):
+        if smile_plus((hi, c)) != smile_plus((a, b, c)):
             problems.append(f"upper smile associativity at ({a},{b},{c})")
 
-        if ab != half * (smile_minus((a, b)) + smile_plus((a, b))):
+        if ab != half * (lo + hi):
             problems.append(f"half-sum bridge at ({a},{b})")
 
         coeffs, values = (a, b, c), (b, c, a)
@@ -267,21 +310,17 @@ def check_scalar_laws(samples: int = 100_000, seed: int = 1202) -> CheckResult:
         if problems and len(problems) > 5:
             break
 
-    return _finish(
-        "scalar-laws",
-        t0,
-        samples=samples,
-        problems=problems,
-        ok_detail=f"{samples} random triples, ten laws each, zero failures",
-        budget=10.0,
-    )
+    return samples, f"{samples} random triples, ten laws each, zero failures"
 
 
 # ---------------------------------------------------------------------------
 # 3. convergence oracle
 
 
-def check_convergence(per_op: int = 500, seed: int = 1203) -> CheckResult:
+@_suite("convergence", budget=60.0, seed=1203, quick={"per_op": 25})
+def check_convergence(
+    problems: list[str], s: Sampler, per_op: int = 500
+) -> tuple[int, str]:
     """Finite-p convergence to the limit values on gap-filtered random inputs.
 
     Each operation (n-ary sum, inner product, norm, distance, 3×3
@@ -290,9 +329,6 @@ def check_convergence(per_op: int = 500, seed: int = 1203) -> CheckResult:
     term dominates.  Every report, on the oracle's ``DEFAULT_P_GRID``, must
     end ≤ ``DEFAULT_TOL`` with a non-increasing tail.
     """
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
     worst = 0.0
 
     def draws():
@@ -327,16 +363,9 @@ def check_convergence(per_op: int = 500, seed: int = 1203) -> CheckResult:
             if len(problems) > 5:
                 break
 
-    return _finish(
-        "convergence",
-        t0,
-        samples=total,
-        problems=problems,
-        ok_detail=(
-            f"{total} oracle runs across six operations, "
-            f"worst final error {worst:.3g} <= {DEFAULT_TOL:g}"
-        ),
-        budget=60.0,
+    return total, (
+        f"{total} oracle runs across six operations, "
+        f"worst final error {worst:.3g} <= {DEFAULT_TOL:g}"
     )
 
 
@@ -344,12 +373,11 @@ def check_convergence(per_op: int = 500, seed: int = 1203) -> CheckResult:
 # 4. exact cancellation
 
 
-def check_exact_cancellation(samples: int = 1000, seed: int = 1204) -> CheckResult:
+@_suite("exact-cancellation", seed=1204, quick={"samples": 200})
+def check_exact_cancellation(
+    problems: list[str], s: Sampler, samples: int = 1000
+) -> tuple[int, str]:
     """Tuples with limit sum 0 have every odd power sum exactly 0 (p ≤ 5)."""
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
-
     for _ in range(samples):
         values: list = []
         for _ in range(s.rng.randint(1, 4)):
@@ -366,28 +394,19 @@ def check_exact_cancellation(samples: int = 1000, seed: int = 1204) -> CheckResu
                 problems.append(f"power sum p={p} nonzero on {values}")
                 break
 
-    return _finish(
-        "exact-cancellation",
-        t0,
-        samples=samples,
-        problems=problems,
-        ok_detail=f"{samples} cancelling tuples, odd power sums 3..11 all exactly 0",
-    )
+    return samples, f"{samples} cancelling tuples, odd power sums 3..11 all exactly 0"
 
 
 # ---------------------------------------------------------------------------
 # 5. ultrametric
 
 
+@_suite("ultrametric", seed=1205, quick={"triples": 2000, "balls": 400})
 def check_ultrametric(
-    triples: int = 100_000, balls: int = 10_000, seed: int = 1205
-) -> CheckResult:
+    problems: list[str], s: Sampler, triples: int = 100_000, balls: int = 10_000
+) -> tuple[int, str]:
     """Exact metric laws, ball-descriptor equivalence, and the four worked
     ball regimes around center (3, 2)."""
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
-
     for i in range(triples):
         n = s.rng.randint(1, 4)
         x, y, z = s.vector(n), s.vector(n), s.vector(n)
@@ -446,15 +465,9 @@ def check_ultrametric(
         if ball_contains(ball_describe((3, 2), radius), pt) != expect:
             problems.append(f"worked ball probe at radius {radius}, point {pt}")
 
-    return _finish(
-        "ultrametric",
-        t0,
-        samples=triples + balls,
-        problems=problems,
-        ok_detail=(
-            f"{triples} exact metric triples, {balls} ball equivalences, "
-            "four worked regimes"
-        ),
+    return triples + balls, (
+        f"{triples} exact metric triples, {balls} ball equivalences, "
+        "four worked regimes"
     )
 
 
@@ -465,7 +478,10 @@ def check_ultrametric(
 _PYTHAGORAS_P_GRID = (1, 2, 4, 8, 16)
 
 
-def check_pythagoras(samples: int = 1000, seed: int = 1206) -> CheckResult:
+@_suite("pythagoras", seed=1206, quick={"samples": 80})
+def check_pythagoras(
+    problems: list[str], s: Sampler, samples: int = 1000
+) -> tuple[int, str]:
     """Constructed limit right angles at the origin satisfy the exact
     hypotenuse identity and the deformed squared identity within
     ``DEFAULT_TOL`` at p = 1, 2, 4, 8, 16.
@@ -473,10 +489,6 @@ def check_pythagoras(samples: int = 1000, seed: int = 1206) -> CheckResult:
     Half the triples pair coordinates into cancelling products; the other
     half are planar Euclidean right angles (y a scaled rotation of x).
     """
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
-
     for i in range(samples):
         if i % 2 == 0:
             xs: list = []
@@ -522,15 +534,9 @@ def check_pythagoras(samples: int = 1000, seed: int = 1206) -> CheckResult:
         if problems and len(problems) > 5:
             break
 
-    return _finish(
-        "pythagoras",
-        t0,
-        samples=samples,
-        problems=problems,
-        ok_detail=(
-            f"{samples} right-angled triples, exact hypotenuse and "
-            f"deformed identity <= {DEFAULT_TOL:g} at p <= {max(_PYTHAGORAS_P_GRID)}"
-        ),
+    return samples, (
+        f"{samples} right-angled triples, exact hypotenuse and "
+        f"deformed identity <= {DEFAULT_TOL:g} at p <= {max(_PYTHAGORAS_P_GRID)}"
     )
 
 
@@ -542,19 +548,18 @@ _SQUARE_TRIG_P_GRID = (1, 2, 4, 8)
 _SQUARE_TRIG_TOL = 1e-9
 
 
+@_suite("square-trig", seed=1207,
+        quick={"theta_samples": 2000, "roundtrips": 400, "pairs": 25})
 def check_square_trig(
+    problems: list[str],
+    s: Sampler,
     theta_samples: int = 100_000,
     roundtrips: int = 10_000,
     pairs: int = 200,
-    seed: int = 1207,
-) -> CheckResult:
+) -> tuple[int, str]:
     """Square cosine/sine laws: boundary identity, period 8, angle
     round-trips, and the deformed unit-circle identity within 1e-9 at
     p = 1, 2, 4, 8."""
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
-
     for i in range(theta_samples):
         theta = s.rational(-20, 20, den=8)
         c, sn = pcos(theta), psin(theta)
@@ -600,15 +605,9 @@ def check_square_trig(
                 problems.append(f"deformed circle identity at ({x},{y}), p={p}")
                 break
 
-    return _finish(
-        "square-trig",
-        t0,
-        samples=theta_samples + roundtrips + pairs,
-        problems=problems,
-        ok_detail=(
-            f"{theta_samples} boundary identities, {roundtrips} round-trips, "
-            f"deformed circle within {worst:.3g} <= {_SQUARE_TRIG_TOL:g}"
-        ),
+    return theta_samples + roundtrips + pairs, (
+        f"{theta_samples} boundary identities, {roundtrips} round-trips, "
+        f"deformed circle within {worst:.3g} <= {_SQUARE_TRIG_TOL:g}"
     )
 
 
@@ -616,21 +615,21 @@ def check_square_trig(
 # 8. complex product
 
 
-def check_complex_product(samples: int = 10_000, seed: int = 1208) -> CheckResult:
+@_suite("complex-product", seed=1208, quick={"samples": 600})
+def check_complex_product(
+    problems: list[str], s: Sampler, samples: int = 10_000
+) -> tuple[int, str]:
     """Exact laws of the limit complex product: multiplicative modulus,
     conjugate square, unit-square closure, and polar round-trips."""
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
-
     for _ in range(samples):
         z = cplx(s.rational(), s.rational())
         w = cplx(s.rational(), s.rational())
-        if cmod_infty(ctimes(z, w)) != cmod_infty(z) * cmod_infty(w):
+        mz = cmod_infty(z)
+        if cmod_infty(ctimes(z, w)) != mz * cmod_infty(w):
             problems.append(f"modulus multiplicativity at ({z},{w})")
-        if ctimes(z, cconj(z)) != cplx(cmod_infty(z) ** 2, 0):
+        if ctimes(z, cconj(z)) != cplx(mz ** 2, 0):
             problems.append(f"conjugate square at {z}")
-        if cmod_infty(z) != 0:
+        if mz != 0:
             m, theta = polar(z)
             if from_polar(m, theta) != z:
                 problems.append(f"polar round-trip at {z}")
@@ -642,28 +641,32 @@ def check_complex_product(samples: int = 10_000, seed: int = 1208) -> CheckResul
         if problems and len(problems) > 5:
             break
 
-    return _finish(
-        "complex-product",
-        t0,
-        samples=samples,
-        problems=problems,
-        ok_detail=f"{samples} random pairs, all four complex laws exact",
-    )
+    return samples, f"{samples} random pairs, all four complex laws exact"
 
 
 # ---------------------------------------------------------------------------
 # 9. lines
 
 
-def _nondegenerate_pair(s: Sampler) -> tuple:
-    def ok(pair) -> bool:
-        try:
-            line2d_form(*pair)
-        except (DegenerateConfiguration, DegeneratePair):
-            return False
-        return True
+def _line_pair(s: Sampler, problems: list[str]) -> tuple:
+    """Planar generators x ≠ y with a nonzero limit determinant, and their
+    line form.  Equal and zero-determinant pairs are redrawn; any other pair
+    whose form fails is a problem, and comes back with the form None."""
 
-    return s.reject(lambda: (s.vector(2), s.vector(2)), ok)
+    def draw():
+        x, y = s.vector(2), s.vector(2)
+        if x == y:
+            return None
+        try:
+            return x, y, line2d_form(x, y)
+        except DegenerateConfiguration:
+            # the configuration matrix has the two points as its columns
+            if det_infty(tuple(zip(x, y))) == 0:
+                return None
+            problems.append(f"generator self-membership at ({x},{y})")
+            return x, y, None
+
+    return s.reject(draw, lambda drawn: drawn is not None)
 
 
 def _hull_combination(s: Sampler) -> HullCombination:
@@ -678,10 +681,11 @@ def _line_sample_ok(x, y, coeff, form) -> bool:
     opposite-sign tie at the top (the two tie-sensitive error sources)."""
     zlim = []
     for a, b in zip(x, y):
-        u, v = abs(coeff * a), abs(b)
+        ca = coeff * a
+        u, v = abs(ca), abs(b)
         if u and v and min(u, v) > GAP_RATIO * max(u, v):
             return False
-        zlim.append(boxplus(coeff * a, b))
+        zlim.append(boxplus(ca, b))
     products = [a * c for a, c in zip(form.coeffs, zlim)]
     top = max(abs(p) for p in products)
     if top:
@@ -695,31 +699,33 @@ _LINE_P = 32
 _LINE_SLACK = q(Fraction(1e-4))  # the binary double nearest 10^-4, read exactly
 
 
+@_suite("lines", seed=1209,
+        quick={"pairs": 300, "hull_samples": 300, "nd_samples": 60, "line_samples": 40})
 def check_lines(
+    problems: list[str],
+    s: Sampler,
     pairs: int = 10_000,
     hull_samples: int = 10_000,
     nd_samples: int = 2_000,
     line_samples: int = 300,
-    seed: int = 1209,
-) -> CheckResult:
+) -> tuple[int, str]:
     """Line membership: generator self-membership, hull points on the line,
     deformed samples at p = 32 within 1e-4 of the form inequalities, and the
     worked parallel pair's shared normal form."""
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
-
     for _ in range(pairs):
-        x, y = _nondegenerate_pair(s)
-        form = line2d_form(x, y)
+        x, y, form = _line_pair(s, problems)
+        if form is None:
+            break
         if not line_contains_2d(form, x) or not line_contains_2d(form, y):
             problems.append(f"generator self-membership at ({x},{y})")
             break
 
     for _ in range(hull_samples - nd_samples):
-        x, y = _nondegenerate_pair(s)
+        x, y, form = _line_pair(s, problems)
+        if form is None:
+            break
         z = co_point(x, y, _hull_combination(s))
-        if not line_contains_2d(line2d_form(x, y), z):
+        if not line_contains_2d(form, z):
             problems.append(f"planar hull point off its line at ({x},{y},{z})")
             break
 
@@ -735,8 +741,9 @@ def check_lines(
 
     checked = 0
     while checked < line_samples:
-        x, y = _nondegenerate_pair(s)
-        form = line2d_form(x, y)
+        x, y, form = _line_pair(s, problems)
+        if form is None:
+            break
         coeff = s.rational(-3, 3, den=4) / 4  # |coeff| <= 3/4
         if not _line_sample_ok(x, y, coeff, form):
             continue
@@ -756,15 +763,9 @@ def check_lines(
     if parallel_ratio((3, 1), (1, -2), (-2, 4), (-6, 1)) != q(1, 2):
         problems.append("worked parallel pair ratio mismatch")
 
-    return _finish(
-        "lines",
-        t0,
-        samples=pairs + hull_samples + line_samples,
-        problems=problems,
-        ok_detail=(
-            f"{pairs} generator pairs, {hull_samples} hull points on their "
-            f"lines, {line_samples} deformed samples within {float(_LINE_SLACK):g}"
-        ),
+    return pairs + hull_samples + line_samples, (
+        f"{pairs} generator pairs, {hull_samples} hull points on their "
+        f"lines, {line_samples} deformed samples within {float(_LINE_SLACK):g}"
     )
 
 
@@ -775,13 +776,12 @@ def check_lines(
 _BRIDGE_TOL = 1e-9
 
 
-def check_maxplus_bridge(samples: int = 10_000, seed: int = 1210) -> CheckResult:
+@_suite("maxplus-bridge", seed=1210, quick={"samples": 600})
+def check_maxplus_bridge(
+    problems: list[str], s: Sampler, samples: int = 10_000
+) -> tuple[int, str]:
     """Symmetrized max-plus: exact pseudo-field and symmetric-space axiom
     suites, and float transport agreement within 1e-9."""
-    t0 = perf_counter()
-    s = Sampler(seed)
-    problems: list[str] = []
-
     def mrand() -> MSym:
         if s.rng.random() < 0.1:
             return MZERO
@@ -810,57 +810,39 @@ def check_maxplus_bridge(samples: int = 10_000, seed: int = 1210) -> CheckResult
     worst = 0.0
     for _ in range(samples):
         z, w = mrand(), mrand()
-        lhs = psi_exp(mp_boxplus(z, w))
-        rhs = float(
-            boxplus(q(Fraction(psi_exp(z))), q(Fraction(psi_exp(w))))
-        )
-        err = abs(lhs - rhs)
-        lhs2 = psi_exp(mp_otimes(z, w))
-        err = max(err, abs(lhs2 - psi_exp(z) * psi_exp(w)))
         zs, ws = (z, mrand()), (w, mrand())
-        xz = tuple(q(Fraction(psi_exp(v))) for v in zs)
-        xw = tuple(q(Fraction(psi_exp(v))) for v in ws)
+        ez, ew = psi_exp(z), psi_exp(w)
+        xz = (q(Fraction(ez)), q(Fraction(psi_exp(zs[1]))))
+        xw = (q(Fraction(ew)), q(Fraction(psi_exp(ws[1]))))
+        err = abs(psi_exp(mp_boxplus(z, w)) - float(boxplus(xz[0], xw[0])))
+        err = max(err, abs(psi_exp(mp_otimes(z, w)) - ez * ew))
         err = max(err, abs(mp_dist_std(zs, ws) - float(dist_boxplus(xz, xw))))
         worst = max(worst, err)
         if err > _BRIDGE_TOL:
             problems.append(f"float transport off by {err:.3g} at ({z},{w})")
             break
 
-    return _finish(
-        "maxplus-bridge",
-        t0,
-        samples=3 * samples,
-        problems=problems,
-        ok_detail=(
-            f"{samples} axiom samples exact per suite, float transport "
-            f"within {worst:.3g} <= {_BRIDGE_TOL:g}"
-        ),
+    return 3 * samples, (
+        f"{samples} axiom samples exact per suite, float transport "
+        f"within {worst:.3g} <= {_BRIDGE_TOL:g}"
     )
 
 
 # ---------------------------------------------------------------------------
-# registry
+# running by name
 
 
-SUITES: dict[str, Callable[..., CheckResult]] = {
-    "worked-values": check_worked_values,
-    "scalar-laws": check_scalar_laws,
-    "convergence": check_convergence,
-    "exact-cancellation": check_exact_cancellation,
-    "ultrametric": check_ultrametric,
-    "pythagoras": check_pythagoras,
-    "square-trig": check_square_trig,
-    "complex-product": check_complex_product,
-    "lines": check_lines,
-    "maxplus-bridge": check_maxplus_bridge,
-}
-
-
-def run_suite(name: str, **overrides) -> CheckResult:
-    """Run one suite by registry name."""
+def run_suite(name: str, quick: bool = False, seed: int | None = None) -> CheckResult:
+    """Run one suite by registry name, at its declared ``--quick`` sizes if
+    ``quick``; ``seed`` replaces the default seed of a suite that draws (and
+    is ignored by worked-values, which draws nothing)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**overrides)
+    check = SUITES[name]
+    kwargs = dict(check.quick) if quick else {}
+    if seed is not None and check.seed is not None:
+        kwargs["seed"] = seed
+    return check(**kwargs)
 
 
 def run_all(names: Sequence[str] | None = None) -> list[CheckResult]:

@@ -1,6 +1,7 @@
 """Command-line interface: worked invocations, formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -153,6 +154,30 @@ def test_a_huge_decimal_exponent_exits_one_with_json(capsys):
     payload = json.loads(err)
     assert payload["error"] == "TooLarge"
     assert "exponent" in payload["detail"]
+
+
+_NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--boxplus", "1e4300,2"),
+    ("eval", "--inner", f"{_NINES},1;{_NINES},1"),
+    ("det", "--matrix", f"{_NINES},1;1,{_NINES}"),
+    ("maxplus", "--mul", "1e4300,1"),
+])
+def test_results_past_the_digit_limit_exit_one_with_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "TooLarge"
+    assert f"{sys.get_int_max_str_digits()} digits" in payload["detail"]
+
+
+def test_a_result_at_the_digit_limit_prints(capsys):
+    code, out, _ = run(capsys, "eval", "--boxplus", "99e4298,2")
+    assert code == 0
+    assert out.strip() == "99" + "0" * 4298
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

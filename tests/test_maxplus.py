@@ -25,7 +25,7 @@ from boxlim import (
     psi_ln,
     q,
 )
-from boxlim.errors import DimensionMismatch
+from boxlim.errors import MAX_EMBED_BITS, DimensionMismatch, TooLarge
 from boxlim.maxplus import (
     MONE,
     mp_abs,
@@ -251,3 +251,18 @@ def test_transported_hull_membership_with_huge_log_magnitudes():
     y = (msym(-1, 2), msym(1, big), msym(1, -1))
     assert mp_hull_contains(x, y, x)
     assert not mp_hull_contains(x, y, (msym(1, 1), msym(1, q(1, 3)), msym(-1, -1)))
+
+
+def test_transported_hull_embedding_is_capped():
+    y = (msym(-1, 2), msym(1, -1))
+    at_cap = (msym(1, MAX_EMBED_BITS), msym(1, 1))
+    assert mp_hull_contains(at_cap, y, at_cap)
+    over_cap = (msym(1, MAX_EMBED_BITS + 1), msym(1, 1))
+    with pytest.raises(TooLarge):
+        mp_hull_contains(over_cap, y, over_cap)
+    # denominators 997 and 991 make D = 988027, past the cap for every l ≥ 1;
+    # the search is refused before any power of 2 is built
+    far = (msym(1, q(7, 997 * 991)), msym(1, q(5, 2)))
+    with pytest.raises(TooLarge):
+        mp_hull_contains(far, (msym(-1, q(3, 991)), msym(1, q(1, 3))),
+                         (msym(1, q(1, 5)), msym(-1, q(2, 7))))

@@ -10,16 +10,19 @@ Exit codes: 0 success, 1 domain error (a single JSON object
 argv produce byte-identical output.  Rationals print as ``p/q`` (integers
 plainly); vectors are comma-separated rational literals, point lists are
 semicolon-separated; ``--file data.json`` supplies the same inputs as JSON
-arrays of rational strings.
+arrays of rational strings.  A ``--format`` the result has no form in is a
+usage error; an oracle error too large for a float prints as JSON ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from typing import Sequence
+from numbers import Rational
+from typing import NamedTuple, Sequence
 
 from .errors import (
     MAX_FIGURE_P,
@@ -61,7 +64,8 @@ FIGURE_NAMES = ("hull", "ball", "line", "unit-square", "pcos")
 
 
 # ---------------------------------------------------------------------------
-# parsing and rendering helpers
+# input and output: main reads --file once, and renders and writes each
+# handler's result once
 
 
 def _points(text: str) -> list:
@@ -92,7 +96,30 @@ def _vj(v: Sequence) -> list:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
+    return json.dumps(obj, separators=(", ", ": "), allow_nan=False)
+
+
+class _Doc(NamedTuple):
+    """Output a handler renders itself: an SVG figure, the hull sample table
+    or a suite report, in ``format``, with the exit status it implies."""
+
+    format: str
+    text: str
+    status: int = 0
+
+
+def _render(result, fmt: str | None) -> str | None:
+    """``result`` as text in ``fmt``, or None if it has no such form.
+
+    With no ``--format`` a result takes its own form: a document as it is,
+    anything else as JSON."""
+    if isinstance(result, _Doc):
+        return result.text if fmt in (None, result.format) else None
+    if isinstance(result, Rational):
+        if fmt == "csv":
+            return str(_sj(result))
+        result = _sj(result)
+    return _dump(result) if fmt in (None, "json") else None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -103,11 +130,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _csv_cell(v) -> str:
-    j = _sj(v)
-    return str(j)
 
 
 def _apply_file(args: argparse.Namespace) -> None:
@@ -133,23 +155,21 @@ def _apply_file(args: argparse.Namespace) -> None:
                 setattr(args, name, str(value))
 
 
-def _scalar_out(value: ScalarQ, args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        _emit(_csv_cell(value), args.out)
-    else:
-        _emit(_dump(_sj(value)), args.out)
-
-
-def _json_out(obj, args: argparse.Namespace) -> None:
-    _emit(_dump(obj), args.out)
+def _need(args: argparse.Namespace, what: str, *names: str) -> list:
+    """The values of the flags ``names``; ``ValueError`` if one is missing."""
+    values = [getattr(args, name) for name in names]
+    if any(v is None for v in values):
+        flags = [f"--{name}" for name in names]
+        listed = flags[0] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
+        raise ValueError(f"{what} needs {listed}")
+    return values
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its result and writes nothing
 
 
-def _cmd_eval(args) -> int:
-    _apply_file(args)
+def _cmd_eval(args):
     if args.nary is not None:
         result = nary_boxplus(vec(args.nary))
     elif args.boxplus is not None:
@@ -169,40 +189,31 @@ def _cmd_eval(args) -> int:
         result = norm_infty(vec(args.norm))
     else:
         raise ValueError("choose one operation for eval")
-    _scalar_out(result, args)
-    return 0
+    return result
 
 
-def _cmd_det(args) -> int:
-    _apply_file(args)
+def _cmd_det(args):
     if args.matrix is None:
         raise ValueError("det needs --matrix or --file")
-    _scalar_out(det_infty(mat(args.matrix.split(";"))), args)
-    return 0
+    return det_infty(mat(args.matrix.split(";")))
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args):
     from .metric import dist_boxplus
 
-    _apply_file(args)
-    if args.x is None or args.y is None:
-        raise ValueError("dist needs --x and --y")
-    _scalar_out(dist_boxplus(vec(args.x), vec(args.y)), args)
-    return 0
+    x, y = _need(args, "dist", "x", "y")
+    return dist_boxplus(vec(x), vec(y))
 
 
-def _cmd_ball(args) -> int:
+def _cmd_ball(args):
     from .metric import Fixed, ball_contains, ball_describe
 
-    _apply_file(args)
-    if args.center is None or args.radius is None:
-        raise ValueError("ball needs --center and --radius")
+    center, radius = _need(args, "ball", "center", "radius")
     if args.format == "svg":
         from .svgfig import render_figure
 
-        _emit(render_figure("ball", center=args.center, radius=args.radius), args.out)
-        return 0
-    desc = ball_describe(vec(args.center), q(args.radius))
+        return _Doc("svg", render_figure("ball", center=center, radius=radius))
+    desc = ball_describe(vec(center), q(radius))
     coords = [
         {"kind": "fixed", "value": _sj(t.value)}
         if isinstance(t, Fixed)
@@ -216,28 +227,22 @@ def _cmd_ball(args) -> int:
     }
     if args.z is not None:
         payload["contains"] = ball_contains(desc, vec(args.z))
-    _json_out(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_hull(args) -> int:
+def _cmd_hull(args):
     from .hull import HullCombination, co_contains, co_point
 
-    _apply_file(args)
-    if args.x is None or args.y is None:
-        raise ValueError("hull needs --x and --y")
-    x, y = vec(args.x), vec(args.y)
+    x, y = (vec(v) for v in _need(args, "hull", "x", "y"))
     if args.contains is not None:
         z = vec(args.contains)
-        _json_out({"contains": co_contains(x, y, z)}, args)
-        return 0
+        return {"contains": co_contains(x, y, z)}
     if args.format == "svg":
         if len(x) != 2:
             raise DimensionMismatch("hull figures need dimension-2 inputs")
         from .svgfig import render_figure
 
-        _emit(render_figure("hull", x=args.x, y=args.y, p=args.p), args.out)
-        return 0
+        return _Doc("svg", render_figure("hull", x=args.x, y=args.y, p=args.p))
     n = args.samples
     if n < 1:
         raise ValueError(f"hull samples must be at least 1, got {n}")
@@ -250,16 +255,12 @@ def _cmd_hull(args) -> int:
         rows.append((t, z))
     if args.format == "csv":
         header = "t," + ",".join(f"z{i + 1}" for i in range(len(x)))
-        lines = [header]
-        for t, z in rows:
-            lines.append(",".join([_csv_cell(t)] + [_csv_cell(c) for c in z]))
-        _emit("\n".join(lines), args.out)
-    else:
-        _json_out([{"t": _sj(t), "point": _vj(z)} for t, z in rows], args)
-    return 0
+        lines = [",".join(str(_sj(c)) for c in (t, *z)) for t, z in rows]
+        return _Doc("csv", "\n".join([header, *lines]))
+    return [{"t": _sj(t), "point": _vj(z)} for t, z in rows]
 
 
-def _cmd_line(args) -> int:
+def _cmd_line(args):
     from .lines import (
         half_lines,
         hyperplane_form,
@@ -269,7 +270,6 @@ def _cmd_line(args) -> int:
         parallel_ratio,
     )
 
-    _apply_file(args)
     action = args.action
     if action == "equation":
         if args.points is not None:
@@ -279,19 +279,13 @@ def _cmd_line(args) -> int:
         else:
             raise ValueError("line equation needs --points or --x/--y")
         form = hyperplane_form(pts) if len(pts) != 2 else line2d_form(*pts)
-        _json_out(
-            {
-                "coeffs": _vj(form.coeffs),
-                "constant": _sj(form.constant),
-                "orientation": form.orientation,
-            },
-            args,
-        )
-        return 0
+        return {
+            "coeffs": _vj(form.coeffs),
+            "constant": _sj(form.constant),
+            "orientation": form.orientation,
+        }
     if action == "contains":
-        if args.x is None or args.y is None or args.z is None:
-            raise ValueError("line contains needs --x, --y and --z")
-        x, y, z = vec(args.x), vec(args.y), vec(args.z)
+        x, y, z = (vec(v) for v in _need(args, "line contains", "x", "y", "z"))
         member = line_contains_nd(x, y, z)
         payload = {
             "contains": bool(member),
@@ -299,45 +293,33 @@ def _cmd_line(args) -> int:
         }
         if len(x) == 2:
             payload["form_check"] = line_contains_2d(line2d_form(x, y), z)
-        _json_out(payload, args)
-        return 0
+        return payload
     if action == "parallel":
-        needed = (args.a, args.b, args.c, args.d)
-        if any(v is None for v in needed):
-            raise ValueError("line parallel needs --a, --b, --c and --d")
-        a, b, c, d = (vec(v) for v in needed)
+        a, b, c, d = (vec(v) for v in _need(args, "line parallel", "a", "b", "c", "d"))
         try:
             ratio = parallel_ratio(a, b, c, d)
         except LimitAlgebraError:
-            _json_out({"parallel": False}, args)
-            return 0
-        _json_out({"parallel": True, "ratio": _sj(ratio)}, args)
-        return 0
+            return {"parallel": False}
+        return {"parallel": True, "ratio": _sj(ratio)}
     if action == "halflines":
-        if args.x is None or args.y is None:
-            raise ValueError("line halflines needs --x and --y")
-        parts = []
-        for h in half_lines(vec(args.x), vec(args.y)):
-            parts.append(
-                {
-                    "offset": _vj(h.offset),
-                    "direction": _vj(h.direction),
-                    "t_min": _sj(h.t_min),
-                    "sense": h.sense,
-                }
-            )
-        _json_out(parts, args)
-        return 0
+        x, y = _need(args, "line halflines", "x", "y")
+        return [
+            {
+                "offset": _vj(h.offset),
+                "direction": _vj(h.direction),
+                "t_min": _sj(h.t_min),
+                "sense": h.sense,
+            }
+            for h in half_lines(vec(x), vec(y))
+        ]
     # plot
-    if args.x is None or args.y is None:
-        raise ValueError("line plot needs --x and --y")
+    x, y = _need(args, "line plot", "x", "y")
     from .svgfig import render_figure
 
-    _emit(render_figure("line", x=args.x, y=args.y, p=args.p), args.out)
-    return 0
+    return _Doc("svg", render_figure("line", x=x, y=y, p=args.p))
 
 
-def _cmd_trig(args) -> int:
+def _cmd_trig(args):
     from .trig import (
         alpha,
         alpha_inv,
@@ -349,40 +331,28 @@ def _cmd_trig(args) -> int:
         sin_infty,
     )
 
-    _apply_file(args)
     if args.pcos is not None:
-        _scalar_out(pcos(q(args.pcos)), args)
-    elif args.psin is not None:
-        _scalar_out(psin(q(args.psin)), args)
-    elif args.angle_of is not None:
-        _scalar_out(alpha(vec(args.angle_of)).theta, args)
-    elif args.point_of is not None:
-        _json_out(_vj(alpha_inv(q(args.point_of))), args)
-    elif args.op in ("cos", "sin"):
-        if args.x is None or args.y is None:
-            raise ValueError(f"trig --op {args.op} needs --x and --y")
+        return pcos(q(args.pcos))
+    if args.psin is not None:
+        return psin(q(args.psin))
+    if args.angle_of is not None:
+        return alpha(vec(args.angle_of)).theta
+    if args.point_of is not None:
+        return _vj(alpha_inv(q(args.point_of)))
+    if args.op in ("cos", "sin"):
+        x, y = _need(args, f"trig --op {args.op}", "x", "y")
         fn = cos_infty if args.op == "cos" else sin_infty
-        _scalar_out(fn(vec(args.x), vec(args.y)), args)
-    elif args.op == "inner3":
-        if args.x is None or args.y is None or args.z is None:
-            raise ValueError("trig --op inner3 needs --x, --y and --z")
-        _scalar_out(inner3_limit(vec(args.x), vec(args.y), vec(args.z)), args)
-    elif args.op == "pythagoras":
-        if args.x is None or args.y is None or args.z is None:
-            raise ValueError("trig --op pythagoras needs --x, --y and --z")
-        ok = pythagoras_check(
-            vec(args.x), vec(args.y), vec(args.z), p_grid=args.p_grid, tol=args.tol,
-        )
-        _json_out({"pythagoras": ok}, args)
-    else:
+        return fn(vec(x), vec(y))
+    if args.op is None:
         raise ValueError("choose a trig operation")
-    return 0
+    x, y, z = (vec(v) for v in _need(args, f"trig --op {args.op}", "x", "y", "z"))
+    if args.op == "inner3":
+        return inner3_limit(x, y, z)
+    return {"pythagoras": pythagoras_check(x, y, z, p_grid=args.p_grid, tol=args.tol)}
 
 
-def _cmd_complex(args) -> int:
+def _cmd_complex(args):
     from .cplane import cconj, cinv, cmod_infty, cplus, cplx, ctimes, from_polar, polar
-
-    _apply_file(args)
 
     def pair(text: str):
         zs = _points(text)
@@ -394,31 +364,27 @@ def _cmd_complex(args) -> int:
         return {"re": _sj(z.re), "im": _sj(z.im)}
 
     if args.times is not None:
-        z, w = pair(args.times)
-        _json_out(cj(ctimes(z, w)), args)
-    elif args.plus is not None:
-        z, w = pair(args.plus)
-        _json_out(cj(cplus(z, w)), args)
-    elif args.mod is not None:
-        _scalar_out(cmod_infty(cplx(*vec(args.mod))), args)
-    elif args.conj is not None:
-        _json_out(cj(cconj(cplx(*vec(args.conj)))), args)
-    elif args.inv is not None:
-        _json_out(cj(cinv(cplx(*vec(args.inv)))), args)
-    elif args.polar is not None:
+        return cj(ctimes(*pair(args.times)))
+    if args.plus is not None:
+        return cj(cplus(*pair(args.plus)))
+    if args.mod is not None:
+        return cmod_infty(cplx(*vec(args.mod)))
+    if args.conj is not None:
+        return cj(cconj(cplx(*vec(args.conj))))
+    if args.inv is not None:
+        return cj(cinv(cplx(*vec(args.inv))))
+    if args.polar is not None:
         m, theta = polar(cplx(*vec(args.polar)))
-        _json_out({"modulus": _sj(m), "theta": _sj(theta.theta)}, args)
-    elif args.from_polar is not None:
+        return {"modulus": _sj(m), "theta": _sj(theta.theta)}
+    if args.from_polar is not None:
         parts = args.from_polar.split(";")
         if len(parts) != 2:
             raise ValueError("expected --from-polar 'modulus;theta'")
-        _json_out(cj(from_polar(q(parts[0]), q(parts[1]))), args)
-    else:
-        raise ValueError("choose a complex operation")
-    return 0
+        return cj(from_polar(q(parts[0]), q(parts[1])))
+    raise ValueError("choose a complex operation")
 
 
-def _cmd_maxplus(args) -> int:
+def _cmd_maxplus(args):
     from .maxplus import (
         mp_boxplus,
         mp_dist,
@@ -430,87 +396,73 @@ def _cmd_maxplus(args) -> int:
         mp_parse,
     )
 
-    _apply_file(args)
-
     def elems(text: str) -> list:
         return [mp_parse(part.strip()) for part in text.split(",")]
-
-    def out(z) -> None:
-        _printable(z.logmag)
-        _json_out(mp_format(z), args)
 
     if args.add is not None:
         zs = elems(args.add)
         if len(zs) != 2:
             raise ValueError("expected --add 'z,w'")
-        out(mp_boxplus(*zs))
+        z = mp_boxplus(*zs)
     elif args.mul is not None:
         zs = elems(args.mul)
         if len(zs) != 2:
             raise ValueError("expected --mul 'z,w'")
-        out(mp_otimes(*zs))
+        z = mp_otimes(*zs)
     elif args.neg is not None:
-        out(mp_neg(mp_parse(args.neg)))
+        z = mp_neg(mp_parse(args.neg))
     elif args.inv is not None:
-        out(mp_inv(mp_parse(args.inv)))
+        z = mp_inv(mp_parse(args.inv))
     elif args.nary is not None:
-        out(mp_nary(elems(args.nary)))
+        z = mp_nary(elems(args.nary))
     elif args.dist is not None:
         sides = args.dist.split(";")
         if len(sides) != 2:
             raise ValueError("expected --dist 'z1,z2;w1,w2'")
-        out(mp_dist(elems(sides[0]), elems(sides[1])))
+        z = mp_dist(elems(sides[0]), elems(sides[1]))
     else:
         raise ValueError("choose a max-plus operation")
-    return 0
+    _printable(z.logmag)
+    return mp_format(z)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     from .deform import converge, p_cos, p_det, p_dist, p_inner, p_norm, p_sin, p_sum
     from .metric import dist_boxplus
     from .trig import cos_infty, sin_infty
 
-    _apply_file(args)
     op = args.op
     if op == "sum":
-        if args.values is None:
-            raise ValueError("oracle --op sum needs --values")
-        values = vec(args.values)
+        values = vec(*_need(args, "oracle --op sum", "values"))
         evaluator, limit = (lambda p: p_sum(values, p)), nary_boxplus(values)
     elif op == "norm":
-        if args.x is None:
-            raise ValueError("oracle --op norm needs --x")
-        x = vec(args.x)
+        x = vec(*_need(args, "oracle --op norm", "x"))
         evaluator, limit = (lambda p: p_norm(x, p)), norm_infty(x)
     elif op == "det":
-        if args.matrix is None:
-            raise ValueError("oracle --op det needs --matrix")
-        m = mat(args.matrix.split(";"))
+        [rows] = _need(args, "oracle --op det", "matrix")
+        m = mat(rows.split(";"))
         evaluator, limit = (lambda p: p_det(m, p)), det_infty(m)
-    elif op in ("inner", "dist", "cos", "sin"):
-        if args.x is None or args.y is None:
-            raise ValueError(f"oracle --op {op} needs --x and --y")
-        x, y = vec(args.x), vec(args.y)
-        table = {
+    else:
+        x, y = (vec(v) for v in _need(args, f"oracle --op {op}", "x", "y"))
+        p_fn, lim_fn = {
             "inner": (p_inner, inner_infty),
             "dist": (p_dist, dist_boxplus),
             "cos": (p_cos, cos_infty),
             "sin": (p_sin, sin_infty),
-        }
-        p_fn, lim_fn = table[op]
+        }[op]
         evaluator, limit = (lambda p: p_fn(x, y, p)), lim_fn(x, y)
-    else:
-        raise ValueError(f"unknown oracle operation {op!r}")
-    report = converge(evaluator, limit, p_grid=args.p_grid, tol=args.tol)
-    _json_out(report.as_dict(), args)
-    return 0
+    report = converge(evaluator, limit, p_grid=args.p_grid, tol=args.tol).as_dict()
+    # an error too large for a float is inf, which JSON does not have
+    report["error"] = [e if math.isfinite(e) else None for e in report["error"]]
+    return report
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args):
     from .suites import run_suite
 
     names = list(SUITE_NAMES) if args.name == "all" else [args.name]
     results = [run_suite(name, quick=args.quick, seed=args.seed) for name in names]
+    status = 0 if all(results) else 1
     if args.format == "json":
         payload = [
             {
@@ -521,34 +473,27 @@ def _cmd_suite(args) -> int:
             }
             for r in results
         ]
-        _json_out(payload, args)
-    else:
-        text = "\n".join(
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-        )
-        _emit(text, args.out)
-    return 0 if all(results) else 1
+        return _Doc("json", _dump(payload), status)
+    text = "\n".join(
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
+    )
+    return _Doc("text", text, status)
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args):
     from .svgfig import render_figure
 
-    _apply_file(args)
-    kwargs = {}
     if args.figure in ("hull", "line"):
-        if args.x is None or args.y is None:
-            raise ValueError(f"plot {args.figure} needs --x and --y")
-        kwargs = {"x": args.x, "y": args.y, "p": args.p}
+        x, y = _need(args, f"plot {args.figure}", "x", "y")
+        kwargs = {"x": x, "y": y, "p": args.p}
     elif args.figure == "ball":
-        if args.center is None or args.radius is None:
-            raise ValueError("plot ball needs --center and --radius")
-        kwargs = {"center": args.center, "radius": args.radius}
+        center, radius = _need(args, "plot ball", "center", "radius")
+        kwargs = {"center": center, "radius": radius}
     elif args.figure == "unit-square":
         kwargs = {"theta": args.theta}
-    elif args.figure == "pcos":
+    else:
         kwargs = {"lo": q(args.lo), "hi": q(args.hi)}
-    _emit(render_figure(args.figure, **kwargs), args.out)
-    return 0
+    return _Doc("svg", render_figure(args.figure, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +507,15 @@ def _p_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _add_common(sp: argparse.ArgumentParser, formats=("json", "csv", "svg")) -> None:
-    sp.add_argument("--format", choices=formats, default=formats[0],
-                    help="output format (default %(default)s)")
+def _add_common(sp: argparse.ArgumentParser, formats=("json", "csv", "svg"),
+                inputs: bool = True) -> None:
+    sp.add_argument("--format", choices=formats,
+                    help="output format (default: the result's own, "
+                    "JSON unless it is a figure or a suite report)")
     sp.add_argument("--out", metavar="FILE", help="write output to FILE")
-    sp.add_argument("--file", metavar="DATA.json",
-                    help="read missing vector/matrix inputs from a JSON object")
+    if inputs:
+        sp.add_argument("--file", metavar="DATA.json",
+                        help="read missing vector/matrix inputs from a JSON object")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -604,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--center", metavar="CSV")
     sp.add_argument("--radius", metavar="Q")
     sp.add_argument("--z", metavar="CSV", help="also test membership of z")
-    _add_common(sp)
+    _add_common(sp, formats=("json", "svg"))
     sp.set_defaults(handler=_cmd_ball)
 
     sp = sub.add_parser("hull", help="two-point hull: sample, test, draw")
@@ -674,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inv", metavar="Z")
     sp.add_argument("--nary", metavar="Z1,Z2,...")
     sp.add_argument("--dist", metavar="Z1,Z2;W1,W2")
-    _add_common(sp, formats=("json", "csv"))
+    _add_common(sp, formats=("json",))
     sp.set_defaults(handler=_cmd_maxplus)
 
     sp = sub.add_parser("oracle", help="finite-p convergence report")
@@ -695,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, help="override the sampling seed")
     sp.add_argument("--quick", action="store_true",
                     help="reduced sample sizes for a fast smoke run")
-    _add_common(sp, formats=("text", "json"))
+    _add_common(sp, formats=("text", "json"), inputs=False)
     sp.set_defaults(handler=_cmd_suite)
 
     sp = sub.add_parser("plot", help="render a figure as SVG")
@@ -747,15 +695,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.argv[1:] if argv is None else argv
     ))
     try:
-        return args.handler(args)
+        _apply_file(args)
+        result = args.handler(args)
+        text = _render(result, args.format)
+        if text is None:
+            parser.error(f"argument --format: this {args.command} result has "
+                         f"no {args.format} form")
+        _emit(text, args.out)
     except LimitAlgebraError as exc:
         sys.stderr.write(_dump({"error": exc.code, "detail": exc.detail}) + "\n")
         return 1
-    except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, KeyError, OSError) as exc:
         sys.stderr.write(
             _dump({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
         )
         return 1
+    return result.status if isinstance(result, _Doc) else 0
 
 
 if __name__ == "__main__":

@@ -262,3 +262,82 @@ def test_flag_values_starting_with_a_dash(capsys):
     assert code == 0 and out.strip() == "4"
     code, out, _ = run(capsys, "maxplus", "--neg", "-inf")
     assert json.loads(out) == "-inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ("ball", "--center", "1e400,1", "--radius", "1", "--format", "svg"),
+    ("plot", "--figure", "ball", "--center", "1e400,1", "--radius", "1"),
+    ("plot", "--figure", "hull", "--x", "1e400,1", "--y", "1,-2"),
+    ("plot", "--figure", "line", "--x", "3,1", "--y", "1e400,-2"),
+    ("plot", "--figure", "pcos", "--lo", "0", "--hi", "1e400"),
+])
+def test_figures_past_float_range_exit_one_with_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "OverflowError"
+    assert err.count("\n") == 1
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--op", "sum", "--values", "1e400,1"),
+    ("oracle", "--op", "norm", "--x", "1e400,1"),
+])
+def test_oracle_errors_past_float_range_print_as_null(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_no_constants)
+    assert payload["error"][:3] == [None, None, None]
+
+
+@pytest.mark.parametrize("argv", [
+    ("ball", "--center", "3,2", "--radius", "5/2", "--format", "csv"),
+    ("hull", "--x", "3,1", "--y", "1,-2", "--contains", "3,0", "--format", "csv"),
+    ("hull", "--x", "3,1", "--y", "1,-2", "--contains", "3,0", "--format", "svg"),
+    ("line", "equation", "--x", "3,1", "--y", "1,-2", "--format", "csv"),
+    ("line", "equation", "--x", "3,1", "--y", "1,-2", "--format", "svg"),
+    ("line", "contains", "--x", "3,1", "--y", "1,-2", "--z", "3,0", "--format", "csv"),
+    ("line", "contains", "--x", "3,1", "--y", "1,-2", "--z", "3,0", "--format", "svg"),
+    ("line", "parallel", "--a", "3,1", "--b", "1,-2", "--c", "-2,4", "--d", "-6,1",
+     "--format", "csv"),
+    ("line", "parallel", "--a", "3,1", "--b", "1,-2", "--c", "-2,4", "--d", "-6,1",
+     "--format", "svg"),
+    ("line", "halflines", "--x", "3,1", "--y", "1,-2", "--format", "csv"),
+    ("line", "halflines", "--x", "3,1", "--y", "1,-2", "--format", "svg"),
+    ("line", "plot", "--x", "3,1", "--y", "1,-2", "--p", "2", "--format", "json"),
+    ("line", "plot", "--x", "3,1", "--y", "1,-2", "--p", "2", "--format", "csv"),
+    ("trig", "--point-of", "5/2", "--format", "csv"),
+    ("trig", "--op", "pythagoras", "--x", "2,0", "--y", "0,-3", "--z", "0,0",
+     "--p-grid", "1,2", "--format", "csv"),
+    ("complex", "--times", "3,1;1,-2", "--format", "csv"),
+    ("complex", "--plus", "3,1;1,-2", "--format", "csv"),
+    ("complex", "--conj", "3,1", "--format", "csv"),
+    ("complex", "--inv", "2,1", "--format", "csv"),
+    ("complex", "--polar", "1,2", "--format", "csv"),
+    ("complex", "--from-polar", "2;3/2", "--format", "csv"),
+    ("maxplus", "--add", "1,2", "--format", "csv"),
+])
+def test_a_format_the_result_has_no_form_in_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--format" in err
+
+
+def test_line_plot_prints_svg_without_a_format(capsys):
+    code, out, _ = run(capsys, "line", "plot", "--x", "3,1", "--y", "1,-2", "--p", "2")
+    assert code == 0
+    assert out.startswith("<svg")
+
+
+def test_suite_takes_no_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "worked-values", "--file", "data.json"])
+    assert exc.value.code == 2
+    assert "--file" in capsys.readouterr().err

@@ -108,18 +108,44 @@ class _Doc(NamedTuple):
     status: int = 0
 
 
-def _render(result, fmt: str | None) -> str | None:
-    """``result`` as text in ``fmt``, or None if it has no such form.
+def _first(args: argparse.Namespace, names: Sequence[str], default=None):
+    """The first of the flags ``names`` that is set, in a handler's order."""
+    return next((name for name in names if getattr(args, name) is not None), default)
+
+
+def _forms(args: argparse.Namespace) -> tuple | None:
+    """The formats the handler's result will have, read from the flags alone,
+    or None when it has every ``--format`` choice of its subcommand.
+
+    ``main`` checks ``--format`` against this before the handler runs, so a
+    format the result has no form in costs no work.  A call that chooses no
+    branch keeps every format and fails in its handler."""
+    command = args.command
+    if command == "hull" and args.contains is not None:
+        return ("json",)
+    if command == "line":
+        return ("svg",) if args.action == "plot" else ("json",)
+    if command == "trig":
+        branch = _first(args, ("pcos", "psin", "angle_of", "point_of"), args.op)
+        return ("json",) if branch in ("point_of", "pythagoras") else None
+    if command == "complex":
+        branch = _first(args, ("times", "plus", "mod", "conj", "inv", "polar", "from_polar"))
+        return None if branch in (None, "mod") else ("json",)
+    return None
+
+
+def _render(result, fmt: str | None) -> str:
+    """``result`` as text in ``fmt``, which ``_forms`` has already admitted.
 
     With no ``--format`` a result takes its own form: a document as it is,
     anything else as JSON."""
     if isinstance(result, _Doc):
-        return result.text if fmt in (None, result.format) else None
+        return result.text
     if isinstance(result, Rational):
         if fmt == "csv":
             return str(_sj(result))
         result = _sj(result)
-    return _dump(result) if fmt in (None, "json") else None
+    return _dump(result)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -696,12 +722,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     ))
     try:
         _apply_file(args)
-        result = args.handler(args)
-        text = _render(result, args.format)
-        if text is None:
+        forms = _forms(args)
+        if args.format is not None and forms is not None and args.format not in forms:
             parser.error(f"argument --format: this {args.command} result has "
                          f"no {args.format} form")
-        _emit(text, args.out)
+        result = args.handler(args)
+        _emit(_render(result, args.format), args.out)
     except LimitAlgebraError as exc:
         sys.stderr.write(_dump({"error": exc.code, "detail": exc.detail}) + "\n")
         return 1

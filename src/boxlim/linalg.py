@@ -8,7 +8,6 @@ permutation products, never a fold, for the same reason.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import Counter
@@ -112,53 +111,27 @@ def norm_infty(x: Sequence[ScalarLike]) -> ScalarQ:
     return max(abs(v) for v in xv)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-_SIGNED_PERMS: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-
-
-def _signed_perms(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    if n not in _SIGNED_PERMS:
-        _SIGNED_PERMS[n] = [
-            (_perm_sign(perm), perm) for perm in itertools.permutations(range(n))
-        ]
-    return _SIGNED_PERMS[n]
-
-
 DET_PATHS: Counter = Counter()
-"""Limit determinants decided by each path: ``enumerate`` (n ≤ 4), ``tight``
-(nonzero signed count of top-magnitude permutations), ``cancelled`` (that
-count was 0, so all n! products were enumerated) and ``zero`` (every
-permutation meets a zero entry)."""
+"""Limit determinants with n ≥ 3 decided by each path: ``tight`` (nonzero
+signed count of the top-magnitude permutations), ``cancelled`` (that count
+was 0, so every magnitude was tallied) and ``zero`` (every permutation meets
+a zero entry)."""
 
 
 def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
     """Limit determinant: Ϝ over all n! signed permutation products.
 
-    n ≤ 4 (at most 24 products) enumerates them.  For n ≥ 5 the value comes
-    exactly, in O(n³), from the top product magnitude M (multiplicative
-    Hungarian method) and the signed count c of the permutations that reach
-    it (integer Bareiss on the tight sign pattern): it is sign(c)·M.  Only
-    when c = 0, so that the top level cancels, are all products enumerated,
-    over the row-scaled integer matrix.  Enumerated products are consumed in
-    one pass; folding pairwise would change results because the limit sum
-    is not associative.  Guarded at n ≤ 8 (40320 terms).  ``DET_PATHS``
-    counts which path decided each answer.
+    n = 1 is the entry and n = 2 is a·d ⊞ −(b·c).  For n ≥ 3 one dynamic
+    program over column subsets runs on the row-scaled integer matrix, in
+    n·2^(n−1) steps (448 at n = 7): for each set S of columns given to the
+    first |S| rows it keeps the largest product magnitude M and the signed
+    count c of the assignments that reach it.  A nonzero c at the full set
+    gives the answer sign(c)·M over the row factors.  Only when c = 0, so
+    that the top level cancels, does a second pass tally every magnitude
+    (``_level_tally``); the answer is then the largest magnitude whose
+    signed count is nonzero, which is Ϝ of all n! products, never a
+    pairwise fold.  Guarded at n ≤ 8.  ``DET_PATHS`` counts which path
+    decided each answer.
     """
     rows = mat(A)
     n = len(rows)
@@ -169,44 +142,104 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
             raise DimensionMismatch("matrix must be square")
     if n > 8:
         raise TooLarge(f"determinant limited to n <= 8, got {n}")
-    if n <= 4:
-        DET_PATHS["enumerate"] += 1
-        return _det_enumerate(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return boxplus(a * d, -(b * c))
     ints, factors = _integer_rows(rows)
-    assignment = _max_assignment([[abs(v) for v in r] for r in ints])
-    if assignment is None:
+    steps = _subset_steps(n)
+    mags = [0] * (1 << n)  # largest product magnitude per column set
+    nets = [0] * (1 << n)  # signed count of the products at that magnitude
+    mags[0] = nets[0] = 1
+    for mask, i, moves in steps:
+        row = ints[i]
+        top = net = 0
+        for j, prev, odd in moves:
+            a = row[j]
+            m = mags[prev]
+            if a and m:
+                c = -nets[prev] if odd else nets[prev]
+                if a < 0:
+                    a, c = -a, -c
+                m *= a
+                if m > top:
+                    top, net = m, c
+                elif m == top:
+                    net += c
+        mags[mask], nets[mask] = top, net
+    top, net = mags[-1], nets[-1]
+    if not top:
         DET_PATHS["zero"] += 1
         return ZERO
-    match, tight = assignment
-    count = _bareiss(
-        [[(1 if v > 0 else -1) if t else 0 for v, t in zip(r, tr)] for r, tr in zip(ints, tight)]
-    )
-    if not count:
+    if net:
+        DET_PATHS["tight"] += 1
+    else:
         DET_PATHS["cancelled"] += 1
         # the positive row factors scale every product alike, and Ϝ commutes with that
-        top = _det_enumerate(ints)
-        return q(top.numerator, top.denominator * math.prod(factors))
-    DET_PATHS["tight"] += 1
-    prod = rows[0][match[0]]
-    for i in range(1, n):
-        prod = prod * rows[i][match[i]]
-    return prod if (prod > 0) == (count > 0) else -prod
+        tally = _level_tally(ints)
+        if not tally:
+            return ZERO
+        top = max(tally)
+        net = tally[top]
+    return q(top if net > 0 else -top, math.prod(factors))
 
 
-def _signed_products(rows: Mat) -> list:
-    """sign(σ)·Π_i rows[i][σ(i)] for every permutation σ, in one fixed order."""
-    n = len(rows)
-    products = []
-    for sign, perm in _signed_perms(n):
-        prod = rows[0][perm[0]]
-        for i in range(1, n):
-            prod = prod * rows[i][perm[i]]
-        products.append(prod if sign > 0 else -prod)
-    return products
+_SUBSET_STEPS: dict[int, list] = {}
 
 
-def _det_enumerate(rows: Mat) -> ScalarQ:
-    return _nary(_signed_products(rows))
+def _subset_steps(n: int) -> list:
+    """The subset DP's steps for n columns: (mask, row, moves) per nonempty mask.
+
+    ``mask`` holds the columns given to rows 0..row.  Each move (j, prev,
+    odd) puts ``row`` on column j, coming from ``prev`` = mask without j;
+    ``odd`` is the parity of the columns in ``prev`` above j, the
+    inversions the move adds.  Masks come in increasing order, so every
+    ``prev`` is done before the masks that use it.
+    """
+    steps = _SUBSET_STEPS.get(n)
+    if steps is None:
+        steps = _SUBSET_STEPS[n] = [
+            (
+                mask,
+                mask.bit_count() - 1,
+                [
+                    (j, mask ^ (1 << j), (mask >> (j + 1)).bit_count() & 1)
+                    for j in range(n)
+                    if mask >> j & 1
+                ],
+            )
+            for mask in range(1, 1 << n)
+        ]
+    return steps
+
+
+def _level_tally(ints: list[list[int]]) -> dict[int, int]:
+    """{magnitude: signed count} of the nonzero permutation products of a
+    square integer matrix, without the levels that cancel.
+
+    The subset DP of ``det_infty`` with a tally in place of (top, count) per
+    mask.  A magnitude whose count is 0 at a mask adds 0 at every mask that
+    extends it, so it is dropped there.
+    """
+    n = len(ints)
+    tallies: list = [None] * (1 << n)
+    tallies[0] = {1: 1}
+    for mask, i, moves in _subset_steps(n):
+        row = ints[i]
+        tally: dict = {}
+        get = tally.get
+        for j, prev, odd in moves:
+            a = row[j]
+            before = tallies[prev]
+            if a and before:
+                if a < 0:
+                    a, odd = -a, not odd
+                for m, c in before.items():
+                    m *= a
+                    tally[m] = get(m, 0) + (-c if odd else c)
+        tallies[mask] = {m: c for m, c in tally.items() if c}
+    return tallies[-1]
 
 
 def _integer_rows(rows: Mat) -> tuple[list[list[int]], list[int]]:
@@ -214,68 +247,6 @@ def _integer_rows(rows: Mat) -> tuple[list[list[int]], list[int]]:
     factors = [math.lcm(*(v.denominator for v in r)) for r in rows]
     ints = [[v.numerator * (f // v.denominator) for v in r] for r, f in zip(rows, factors)]
     return ints, factors
-
-
-def _max_assignment(c: list[list[int]]):
-    """Permutation maximising ∏ c[i][σ(i)] over nonnegative integers, 0 forbidden.
-
-    Kuhn's Hungarian method (shortest augmenting paths with potentials),
-    run multiplicatively: exact rational potentials U, V keep every
-    c[i][j]·U[i]·V[j] ≤ 1, with equality on the returned permutation.
-    Returns (σ as a list of columns, tight cells as boolean rows), where a
-    cell is tight iff c[i][j]·U[i]·V[j] = 1; by complementary slackness
-    the permutations inside the tight cells are exactly the maximisers.
-    Returns None when every permutation meets a 0.
-    """
-    n = len(c)
-    # 1-based rows and columns; column 0 is the root of each search
-    u = [ONE] * (n + 1)
-    v = [ONE] * (n + 1)
-    owner = [0] * (n + 1)  # owner[j]: row matched to column j
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        best = [ZERO] * (n + 1)  # largest c·U·V into each column from the tree
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            row = c[owner[j0] - 1]
-            ui = u[owner[j0]]
-            top, j1 = ZERO, 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                if row[j - 1]:
-                    s = row[j - 1] * ui * v[j]
-                    if s > best[j]:
-                        best[j] = s
-                        way[j] = j0
-                if best[j] > top:
-                    top, j1 = best[j], j
-            if not top:
-                return None
-            for j in range(n + 1):
-                if used[j]:
-                    u[owner[j]] /= top
-                    v[j] *= top
-                else:
-                    best[j] /= top
-            j0 = j1
-            if not owner[j0]:
-                break
-        while j0:
-            j1 = way[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
-    match = [0] * n
-    for j in range(1, n + 1):
-        match[owner[j] - 1] = j - 1
-    tight = [
-        [bool(cij) and cij * u[i] * v[j] == 1 for j, cij in enumerate(r, 1)]
-        for i, r in enumerate(c, 1)
-    ]
-    return match, tight
 
 
 def _bareiss(rows: list[list[int]]) -> int:

@@ -16,9 +16,9 @@ cancellation is exact at every p.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .linalg import Mat, Vec, _signed_products
+from .linalg import Mat, Vec, _integer_rows, _level_tally
 from .scalars import ScalarQ, _net_by_magnitude, q
 
 __all__ = [
@@ -38,10 +38,13 @@ def gap_ok(values: Sequence[ScalarQ]) -> bool:
     """Oracle-friendly n-ary sums: fully cancelled levels are exact at every
     p, so only surviving magnitudes matter — the top must survive with net
     count ±1 and dominate the next surviving magnitude by the gap ratio."""
-    surviving = sorted(
-        ((q(n, d), c) for (n, d), c in _net_by_magnitude(values).items() if c),
-        reverse=True,
-    )
+    return _levels_gap_ok((q(n, d), c) for (n, d), c in _net_by_magnitude(values).items())
+
+
+def _levels_gap_ok(levels: Iterable[tuple]) -> bool:
+    """The rule of ``gap_ok`` on (magnitude, net count) pairs.  Scaling every
+    magnitude by one positive factor keeps the verdict."""
+    surviving = sorted(((m, c) for m, c in levels if c), reverse=True)
     if not surviving:
         return True
     top, count = surviving[0]
@@ -75,8 +78,10 @@ def dist_gap_ok(x: Sequence[ScalarQ], y: Sequence[ScalarQ]) -> bool:
 
 
 def det_gap_ok(m: Mat) -> bool:
-    """Gap condition on the signed permutation products."""
-    return gap_ok(_signed_products(m))
+    """Gap condition on the signed permutation products, tallied over the
+    row-scaled integer matrix by the determinant's subset DP."""
+    ints, _ = _integer_rows(m)
+    return _levels_gap_ok(_level_tally(ints).items())
 
 
 def trig_gap_ok(x: Vec, y: Vec) -> bool:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from boxlim import cli
 from boxlim.cli import MAX_FIGURE_P, MAX_HULL_SAMPLES, MAX_P, main
 
 
@@ -321,13 +322,28 @@ def test_oracle_errors_past_float_range_print_as_null(capsys, argv):
     ("complex", "--from-polar", "2;3/2", "--format", "csv"),
     ("maxplus", "--add", "1,2", "--format", "csv"),
 ])
-def test_a_format_the_result_has_no_form_in_exits_two(capsys, argv):
+def test_a_format_the_result_has_no_form_in_exits_two(capsys, monkeypatch, argv):
+    _forbid_handlers(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "--format" in err
+
+
+def _forbid_handlers(monkeypatch):
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args, name=name: pytest.fail(f"{name} ran"))
+
+
+def test_a_format_is_rejected_before_the_figure_is_built(capsys, monkeypatch):
+    _forbid_handlers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["line", "plot", "--x", "3,1", "--y", "1,-2", "--p", "256", "--format", "json"])
+    assert exc.value.code == 2
+    assert "no json form" in capsys.readouterr().err
 
 
 def test_line_plot_prints_svg_without_a_format(capsys):

@@ -48,11 +48,11 @@ from boxlim import (
 )
 from boxlim.deform import p_matvec
 from boxlim.errors import DegeneratePair, DimensionMismatch
-from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, subspace_closure_check
+from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, _level_tally, subspace_closure_check
 from boxlim.lines import line_grid_probe
 from boxlim.metric import f_limit_check
-from boxlim.sampling import Sampler
-from boxlim.scalars import ScalarQ
+from boxlim.sampling import Sampler, det_gap_ok, gap_ok
+from boxlim.scalars import ScalarQ, _net_by_magnitude
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(q)
 
@@ -299,16 +299,21 @@ def _parity(perm):
     return -1 if inversions % 2 else 1
 
 
-def reference_det(rows):
-    """One-shot limit sum over every signed permutation product."""
+def signed_products(rows):
+    """sign(σ)·Π_i rows[i][σ(i)] for every permutation σ."""
     n = len(rows)
     products = []
     for perm in itertools.permutations(range(n)):
-        prod = Fraction(_parity(perm))
+        prod = _parity(perm)
         for i in range(n):
             prod *= rows[i][perm[i]]
         products.append(prod)
-    return nary_boxplus(products)
+    return products
+
+
+def reference_det(rows):
+    """One-shot limit sum over every signed permutation product."""
+    return nary_boxplus([Fraction(v) for v in signed_products(rows)])
 
 
 TIE_ENTRIES = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
@@ -366,6 +371,60 @@ def test_det_large_matrices_match_the_one_shot_sum(n):
     before = DET_PATHS["tight"] + DET_PATHS["cancelled"]
     assert det_infty(rows) == reference_det(rows)
     assert DET_PATHS["tight"] + DET_PATHS["cancelled"] == before + 1
+
+
+integer_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(deadline=None)
+@given(integer_matrices)
+def test_level_tally_is_the_net_count_of_every_product_magnitude(ints):
+    net = _net_by_magnitude(signed_products(ints))
+    assert _level_tally(ints) == {m: c for (m, _), c in net.items() if c}
+
+
+# The top-left block has a·d = b·c and outweighs every other entry, so the
+# top magnitude's two sign classes cancel; the other entries are distinct
+# primes, so lower levels rarely tie.
+ADVERSARIAL_8 = (
+    (6000, 10000, 17, 19, 23, 29, 31, 37),
+    (21000, 35000, 47, 53, 59, 61, 67, 71),
+    (73, 79, -83, 89, 97, -101, 103, 107),
+    (109, -113, 127, 131, -137, 139, 149, -151),
+    (-157, 163, 167, -173, 179, 181, -191, 193),
+    (197, 199, -211, 223, 227, -229, 233, 239),
+    (241, -251, 257, 263, -269, 271, 277, -281),
+    (-283, 293, 307, -311, 313, 317, -331, 337),
+)
+
+
+def test_det_adversarial_cancelled_8x8_matches_the_one_shot_sum():
+    before = DET_PATHS["cancelled"]
+    assert det_infty(ADVERSARIAL_8) == reference_det(ADVERSARIAL_8)
+    assert DET_PATHS["cancelled"] == before + 1
+
+
+@pytest.mark.parametrize("path, rows", [
+    ("tight", ((1, 0, 0), (0, 2, 0), (0, 0, 3))),
+    ("cancelled", ((2, 2, 1), (2, 2, 0), (1, 0, 1))),
+    ("zero", ((1, 0, 0), (2, 0, 0), (1, 1, 1))),
+    ("tight", ((1, 2, 0, 0), (0, 2, 0, 0), (0, 0, 3, 1), (1, 0, 0, -1))),
+    ("cancelled", ((2, 2, 1, 0), (2, 2, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))),
+    ("zero", ((1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 1, 1), (3, 1, 2, 1))),
+])
+def test_det_paths_count_small_matrices(path, rows):
+    before = DET_PATHS[path]
+    assert det_infty(rows) == reference_det(rows)
+    assert DET_PATHS[path] == before + 1
+
+
+@given(st.lists(vectors(3), min_size=3, max_size=3))
+def test_det_gap_ok_is_the_gap_rule_on_the_enumerated_products(rows):
+    assert det_gap_ok(rows) == gap_ok(signed_products(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,37 @@ all be hit by the fourth.  If those coordinates agree on its ratio, that
 ratio is the only value left for it; if they disagree, or one of them has no
 ratio on that side, no value is.
 
-A :class:`Certifier` holds one search's candidate list.  The hull search,
-stage 3 of the line search and the grid probe's shape A all enumerate
-quadruples of candidates through :meth:`Certifier.first_bounded`: t and s
-come from the positions the caller names, r runs over the list up to its
-first entry above t, and w over the list up to its first entry above s.
+Each search builds its tables once and then works on positions in its
+candidate list and on int masks:
+
+- **Candidate pairs.**  The candidate lists are built as canonical
+  (numerator, denominator) int pairs (:func:`magnitudes`, :func:`ratio`), so
+  equal values are equal tuples and no rational is hashed; each distinct
+  value then becomes one carrier.
+- **Position masks.**  Coordinates are bits of an int mask.  A
+  :class:`Certifier` holds, for each position of the list, the masks of the
+  nonzero coordinates its value reproduces on the x side and on the y side;
+  a quadruple can match only if its four masks cover every nonzero
+  coordinate, so coverage is an OR of four table entries.  The list's first
+  ``bounded`` entries are the values a slot bounded by 1 may take.
+- **The −v index.**  For each position the table holds the position of −v,
+  so a cancelling pair (c, −c) is two positions.
+- **The product table.**  The exact check :meth:`Certifier.matches` takes
+  four positions and reads the products v·x_i and v·y_i from a table filled
+  the first time a position is used, so each product is computed once per
+  search.
+
+The hull search, stage 3 of the line search and the grid probe's shape A
+enumerate quadruples through :meth:`Certifier.first_bounded`: t and s come
+from the positions the caller names, r runs over the bounded prefix up to its
+first entry above t, and w over the prefix up to its first entry above s.
 Read in the list's own order, that prefix rule gives r ≤ t and w ≤ s on an
 ascending list; on the line search's (|v|, v) order it stops at the first
-entry whose value exceeds the bound.  The shape stages of the line search
-and the grid probe use :meth:`Certifier.first_of`.  Both ask
-:meth:`Certifier.fill` for the slot they fill last and call
-:meth:`Certifier.matches` only on what survives, so they skip only
-quadruples that provably fail and return the same first hit as the unpruned
-enumeration.
+entry whose value exceeds the bound.  The shape stages of the line search and
+the grid probe use :meth:`Certifier.first_of`.  Both ask
+:meth:`Certifier.fill`, memoized per covered mask and side, for the slot they
+fill last and check only what survives, so they skip only quadruples that
+provably fail and return the same first hit as the unpruned enumeration.
 
 ``SEARCH_STAGES`` counts the stage that decided each search (``line:…``,
 ``hull:…``) and, under ``matches``, every quadruple that reached the exact
@@ -33,8 +51,10 @@ check.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
+from math import gcd
 from typing import Sequence
 
 from .scalars import _nary
@@ -42,153 +62,202 @@ from .scalars import _nary
 SEARCH_STAGES: Counter = Counter()
 
 # placeholder for the free slot of a shape in Certifier.first_of
-FREE = object()
-# what forced() returns when the three fixed slots already cover everything
-ANY = "any"
+FREE = None
 
 
-def _key(v) -> tuple:
-    """Canonical (numerator, denominator) pair: equal rationals, equal keys."""
-    return (v.numerator, v.denominator)
+def ratio(n: int, d: int) -> tuple:
+    """The canonical pair of n/d for ints n and d ≠ 0: equal rationals, equal
+    pairs."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return (n // g, d // g)
+
+
+def magnitudes(v: Sequence) -> list:
+    """The canonical pair (|n|, d) of each entry's magnitude."""
+    return [(abs(a.numerator), a.denominator) for a in v]
 
 
 class Certifier:
-    """The ratio table of one search for z against the generators x, y, and
-    the candidate list ``values`` that the enumerators draw coefficients from.
+    """The tables of one search for z against the generators x, y over the
+    candidate list ``values``, whose first ``bounded`` entries (all of them
+    by default) are the values a bounded slot may take."""
 
-    Coordinates are bits of an int mask.  ``hits(v)`` gives the masks of the
-    nonzero coordinates that coefficient v reproduces on the x side and on
-    the y side; a quadruple can match only if its four masks cover every
-    nonzero coordinate.
-    """
+    __slots__ = (
+        "values", "bounded", "one", "neg", "_need", "_xmask", "_ymask",
+        "_force", "_fills", "_stop", "_zv", "_xv", "_yv", "_xprod", "_yprod",
+    )
 
-    __slots__ = ("_pairs", "_need", "_xhit", "_yhit", "_ratio", "_values", "_hits", "_at")
+    def __init__(self, xv: Sequence, yv: Sequence, zv: Sequence, values: Sequence,
+                 bounded: int | None = None):
+        self.values = values
+        self.bounded = len(values) if bounded is None else bounded
+        keys = [(v.numerator, v.denominator) for v in values]
+        at = {k: p for p, k in enumerate(keys)}
+        self.one = at.get((1, 1))
+        self.neg = [at.get((-n, d)) for n, d in keys]
 
-    def __init__(self, xv: Sequence, yv: Sequence, zv: Sequence, values: Sequence):
-        self._pairs = tuple(zip(zv, xv, yv))
         need = 0
         xhit: dict = {}
         yhit: dict = {}
-        ratio: dict = {}
-        for i, (zi, xi, yi) in enumerate(self._pairs):
+        ratios = []
+        for i, (zi, xi, yi) in enumerate(zip(zv, xv, yv)):
             if not zi:
                 continue
             bit = 1 << i
             need |= bit
-            rx = zi / xi if xi else None
-            ry = zi / yi if yi else None
+            zn, zd = zi.numerator, zi.denominator
+            rx = ratio(zn * xi.denominator, zd * xi.numerator) if xi else None
+            ry = ratio(zn * yi.denominator, zd * yi.numerator) if yi else None
             if rx is not None:
-                k = _key(rx)
-                xhit[k] = xhit.get(k, 0) | bit
+                xhit[rx] = xhit.get(rx, 0) | bit
             if ry is not None:
-                k = _key(ry)
-                yhit[k] = yhit.get(k, 0) | bit
-            ratio[bit] = (rx, ry)
+                yhit[ry] = yhit.get(ry, 0) | bit
+            ratios.append((bit, rx, ry))
         self._need = need
-        self._xhit = xhit
-        self._yhit = yhit
-        self._ratio = ratio
-        self._values = values
-        keys = [_key(v) for v in values]
-        self._hits = [(xhit.get(k, 0), yhit.get(k, 0)) for k in keys]
-        self._at = {k: p for p, k in enumerate(keys)}
+        self._xmask = [xhit.get(k, 0) for k in keys]
+        self._ymask = [yhit.get(k, 0) for k in keys]
 
-    def matches(self, t, r, s, w) -> bool:
-        """Exact check: Ϝ(t·x_i, r·x_i, s·y_i, w·y_i) = z_i for every i."""
+        def forced(r, hit):
+            # (bounded position of r or None, mask of the coordinates r hits)
+            p = at.get(r)
+            return (p if p is not None and p < self.bounded else None, hit.get(r, 0))
+
+        # per coordinate bit: what the free slot must be on the y and x side
+        self._force = {
+            bit: (forced(ry, yhit), forced(rx, xhit)) for bit, rx, ry in ratios
+        }
+        self._fills = ({}, {})
+        self._stop = None
+        self._zv, self._xv, self._yv = zv, xv, yv
+        self._xprod = [None] * len(values)
+        self._yprod = [None] * len(values)
+
+    def covers(self, kt: int, kr: int, ks: int, kw: int) -> bool:
+        """Whether the quadruple at these positions reproduces every nonzero
+        coordinate in some slot."""
+        x, y = self._xmask, self._ymask
+        return not self._need & ~(x[kt] | x[kr] | y[ks] | y[kw])
+
+    def matches(self, kt: int, kr: int, ks: int, kw: int) -> bool:
+        """Exact check: Ϝ(t·x_i, r·x_i, s·y_i, w·y_i) = z_i for every i, with
+        t, r, s, w the values at these positions."""
         SEARCH_STAGES["matches"] += 1
-        for zi, xi, yi in self._pairs:
-            if _nary((t * xi, r * xi, s * yi, w * yi)) != zi:
+        xp, yp = self._xprod, self._yprod
+        t = xp[kt] or self._products(kt, True)
+        r = xp[kr] or self._products(kr, True)
+        s = yp[ks] or self._products(ks, False)
+        w = yp[kw] or self._products(kw, False)
+        for zi, a, b, c, d in zip(self._zv, t, r, s, w):
+            if _nary((a, b, c, d)) != zi:
                 return False
         return True
 
-    def hits(self, v) -> tuple[int, int]:
-        """(x-side mask, y-side mask) of the nonzero coordinates v reproduces."""
-        k = _key(v)
-        return self._xhit.get(k, 0), self._yhit.get(k, 0)
+    def _products(self, k: int, on_x: bool) -> tuple:
+        v = self.values[k]
+        if on_x:
+            row = self._xprod[k] = tuple(v * a for a in self._xv)
+        else:
+            row = self._yprod[k] = tuple(v * b for b in self._yv)
+        return row
 
-    def covers(self, quad: Sequence) -> bool:
-        """Whether every nonzero coordinate is reproduced by some slot of quad."""
-        t, r, s, w = (self.hits(v) for v in quad)
-        return not self._need & ~(t[0] | r[0] | s[1] | w[1])
-
-    def forced(self, covered: int, on_x: bool):
-        """The only value the free slot can take, given the mask that the
-        three fixed slots cover: a rational, ``ANY`` (nothing is left for it
-        to reproduce) or ``None`` (no value can match)."""
-        missed = self._need & ~covered
-        if not missed:
-            return ANY
-        rx, ry = self._ratio[missed & -missed]
-        v, hit = (rx, self._xhit) if on_x else (ry, self._yhit)
-        if v is None or missed & ~hit[_key(v)]:
-            return None
-        return v
+    def quad(self, ks: Sequence[int]) -> tuple:
+        """The values at four positions."""
+        return tuple(self.values[k] for k in ks)
 
     def fill(self, covered: int, on_x: bool):
-        """Positions in the candidate list that the free slot may take: all
-        of them, the forced one, or none."""
-        v = self.forced(covered, on_x)
-        if v is ANY:
-            return range(len(self._values))
-        if v is None:
-            return ()
-        p = self._at.get(_key(v))
-        return () if p is None else (p,)
+        """Bounded positions that the free slot may take, given the mask the
+        three fixed slots cover: all of them (nothing is left for it to
+        reproduce), the one its ratio forces, or none."""
+        memo = self._fills[on_x]
+        ks = memo.get(covered)
+        if ks is None:
+            missed = self._need & ~covered
+            if not missed:
+                ks = range(self.bounded)
+            else:
+                p, hit = self._force[missed & -missed][on_x]
+                ks = () if p is None or missed & ~hit else (p,)
+            memo[covered] = ks
+        return ks
 
-    def first_bounded(self, ts: Sequence[int], ss: Sequence[int], admit=None):
+    def _stops(self) -> list:
+        # stop[k]: the first bounded position whose value, or an earlier one,
+        # exceeds the value at k
+        if self._stop is None:
+            prefix = self.values[: self.bounded]
+            top = list(accumulate(prefix, max))
+            self._stop = [bisect_right(top, v) for v in prefix]
+        return self._stop
+
+    def first_bounded(self, ts: Sequence[int], ss: Sequence[int], sum_one: bool = False):
         """First matching quadruple (t, r, s, w) of values, or None.
 
-        t runs over the positions ts (outer loop), r over values up to the
-        first entry above t, s over the positions ss, and w over values up
-        to the first entry above s (innermost, through ``fill``).
-        ``admit(quad)`` rejects a quadruple before the exact check.
+        t runs over the positions ts (outer loop), r over the bounded prefix
+        up to its first entry above t, s over the positions ss, and w over
+        the prefix up to its first entry above s (innermost, through
+        ``fill``).  With ``sum_one`` a quadruple is checked only if its +1s
+        outnumber its −1s: the limit sum of entries in [−1, 1] is then 1.
         """
-        values, hits = self._values, self._hits
-        # top[k] > v exactly when position k lies past the first entry above v
-        top = list(accumulate(values, max))
-        # fill depends only on the covered mask, and few masks occur
-        ws: dict = {}
+        stop = self._stops()
+        xm, ym = self._xmask, self._ymask
+        memo = self._fills[False]
+        one = self.one
+        minus = self.neg[one]
         for kt in ts:
-            t = values[kt]
-            for kr, r in enumerate(values):
-                if top[kr] > t:
-                    break
-                tr = hits[kt][0] | hits[kr][0]
+            xt = xm[kt]
+            for kr in range(stop[kt]):
+                tr = xt | xm[kr]
                 for ks in ss:
-                    s = values[ks]
-                    covered = tr | hits[ks][1]
-                    if covered not in ws:
-                        ws[covered] = self.fill(covered, False)
-                    for kw in ws[covered]:
-                        if top[kw] > s:
+                    covered = tr | ym[ks]
+                    ws = memo.get(covered)
+                    if ws is None:
+                        ws = self.fill(covered, False)
+                    end = stop[ks]
+                    for kw in ws:
+                        if kw >= end:
                             break
-                        quad = (t, r, s, values[kw])
-                        if (admit is None or admit(quad)) and self.matches(*quad):
-                            return quad
+                        if sum_one:
+                            quad = (kt, kr, ks, kw)
+                            if quad.count(one) <= quad.count(minus):
+                                continue
+                        if self.matches(kt, kr, ks, kw):
+                            return self.quad((kt, kr, ks, kw))
         return None
 
-    def first_of(self, shapes: Sequence, admit):
-        """First matching quadruple over values (outer) and shapes (inner).
+    def first_of(self, shapes: Sequence):
+        """First matching quadruple over bounded positions (outer) and
+        shapes (inner).
 
-        Each shape is a quadruple with one ``FREE`` slot, which takes each
-        value in turn; ``admit(v)`` rejects a value before any check.
+        Each shape is a quadruple of positions, a cancelling pair (c, −c) and
+        1 beside one ``FREE`` slot, which takes each bounded position in turn
+        except that of −1: the residual {1, −1} would cancel.
         """
+        xm, ym = self._xmask, self._ymask
+        fills = self._fills
         tries = []
         for k, shape in enumerate(shapes):
             covered = 0
-            for slot, v in enumerate(shape):
-                if v is FREE:
+            for slot, p in enumerate(shape):
+                if p is FREE:
                     free = slot
                 else:
-                    covered |= self.hits(v)[slot >= 2]
-            tries.extend((p, k, free) for p in self.fill(covered, free < 2))
+                    covered |= ym[p] if slot >= 2 else xm[p]
+            on_x = free < 2
+            ks = fills[on_x].get(covered)
+            if ks is None:
+                ks = self.fill(covered, on_x)
+            tries.extend((p, k, free) for p in ks)
+        if not tries:
+            return None
         tries.sort()
+        minus = self.neg[self.one]
         for p, k, free in tries:
-            v = self._values[p]
-            if not admit(v):
+            if p == minus:
                 continue
             quad = list(shapes[k])
-            quad[free] = v
+            quad[free] = p
             if self.matches(*quad):
-                return tuple(quad)
+                return self.quad(quad)
         return None

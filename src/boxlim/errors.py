@@ -44,6 +44,14 @@ MAX_FIGURE_P = 256
 # took 61 s, on the same Xeon.
 MAX_EMBED_BITS = 200_000
 
+# line_grid_probe enumerates quadruples of its grid values in [-1, 1], so its
+# work grows with about the fourth power of their count, and it tries every
+# larger grid value in a cancelling pair.  A non-member with z = 0 took 2.3 s
+# on the default grid (step 1/32: 65 values in [-1, 1]; bound 8: 513 values in
+# all) and 0.19 s at step 1/16, on the same Xeon.
+MAX_GRID_UNIT = 65
+MAX_GRID = 513
+
 
 class LimitAlgebraError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -74,9 +82,11 @@ class DimensionMismatch(LimitAlgebraError):
 class TooLarge(LimitAlgebraError):
     """Input exceeds the supported size: determinants stop at n = 8, every p
     at MAX_P, the p of a hull or line figure at MAX_FIGURE_P, the max-plus
-    hull embedding at exponents of MAX_EMBED_BITS, and a decimal literal's
-    exponent at Python's int/str digit limit.  The CLI also caps hull samples
-    and refuses to print a result with more digits than that limit."""
+    hull embedding at exponents of MAX_EMBED_BITS, the line grid probe at
+    MAX_GRID_UNIT grid values in [-1, 1] and MAX_GRID in all, and a decimal
+    literal's exponent at Python's int/str digit limit.  The CLI also caps
+    hull samples and refuses to print a result with more digits than that
+    limit."""
 
 
 class ZeroVector(LimitAlgebraError):

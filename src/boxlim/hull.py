@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._certify import SEARCH_STAGES, Certifier
+from ._certify import SEARCH_STAGES, Certifier, magnitudes, ratio
 from .errors import (
     EmptyList,
     InvalidCoefficients,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import Vec, _vecs, nary_vec_boxplus, scale, vec
 from .metric import dist_boxplus
-from .scalars import ONE, ZERO, ScalarLike, ScalarQ, _carrier, _nary
+from .scalars import ZERO, ScalarLike, ScalarQ, _carrier, _from_pair, _nary
 
 __all__ = [
     "HullCombination",
@@ -88,26 +88,23 @@ def _coord_feasible(zi: ScalarQ, xi: ScalarQ, yi: ScalarQ) -> bool:
 
 
 def _hull_candidates(xv: Vec, yv: Vec, zv: Vec) -> list:
-    """Coefficient breakpoints: {0,1}, the |z|/|x| and |z|/|y| ratios, one
-    round of magnitude-tie solutions t|x_i| = s|y_i| anchored in the base set."""
-    cand = {ZERO, ONE}
-    for zi, xi in zip(zv, xv):
-        if xi != 0:
-            r = abs(zi) / abs(xi)
-            if r <= 1:
-                cand.add(r)
-    for zi, yi in zip(zv, yv):
-        if yi != 0:
-            r = abs(zi) / abs(yi)
-            if r <= 1:
-                cand.add(r)
-    for c in list(cand):
-        for xi, yi in zip(xv, yv):
-            if yi != 0 and xi != 0:
-                for r in (c * abs(xi) / abs(yi), c * abs(yi) / abs(xi)):
-                    if r <= 1:
-                        cand.add(r)
-    return sorted(cand)
+    """Coefficient breakpoints in ascending order: {0,1}, the |z|/|x| and
+    |z|/|y| ratios, one round of magnitude-tie solutions t|x_i| = s|y_i|
+    anchored in the base set; every one of them at most 1."""
+    xs, ys, zs = map(magnitudes, (xv, yv, zv))
+    cand = {(0, 1), (1, 1)}
+    for (zn, zd), (an, ad) in zip(zs + zs, xs + ys):
+        if an and zn * ad <= zd * an:
+            cand.add(ratio(zn * ad, zd * an))
+    # |x_i|/|y_i| as an unreduced pair, for each coordinate with both nonzero
+    ties = [(xn * yd, xd * yn) for (xn, xd), (yn, yd) in zip(xs, ys) if xn and yn]
+    for cn, cd in list(cand):
+        if cn:
+            for a, b in ties:
+                for n, d in ((cn * a, cd * b), (cn * b, cd * a)):
+                    if n <= d:
+                        cand.add(ratio(n, d))
+    return sorted(_from_pair(n, d) for n, d in cand)
 
 
 def co_contains(
@@ -125,11 +122,10 @@ def co_contains(
         SEARCH_STAGES["hull:infeasible"] += 1
         return False
 
-    cand = _hull_candidates(xv, yv, zv)
-    core = Certifier(xv, yv, zv, cand)
-    # cand is sorted and ends with 1, so max = 1 means t or s at position last
-    last = len(cand) - 1
-    if core.first_bounded((last,), range(len(cand))) is not None:
+    core = Certifier(xv, yv, zv, _hull_candidates(xv, yv, zv))
+    # the candidates ascend and end with 1, so max = 1 means t or s at last
+    last = core.one
+    if core.first_bounded((last,), range(last + 1)) is not None:
         SEARCH_STAGES["hull:t1"] += 1
         return True
     if core.first_bounded(range(last), (last,)) is not None:

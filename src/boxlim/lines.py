@@ -24,13 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._certify import FREE, SEARCH_STAGES, Certifier
+from ._certify import FREE, SEARCH_STAGES, Certifier, magnitudes, ratio
 from .errors import (
+    MAX_GRID,
+    MAX_GRID_UNIT,
     DegenerateConfiguration,
     DegeneratePair,
     DimensionMismatch,
     InvalidCoefficients,
     NotParallel,
+    TooLarge,
 )
 from .linalg import Vec, _vecs, det_infty, vec
 from .scalars import (
@@ -39,6 +42,7 @@ from .scalars import (
     ScalarLike,
     ScalarQ,
     _carrier,
+    _from_pair,
     _nary,
     boxminus,
     lower_form,
@@ -187,41 +191,30 @@ def line_contains_2d(f: LineForm, z: Sequence[ScalarLike]) -> bool:
 
 
 def _line_candidates(xv: Vec, yv: Vec, zv: Vec) -> list:
-    """Breakpoint candidates for certificate coefficients, in a fixed order.
+    """Breakpoint candidates for certificate coefficients, in (|v|, v) order.
 
     {0, ±1}, the signed ratios ±z_i/x_i and ±z_i/y_i, and one augmentation
     round of magnitude-tie solutions (±c·x_i/y_i, ±c·y_i/x_i) — ties are
-    where coordinates can cancel inside a combination.
+    where coordinates can cancel inside a combination.  The set is closed
+    under negation, so it is 0 followed by −m, m for each magnitude m in
+    ascending order.
     """
-    base = {ZERO, ONE, -ONE}
-    for zi, xi in zip(zv, xv):
-        if xi != 0:
-            base.add(zi / xi)
-            base.add(-(zi / xi))
-    for zi, yi in zip(zv, yv):
-        if yi != 0:
-            base.add(zi / yi)
-            base.add(-(zi / yi))
+    xs, ys, zs = map(magnitudes, (xv, yv, zv))
+    base = {(1, 1)}
+    for (zn, zd), (an, ad) in zip(zs + zs, xs + ys):
+        if an and zn:
+            base.add(ratio(zn * ad, zd * an))
     cand = set(base)
-    for c in base:
-        for xi, yi in zip(xv, yv):
-            if xi != 0 and yi != 0:
-                for r in (c * xi / yi, c * yi / xi):
-                    cand.add(r)
-                    cand.add(-r)
-    return sorted(cand, key=lambda v: (abs(v), v))
-
-
-def _count_valid_bounded(quad: tuple) -> bool:
-    # all |entries| <= 1: limit sum is 1 iff the +1s strictly outnumber the -1s
-    plus = 0
-    minus = 0
-    for v in quad:
-        if v == 1:
-            plus += 1
-        elif v == -1:
-            minus += 1
-    return plus > minus
+    for (xn, xd), (yn, yd) in zip(xs, ys):
+        if xn and yn:
+            a, b = xn * yd, xd * yn
+            for cn, cd in base:
+                cand.add(ratio(cn * a, cd * b))
+                cand.add(ratio(cn * b, cd * a))
+    out = [ZERO]
+    for v in sorted(_from_pair(n, d) for n, d in cand):
+        out += (-v, v)
+    return out
 
 
 def line_contains_nd(
@@ -248,30 +241,28 @@ def line_contains_nd(
         return member("line:generator", (ZERO, ZERO, ONE, ZERO))
 
     cand = _line_candidates(xv, yv, zv)
-    bounded = [c for c in cand if abs(c) <= 1]
-    core = Certifier(xv, yv, zv, bounded)
+    # in (|v|, v) order 0 comes first and 1 closes the entries with |v| <= 1
+    one = cand.index(ONE)
+    core = Certifier(xv, yv, zv, cand, one + 1)
+    neg = core.neg
 
     # stage 1: cancellation families (always valid coefficient quadruples)
-    for c in cand:
-        for quad in ((ONE, c, -c, ZERO), (c, ZERO, ONE, -c)):
-            if core.covers(quad) and core.matches(*quad):
-                return member("line:cancel", quad)
+    for c, m in enumerate(neg):
+        for quad in ((one, c, m, 0), (c, 0, one, m)):
+            if core.covers(*quad) and core.matches(*quad):
+                return member("line:cancel", core.quad(quad))
 
-    # stage 2: one slot fixed to 1, one cancelling pair, one bounded slot;
-    # the residual {1, u} must keep limit sum 1, so u = -1 is out
-    for c in cand:
+    # stage 2: one slot fixed to 1, one cancelling pair, one bounded slot
+    for c, m in enumerate(neg):
         quad = core.first_of(
-            ((ONE, FREE, c, -c), (c, -c, ONE, FREE), (ONE, c, -c, FREE), (FREE, c, ONE, -c)),
-            lambda u: u != -1,
+            ((one, FREE, c, m), (c, m, one, FREE), (one, c, m, FREE), (FREE, c, one, m))
         )
         if quad is not None:
             return member("line:pair", quad)
 
-    # stage 3: all-bounded quadruples with t = 1 or s = 1; bounded is
-    # ordered by (|v|, v), so 1 is its last entry
-    last = len(bounded) - 1
-    for ts, ss in (((last,), range(len(bounded))), (range(last), (last,))):
-        quad = core.first_bounded(ts, ss, _count_valid_bounded)
+    # stage 3: all-bounded quadruples with t = 1 or s = 1
+    for ts, ss in (((one,), range(one + 1)), (range(one), (one,))):
+        quad = core.first_bounded(ts, ss, sum_one=True)
         if quad is not None:
             return member("line:bounded", quad)
     SEARCH_STAGES["line:notfound"] += 1
@@ -291,7 +282,10 @@ def line_grid_probe(
     all entries in [−1, 1] with the +1s outnumbering the −1s, or contains an
     exactly cancelling pair (c, −c) with |c| > 1 next to a residual pair
     (1, v) with v ≠ −1 — only those shapes are enumerated, in exact
-    arithmetic, so no grid point is missed.
+    arithmetic, so no grid point is missed.  The grid, the multiples of step
+    in [−bound, bound], holds at most ``MAX_GRID_UNIT`` values in [−1, 1] and
+    ``MAX_GRID`` in all; a larger one raises ``TooLarge`` before any of it is
+    built.
     """
     xv, yv, zv = _pair(x, y, z)
     step = _carrier(step)
@@ -303,30 +297,38 @@ def line_grid_probe(
         raise ValueError("step must divide 1")
     k_unit = int(k_unit)
     k_bound = int((bound / step).numerator // (bound / step).denominator)
+    if 2 * k_unit + 1 > MAX_GRID_UNIT or 2 * k_bound + 1 > MAX_GRID:
+        raise TooLarge(
+            f"grid probe limited to {MAX_GRID_UNIT} values in [-1, 1] and {MAX_GRID}"
+            f" in all, got {2 * k_unit + 1} and {2 * k_bound + 1}"
+        )
 
-    unit_vals = [i * step for i in range(-k_unit, k_unit + 1)]
-    core = Certifier(xv, yv, zv, unit_vals)
+    # the values in [-1, 1] ascending, then each pair c, -c beyond magnitude 1
+    grid = [i * step for i in range(-k_unit, k_unit + 1)]
+    for i in range(k_unit + 1, k_bound + 1):
+        grid += (i * step, -i * step)
+    core = Certifier(xv, yv, zv, grid, 2 * k_unit + 1)
+    one = core.one
 
     # shape A: everything within [-1, 1], each side an unordered pair with
     # r <= t and w <= s; the +1s must outnumber the -1s
-    every = range(len(unit_vals))
-    quad = core.first_bounded(every, every, _count_valid_bounded)
+    every = range(2 * k_unit + 1)
+    quad = core.first_bounded(every, every, sum_one=True)
     if quad is not None:
         return LineMembership(True, quad)
 
     # shape B: cancelling pair beyond magnitude 1 plus residual (1, v)
-    big_vals = [i * step for i in range(k_unit + 1, k_bound + 1)]
-    for c in big_vals:
+    for c in range(2 * k_unit + 1, len(grid), 2):
+        m = c + 1
         quad = core.first_of(
             (
-                (c, -c, ONE, FREE),
-                (ONE, FREE, c, -c),
-                (ONE, c, -c, FREE),
-                (ONE, -c, c, FREE),
-                (FREE, c, ONE, -c),
-                (FREE, -c, ONE, c),
+                (c, m, one, FREE),
+                (one, FREE, c, m),
+                (one, c, m, FREE),
+                (one, m, c, FREE),
+                (FREE, c, one, m),
+                (FREE, m, one, c),
             ),
-            lambda v: v != -1,
         )
         if quad is not None:
             return LineMembership(True, quad)

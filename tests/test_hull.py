@@ -89,6 +89,32 @@ def test_membership_frozen_probes():
     assert not co_contains(X, Y, (-3, 0))  # sign infeasible coordinate
 
 
+def _ref_hull_candidates(x, y, z):
+    """The breakpoint candidates of co_contains in plain Fraction
+    arithmetic: {0, 1}, the ratios |z_i|/|x_i| and |z_i|/|y_i| up to 1, and
+    one round of tie solutions c·|x_i|/|y_i| and c·|y_i|/|x_i| up to 1,
+    ascending."""
+    x, y, z = ([Fraction(v) for v in p] for p in (x, y, z))
+    cand = {Fraction(0), Fraction(1)}
+    for zi, xi in zip(z, x):
+        if xi != 0:
+            r = abs(zi) / abs(xi)
+            if r <= 1:
+                cand.add(r)
+    for zi, yi in zip(z, y):
+        if yi != 0:
+            r = abs(zi) / abs(yi)
+            if r <= 1:
+                cand.add(r)
+    for c in list(cand):
+        for xi, yi in zip(x, y):
+            if yi != 0 and xi != 0:
+                for r in (c * abs(xi) / abs(yi), c * abs(yi) / abs(xi)):
+                    if r <= 1:
+                        cand.add(r)
+    return sorted(cand)
+
+
 def _ref_co_contains(x, y, z):
     """co_contains without pruning: every candidate quadruple, in its order.
 
@@ -104,7 +130,7 @@ def _ref_co_contains(x, y, z):
         )
 
     one = q(1)
-    cand = _hull_candidates(x, y, z)
+    cand = _ref_hull_candidates(x, y, z)
     if any(matches(one, r, s, w) for s in cand for w in cand if w <= s for r in cand):
         return "hull:t1"
     if any(
@@ -143,6 +169,26 @@ def test_membership_equals_the_unpruned_enumeration(triple):
     assert co_contains(*triple) == (part is not None)
     if part is not None:
         assert SEARCH_STAGES[part] == before[part] + 1
+
+
+# every k/d with d <= 12 and |k/d| <= 2, and zero drawn more often
+FINE = sorted({Fraction(k, d) for d in range(1, 13) for k in range(-2 * d, 2 * d + 1)})
+fine_values = st.one_of(st.just(Fraction(0)), st.sampled_from(FINE))
+
+
+@st.composite
+def fine_triples(draw):
+    """x, y and z in dimension n <= 4 with denominators up to 12 and zero
+    coordinates, as Fraction or as the carrier."""
+    n = draw(st.integers(1, 4))
+    conv = draw(st.sampled_from((q, Fraction)))
+    return tuple(tuple(conv(draw(fine_values)) for _ in range(n)) for _ in range(3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(tie_heavy_triples(), fine_triples()))
+def test_hull_candidates_equal_the_fraction_reference(triple):
+    assert _hull_candidates(*triple) == _ref_hull_candidates(*triple)
 
 
 def test_membership_dimension_mismatch():

@@ -26,6 +26,7 @@ from boxlim.errors import (
     DegeneratePair,
     InvalidCoefficients,
     NotParallel,
+    TooLarge,
 )
 from boxlim._certify import SEARCH_STAGES
 from boxlim.lines import _line_candidates, line_grid_probe
@@ -102,6 +103,20 @@ def test_grid_probe_agrees_with_the_search():
     assert not line_grid_probe(X3, Y3, (1, 1, 5), step=q(1, 2), bound=3).found
 
 
+def test_grid_probe_refuses_an_oversized_grid_before_building_it():
+    # 2·10^9 + 1 grid values: building them would take minutes and gigabytes
+    with pytest.raises(TooLarge):
+        line_grid_probe(X3, Y3, (1, 1, 5), step=q(1, 10**9), bound=1)
+    with pytest.raises(TooLarge):
+        line_grid_probe(X3, Y3, (1, 1, 5), step=q(1, 32), bound=10**12)
+    # the default grid, step 1/32 and bound 8, is the largest admitted
+    assert line_grid_probe(X3, Y3, (6, -4, 1)).found
+    with pytest.raises(TooLarge):
+        line_grid_probe(X3, Y3, (6, -4, 1), bound=q(257, 32))
+    with pytest.raises(TooLarge):
+        line_grid_probe(X3, Y3, (6, -4, 1), step=q(1, 33), bound=1)
+
+
 def test_notfound_search_bumps_its_stage_counter():
     before = SEARCH_STAGES["line:notfound"]
     assert not line_contains_nd(X3, Y3, (1, 1, 5))
@@ -139,6 +154,30 @@ def _valid_bounded(quad):
     return sum(v == 1 for v in quad) > sum(v == -1 for v in quad)
 
 
+def _ref_line_candidates(x, y, z):
+    """The breakpoint candidates of line_contains_nd in plain Fraction
+    arithmetic: {0, ±1}, the signed ratios ±z_i/x_i and ±z_i/y_i, and one
+    round of tie solutions ±c·x_i/y_i and ±c·y_i/x_i, in (|v|, v) order."""
+    x, y, z = ([Fraction(v) for v in p] for p in (x, y, z))
+    base = {Fraction(0), Fraction(1), Fraction(-1)}
+    for zi, xi in zip(z, x):
+        if xi != 0:
+            base.add(zi / xi)
+            base.add(-(zi / xi))
+    for zi, yi in zip(z, y):
+        if yi != 0:
+            base.add(zi / yi)
+            base.add(-(zi / yi))
+    cand = set(base)
+    for c in base:
+        for xi, yi in zip(x, y):
+            if xi != 0 and yi != 0:
+                for r in (c * xi / yi, c * yi / xi):
+                    cand.add(r)
+                    cand.add(-r)
+    return sorted(cand, key=lambda v: (abs(v), v))
+
+
 def _ref_line_search(x, y, z):
     """Every candidate quadruple of line_contains_nd, in its order."""
     one, zero = q(1), q(0)
@@ -146,7 +185,7 @@ def _ref_line_search(x, y, z):
         yield (one, zero, zero, zero)
     if z == y:
         yield (zero, zero, one, zero)
-    cand = _line_candidates(x, y, z)
+    cand = _ref_line_candidates(x, y, z)
     bounded = [c for c in cand if abs(c) <= 1]
     for c in cand:
         yield (one, c, -c, zero)
@@ -218,6 +257,26 @@ def tie_heavy_triples(draw):
         t, r, s, w = quad
         z = tuple(nary_boxplus((t * a, r * a, s * b, w * b)) for a, b in zip(x, y))
     return tuple(tuple(conv(v) for v in p) for p in (x, y, z))
+
+
+# every k/d with d <= 12 and |k/d| <= 2, and zero drawn more often
+FINE = sorted({Fraction(k, d) for d in range(1, 13) for k in range(-2 * d, 2 * d + 1)})
+fine_values = st.one_of(st.just(Fraction(0)), st.sampled_from(FINE))
+
+
+@st.composite
+def fine_triples(draw):
+    """x, y and z in dimension n <= 4 with denominators up to 12 and zero
+    coordinates, as Fraction or as the carrier."""
+    n = draw(st.integers(1, 4))
+    conv = draw(st.sampled_from((q, Fraction)))
+    return tuple(tuple(conv(draw(fine_values)) for _ in range(n)) for _ in range(3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(tie_heavy_triples(), fine_triples()))
+def test_line_candidates_equal_the_fraction_reference(triple):
+    assert _line_candidates(*triple) == _ref_line_candidates(*triple)
 
 
 @settings(deadline=None, max_examples=200)

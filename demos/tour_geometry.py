@@ -12,9 +12,11 @@ from boxlim import (
     HullCombination,
     ball_describe,
     co_contains,
+    co_orthant,
     co_point,
     converge,
     dist_boxplus,
+    dist_decomposition_check,
     half_lines,
     line2d_form,
     line_contains_nd,
@@ -50,7 +52,14 @@ def main() -> None:
     mid = co_point(x, y, HullCombination(q(1, 2), q(0), q(1), q(0)))
     print(f"  hull point at (t,r,s,w) = (1/2,0,1,0): {tuple(str(c) for c in mid)}")
     for probe in ("3,0", "3/2,-2", "4,0", "0,0"):
-        print(f"  ({probe}) in hull? {co_contains(x, y, vec(probe))}")
+        member = co_contains(x, y, vec(probe))
+        print(f"  ({probe}) in hull? {member}")
+        if member:
+            print("    decomposes: d(x,y) = max(d(x,z), d(z,y))? "
+                  f"{dist_decomposition_check(x, y, vec(probe))}")
+    same = co_orthant([vec("3,1"), vec("1,2")], (q(1, 2), q(1)))
+    print(f"  same-orthant hull of (3,1), (1,2) at weights (1/2, 1): "
+          f"{tuple(str(c) for c in same)}")
 
     print("\n== the 2d line through x and y ==")
     form = line2d_form(x, y)

@@ -23,6 +23,7 @@ from boxlim import (
     psi_exp,
     psi_ln,
 )
+from boxlim.maxplus import mp_abs_le, mp_hull_contains, mp_hull_point
 
 
 def main() -> None:
@@ -50,6 +51,14 @@ def main() -> None:
     x = tuple(mp_parse(t) for t in ("1", "-inf"))
     y = tuple(mp_parse(t) for t in ("1+ipi", "0"))
     print(f"  d((1, -inf), (1+ipi, 0)) = {mp_format(mp_dist(x, y))}")
+    z = mp_hull_point(x, y, (MONE, MZERO, mp_parse("-1"), MZERO))
+    print(f"  hull point at weights (0, -inf, -1, -inf): "
+          f"({', '.join(map(mp_format, z))}), certified member? "
+          f"{mp_hull_contains(x, y, z)}")
+    dxz, dxy, dyz = mp_dist(x, z), mp_dist(x, y), mp_dist(y, z)
+    holds = mp_abs_le(dxz, dxy) or mp_abs_le(dxz, dyz)
+    print(f"  strong triangle: d(x,z) = {mp_format(dxz)} <= max(d(x,y), d(y,z)) "
+          f"= max({mp_format(dxy)}, {mp_format(dyz)})? {holds}")
 
     print("\n== float bridge ==")
     z = msym(1, q_logmag("5/2"))

@@ -12,15 +12,18 @@ as limits of ordinary power sums.
 
 from boxlim import (
     boxplus,
+    check_symmetric_space_axioms,
     converge,
     lower_form,
     nary_boxplus,
     p_sum,
     q,
+    real_vector_space,
     smile_minus,
     smile_plus,
     upper_form,
 )
+from boxlim.scalars import residual_index_set, xi
 
 
 def main() -> None:
@@ -36,6 +39,11 @@ def main() -> None:
     for v in xs[1:]:
         folded = boxplus(folded, v)
     print(f"  left fold of [+] : {folded}  (pairwise ties annihilate too early)")
+    print(f"  signed counts    : xi(3) = {xi(xs, 3)}, xi(-2) = {xi(xs, -2)}, "
+          f"xi(1) = {xi(xs, 1)}")
+    residual = residual_index_set(xs)
+    print(f"  residual set     : positions {sorted(residual)}, "
+          f"whose sum is {nary_boxplus(xs, residual)}")
 
     print("\n== smiles bracket the sum ==")
     lo, hi = smile_minus(xs), smile_plus(xs)
@@ -49,6 +57,16 @@ def main() -> None:
     products = tuple(c * z for c, z in zip(coeffs, zs))
     print(f"  lower {lower_form(coeffs, zs)} <= nary {nary_boxplus(products)} "
           f"<= upper {upper_form(coeffs, zs)}")
+
+    print("\n== the symmetric vector-space axioms ==")
+    sample = [
+        (q(2), q(-1, 2), (q(3), q(-2)), (q(-3), q(1))),
+        (q(-1), q(1), (q(1), q(1)), (q(1), q(-1))),
+        (q(1, 3), q(1, 3), (q(0), q(5)), (q(-5), q(2))),
+    ]
+    report = check_symmetric_space_axioms(real_vector_space(2), sample)
+    print(f"  {report.name}: every axiom holds on {report.samples} frozen samples? "
+          f"{report.passed}")
 
     print("\n== the finite-p oracle ==")
     print("  at finite p the sum is the odd-power mean "

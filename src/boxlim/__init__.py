@@ -33,7 +33,7 @@ _EXPORTS = {
         "InvalidCoefficients", "InvalidCombination", "LimitAlgebraError", "NotParallel",
     ),
     "hull": (
-        "HullCombination", "chain_distance", "co_contains", "co_orthant", "co_point",
+        "HullCombination", "co_contains", "co_orthant", "co_point",
         "dist_decomposition_check",
     ),
     "linalg": (
@@ -43,8 +43,8 @@ _EXPORTS = {
     ),
     "lines": (
         "HalfLine", "LineForm", "LineMembership", "half_lines", "hyperplane_form",
-        "is_parallel", "line2d_form", "line_contains_2d", "line_contains_nd",
-        "line_point", "parallel_normal_form", "parallel_ratio",
+        "line2d_form", "line_contains_2d", "line_contains_nd", "line_point",
+        "parallel_normal_form", "parallel_ratio",
     ),
     "maxplus": (
         "MAXPLUS_PSEUDO_FIELD", "MSym", "MONE", "MZERO", "maxplus_vector_space",
@@ -59,7 +59,7 @@ _EXPORTS = {
         "boxminus", "boxplus", "lower_form", "nary_boxplus", "q", "smile_minus",
         "smile_plus", "upper_form",
     ),
-    "suites": ("SUITES", "CheckResult", "run_all", "run_suite"),
+    "suites": ("SUITES", "CheckResult", "run_suite"),
     "svgfig": ("FIGURES", "render_figure"),
     "trig": (
         "AngleParam", "alpha", "alpha_inv", "cos_infty", "inner3_limit",

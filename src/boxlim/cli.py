@@ -29,6 +29,7 @@ from .errors import (
     MAX_P,
     DimensionMismatch,
     LimitAlgebraError,
+    NotParallel,
     TooLarge,
 )
 from .linalg import det_infty, inner_infty, mat, norm_infty, vec
@@ -324,7 +325,7 @@ def _cmd_line(args):
         a, b, c, d = (vec(v) for v in _need(args, "line parallel", "a", "b", "c", "d"))
         try:
             ratio = parallel_ratio(a, b, c, d)
-        except LimitAlgebraError:
+        except NotParallel:
             return {"parallel": False}
         return {"parallel": True, "ratio": _sj(ratio)}
     if action == "halflines":

@@ -49,10 +49,6 @@ def cplx(re: ScalarLike, im: ScalarLike = 0) -> BoxComplex:
     return BoxComplex(re, im)
 
 
-CZERO = cplx(0, 0)
-CONE = cplx(1, 0)
-
-
 def cplus(z: BoxComplex, w: BoxComplex) -> BoxComplex:
     """Coordinatewise limit sum."""
     return BoxComplex(boxplus(z.re, w.re), boxplus(z.im, w.im))

@@ -27,9 +27,9 @@ from .errors import (
     NotAMember,
     OrthantViolation,
 )
-from .linalg import Vec, _vecs, nary_vec_boxplus, scale, vec
+from .linalg import Vec, _vecs, nary_vec_boxplus, scale
 from .metric import dist_boxplus
-from .scalars import ZERO, ScalarLike, ScalarQ, _carrier, _from_pair, _nary
+from .scalars import ScalarLike, ScalarQ, _carrier, _from_pair, _nary
 
 __all__ = [
     "HullCombination",
@@ -37,7 +37,6 @@ __all__ = [
     "co_contains",
     "co_orthant",
     "dist_decomposition_check",
-    "chain_distance",
 ]
 
 
@@ -173,16 +172,3 @@ def dist_decomposition_check(
     if not co_contains(x, y, z):
         raise NotAMember("z is not a certified member of the hull of x, y")
     return dist_boxplus(x, y) == max(dist_boxplus(x, z), dist_boxplus(z, y))
-
-
-def chain_distance(points: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
-    """Largest consecutive distance along a chain of points.
-
-    Under the chain decomposition hypotheses (consecutive hulls decompose the
-    end-to-end hull and meet only at shared endpoints — asserted by the
-    caller, not decidable here), this equals the end-to-end distance.
-    """
-    pts = [vec(p) for p in points]
-    if len(pts) < 2:
-        return ZERO
-    return max(dist_boxplus(a, b) for a, b in zip(pts, pts[1:]))

@@ -44,7 +44,6 @@ __all__ = [
     "real_vector_space",
     "check_pseudo_field_axioms",
     "check_symmetric_space_axioms",
-    "subspace_closure_check",
 ]
 
 Vec = tuple  # tuple of ScalarQ
@@ -292,7 +291,6 @@ class PseudoFieldOps:
     inv: Callable  # multiplicative inverse of a nonzero element
     zero: object
     one: object
-    eq: Callable = operator.eq
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,6 @@ class SymmetricSpaceOps:
     vneg: Callable
     act: Callable  # scalar action (λ, x) -> λ·x
     vzero: object
-    veq: Callable = operator.eq
 
 
 @dataclass(frozen=True)
@@ -347,7 +344,7 @@ def real_vector_space(dim: int) -> SymmetricSpaceOps:
 
 def check_pseudo_field_axioms(
     sample: Sequence[tuple],
-    ops: PseudoFieldOps = REAL_PSEUDO_FIELD,
+    ops: PseudoFieldOps,
 ) -> AxiomReport:
     """Test the scalar axioms on sampled triples (λ, μ, ν); stop at the first failure.
 
@@ -357,37 +354,33 @@ def check_pseudo_field_axioms(
     multiplication over the idempotent sum.
     """
     add, mul, neg, inv = ops.add, ops.mul, ops.neg, ops.inv
-    zero, one, eq = ops.zero, ops.one, ops.eq
+    zero, one = ops.zero, ops.one
 
     def fail(axiom: str, witness: tuple) -> AxiomReport:
         return AxiomReport(ops.name, False, len(sample), axiom, witness)
 
     for triple in sample:
         lam, mu, nu = triple
-        if not eq(add(lam, lam), lam):
+        if add(lam, lam) != lam:
             return fail("add-idempotent", (lam,))
-        if not eq(add(lam, mu), add(mu, lam)):
+        if add(lam, mu) != add(mu, lam):
             return fail("add-commutative", (lam, mu))
-        if not eq(add(lam, zero), lam):
+        if add(lam, zero) != lam:
             return fail("add-neutral", (lam,))
-        if not eq(add(lam, neg(lam)), zero):
+        if add(lam, neg(lam)) != zero:
             return fail("add-symmetric-element", (lam,))
-        if (
-            not eq(add(lam, mu), zero)
-            and not eq(add(mu, nu), zero)
-            and not eq(add(lam, nu), zero)
-        ):
-            if not eq(add(add(lam, mu), nu), add(lam, add(mu, nu))):
+        if add(lam, mu) != zero and add(mu, nu) != zero and add(lam, nu) != zero:
+            if add(add(lam, mu), nu) != add(lam, add(mu, nu)):
                 return fail("add-weak-associative", triple)
-        if not eq(mul(lam, mu), mul(mu, lam)):
+        if mul(lam, mu) != mul(mu, lam):
             return fail("mul-commutative", (lam, mu))
-        if not eq(mul(mul(lam, mu), nu), mul(lam, mul(mu, nu))):
+        if mul(mul(lam, mu), nu) != mul(lam, mul(mu, nu)):
             return fail("mul-associative", triple)
-        if not eq(mul(lam, one), lam):
+        if mul(lam, one) != lam:
             return fail("mul-unit", (lam,))
-        if not eq(lam, zero) and not eq(mul(lam, inv(lam)), one):
+        if lam != zero and mul(lam, inv(lam)) != one:
             return fail("mul-inverse", (lam,))
-        if not eq(mul(lam, add(mu, nu)), add(mul(lam, mu), mul(lam, nu))):
+        if mul(lam, add(mu, nu)) != add(mul(lam, mu), mul(lam, nu)):
             return fail("distributivity", triple)
     return AxiomReport(ops.name, True, len(sample))
 
@@ -403,62 +396,33 @@ def check_symmetric_space_axioms(
     and the derived identities λ·0 = 0 and 0·x = 0.
     """
     k = space.field
-    vadd, vneg, act, vzero, veq = (
-        space.vadd,
-        space.vneg,
-        space.act,
-        space.vzero,
-        space.veq,
-    )
+    vadd, vneg, act, vzero = space.vadd, space.vneg, space.act, space.vzero
 
     def fail(axiom: str, witness: tuple) -> AxiomReport:
         return AxiomReport(space.name, False, len(sample), axiom, witness)
 
     for item in sample:
         lam, mu, x, y = item
-        if not veq(vadd(x, x), x):
+        if vadd(x, x) != x:
             return fail("vadd-idempotent", (x,))
-        if not veq(vadd(x, y), vadd(y, x)):
+        if vadd(x, y) != vadd(y, x):
             return fail("vadd-commutative", (x, y))
-        if not veq(vadd(x, vzero), x):
+        if vadd(x, vzero) != x:
             return fail("vadd-neutral", (x,))
-        if not veq(vadd(x, vneg(x)), vzero):
+        if vadd(x, vneg(x)) != vzero:
             return fail("vadd-symmetric-element", (x,))
-        if not veq(act(lam, vadd(x, y)), vadd(act(lam, x), act(lam, y))):
+        if act(lam, vadd(x, y)) != vadd(act(lam, x), act(lam, y)):
             return fail("act-distributes-over-vadd", (lam, x, y))
-        if not veq(act(k.add(lam, mu), x), vadd(act(lam, x), act(mu, x))):
+        if act(k.add(lam, mu), x) != vadd(act(lam, x), act(mu, x)):
             return fail("scalar-add-distributes", (lam, mu, x))
-        if not veq(act(k.mul(lam, mu), x), act(lam, act(mu, x))):
+        if act(k.mul(lam, mu), x) != act(lam, act(mu, x)):
             return fail("act-associative", (lam, mu, x))
-        if not veq(act(k.one, x), x):
+        if act(k.one, x) != x:
             return fail("act-unit", (x,))
-        if not veq(vneg(x), act(k.neg(k.one), x)):
+        if vneg(x) != act(k.neg(k.one), x):
             return fail("neg-is-minus-one-action", (x,))
-        if not veq(act(lam, vzero), vzero):
+        if act(lam, vzero) != vzero:
             return fail("act-on-zero-vector", (lam,))
-        if not veq(act(k.zero, x), vzero):
+        if act(k.zero, x) != vzero:
             return fail("zero-scalar-action", (x,))
     return AxiomReport(space.name, True, len(sample))
-
-
-def subspace_closure_check(
-    membership: Callable[[Vec], bool],
-    generators: Sequence[Sequence[ScalarLike]],
-    coeffs: Sequence[Sequence[ScalarLike]],
-) -> bool:
-    """True iff every tested combination ⊞_i t_i·x^(i) satisfies the membership predicate.
-
-    Each row of ``coeffs`` gives one combination over the generators
-    (evaluated coordinatewise in a single n-ary pass).
-    """
-    gens = [vec(g) for g in generators]
-    if not gens:
-        raise EmptyList("no generators")
-    for row in coeffs:
-        ts = [_carrier(t) for t in row]
-        if len(ts) != len(gens):
-            raise DimensionMismatch(f"{len(ts)} coefficients for {len(gens)} generators")
-        combo = nary_vec_boxplus([scale(t, g) for t, g in zip(ts, gens)])
-        if not membership(combo):
-            return False
-    return True

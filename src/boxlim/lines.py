@@ -22,7 +22,7 @@ the plain enumeration would find first, and NotFound remains advisory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from ._certify import FREE, SEARCH_STAGES, Certifier, magnitudes, ratio
 from .errors import (
@@ -61,7 +61,6 @@ __all__ = [
     "line_contains_nd",
     "line_grid_probe",
     "half_lines",
-    "is_parallel",
     "parallel_ratio",
     "parallel_normal_form",
 ]
@@ -73,7 +72,9 @@ class LineForm:
 
     coeffs: Vec
     constant: ScalarQ
-    orientation: str = "lower_form(coeffs, z) <= constant <= upper_form(coeffs, z)"
+    orientation: ClassVar[str] = (
+        "lower_form(coeffs, z) <= constant <= upper_form(coeffs, z)"
+    )
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class HalfLine:
 
     offset: Vec
     direction: Vec
-    t_min: ScalarQ = ONE
+    t_min: ClassVar[ScalarQ] = ONE
     sense: int = 1
 
     def point(self, t: ScalarLike) -> Vec:
@@ -382,16 +383,6 @@ def _collinear_ratio(d1: Vec, d2: Vec):
     if alpha is None or alpha == 0:
         return None
     return alpha
-
-
-def is_parallel(
-    x: Sequence[ScalarLike],
-    y: Sequence[ScalarLike],
-    u: Sequence[ScalarLike],
-    v: Sequence[ScalarLike],
-) -> bool:
-    """True iff the difference directions x ⊟ y and u ⊟ v are exactly collinear."""
-    return _collinear_ratio(*_directions(x, y, u, v)) is not None
 
 
 def parallel_ratio(

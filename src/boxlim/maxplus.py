@@ -37,7 +37,6 @@ __all__ = [
     "mp_neg",
     "mp_otimes",
     "mp_inv",
-    "mp_div",
     "mp_nary",
     "mp_abs",
     "mp_abs_le",
@@ -130,10 +129,6 @@ def mp_inv(z: MSym) -> MSym:
     if z.sign == 0:
         raise ZeroDivisionError("zero element has no inverse")
     return MSym(z.sign, -z.logmag)
-
-
-def mp_div(z: MSym, w: MSym) -> MSym:
-    return mp_otimes(z, mp_inv(w))
 
 
 def mp_nary(zs: Sequence[MSym]) -> MSym:

@@ -97,11 +97,15 @@ def f_limit_check(
     x: Sequence[ScalarLike],
     eps: Union[ScalarLike, float] = 1e-6,
 ) -> bool:
-    """Does the sequence converge to x in the limit sense?
+    """Does the sequence converge to x in d⊞'s own topology?
 
-    Nonzero coordinates of x must be attained exactly at some index and stay
-    exact afterwards; zero coordinates must satisfy |z_k| ≤ eps over the last
-    quarter of the sequence.
+    d⊞(z, x) ≥ |x_i| whenever z_i ≠ x_i ≠ 0, so z tends to x in d⊞ exactly
+    when every nonzero coordinate of x becomes exact and every zero
+    coordinate tends to 0.  On a finite sequence: each nonzero x_i must be
+    attained exactly at some index and stay exact afterwards, and each zero
+    coordinate must satisfy |z_k| ≤ eps over the last quarter of the
+    sequence.  Its consumer is to be the ultrametric suite's ball-algebra
+    checks ("The ultrametric ball algebra" in ROADMAP.md).
     """
     xv, *seq = _vecs(x, *sequence)
     if not seq:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
 from typing import Iterable, Sequence, Union
@@ -302,8 +301,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "q",
-    "qfloor",
-    "IndexedTuple",
     "boxplus",
     "boxminus",
     "xi",
@@ -385,11 +382,6 @@ def _as_exact(value: Union[ScalarLike, float]) -> ScalarQ:
     return q(*value.as_integer_ratio())
 
 
-def qfloor(value: ScalarQ) -> int:
-    """Exact floor of a rational, as a plain int."""
-    return value.numerator // value.denominator
-
-
 # ---------------------------------------------------------------------------
 # binary operation
 
@@ -426,27 +418,6 @@ def boxminus(a: ScalarLike, b: ScalarLike) -> ScalarQ:
 # n-ary extension via symmetry counts
 
 
-@dataclass(frozen=True)
-class IndexedTuple:
-    """Values together with the (1-based) index subset Ϝ ranges over.
-
-    ``index_set=None`` means all positions.  An empty index set is
-    representable but not evaluable (``nary_boxplus`` raises).
-    """
-
-    values: tuple
-    index_set: frozenset | None = None
-
-    def __post_init__(self):
-        vals = tuple(_carrier(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if self.index_set is None:
-            idx = frozenset(range(1, len(vals) + 1))
-        else:
-            idx = _positions(self.index_set, len(vals))
-        object.__setattr__(self, "index_set", idx)
-
-
 def _positions(index_set: Iterable[int], n: int) -> frozenset:
     """The 1-based positions of an index set of a length-n tuple.
 
@@ -464,14 +435,10 @@ def _positions(index_set: Iterable[int], n: int) -> frozenset:
 
 
 def _coerce_indexed(
-    x: IndexedTuple | Sequence[ScalarLike],
+    x: Sequence[ScalarLike],
     index_set: Iterable[int] | None,
 ) -> tuple[tuple, tuple[int, ...]]:
     """Normalize input to (values, sorted 1-based positions)."""
-    if isinstance(x, IndexedTuple):
-        if index_set is not None:
-            raise TypeError("index_set is already part of the IndexedTuple")
-        return x.values, tuple(sorted(x.index_set))
     vals = tuple(_carrier(v) for v in x)
     if index_set is None:
         return vals, tuple(range(1, len(vals) + 1))
@@ -479,7 +446,7 @@ def _coerce_indexed(
 
 
 def xi(
-    x: IndexedTuple | Sequence[ScalarLike],
+    x: Sequence[ScalarLike],
     alpha: ScalarLike,
     index_set: Iterable[int] | None = None,
 ) -> int:
@@ -509,7 +476,7 @@ def _net_by_magnitude(vals: Iterable) -> dict:
 
 
 def residual_index_set(
-    x: IndexedTuple | Sequence[ScalarLike],
+    x: Sequence[ScalarLike],
     index_set: Iterable[int] | None = None,
 ) -> frozenset:
     """Positions whose value group does not cancel: {j: ξ(x_j) ≠ 0} (1-based)."""
@@ -564,7 +531,7 @@ def _nary_tally(vals: Sequence) -> ScalarQ:
 
 
 def nary_boxplus(
-    x: IndexedTuple | Sequence[ScalarLike],
+    x: Sequence[ScalarLike],
     index_set: Iterable[int] | None = None,
 ) -> ScalarQ:
     """n-ary limit sum Ϝ: cancel sign-symmetric groups, keep the dominant survivor.
@@ -573,7 +540,7 @@ def nary_boxplus(
     multiset is consumed at once.  Raises :class:`EmptyIndexSet` when there
     is nothing to evaluate.
     """
-    if index_set is None and not isinstance(x, IndexedTuple):
+    if index_set is None:
         vals = [v if type(v) is _Q else _carrier(v) for v in x]
     else:
         values, pos = _coerce_indexed(x, index_set)

@@ -15,7 +15,7 @@ import functools
 import inspect
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable
 
 from fractions import Fraction
 
@@ -112,7 +112,6 @@ __all__ = [
     "check_square_trig",
     "check_ultrametric",
     "check_worked_values",
-    "run_all",
     "run_suite",
 ]
 
@@ -843,9 +842,3 @@ def run_suite(name: str, quick: bool = False, seed: int | None = None) -> CheckR
     if seed is not None and check.seed is not None:
         kwargs["seed"] = seed
     return check(**kwargs)
-
-
-def run_all(names: Sequence[str] | None = None) -> list[CheckResult]:
-    """Run the named suites (default: all ten) in registry order."""
-    selected = list(SUITES) if names is None else list(names)
-    return [run_suite(name) for name in selected]

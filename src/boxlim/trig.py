@@ -129,7 +129,7 @@ def pythagoras_check(
 
     p_grid, tol = _settings(p_grid, tol)
     xv, yv, zv = _vecs(x, y, z)
-    if inner3_limit(xv, yv, zv) != 0:
+    if not is_f_right_angled(xv, yv, zv):
         raise NotRightAngled("no limit right angle at z")
     lhs = dist_boxplus(xv, yv)
     rhs = max(dist_boxplus(xv, zv), dist_boxplus(yv, zv))

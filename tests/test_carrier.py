@@ -30,7 +30,7 @@ from boxlim import (
     upper_form,
     vec,
 )
-from boxlim.scalars import IndexedTuple, ScalarQ
+from boxlim.scalars import ScalarQ
 
 fractions_ = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 triples = st.tuples(fractions_, fractions_, fractions_)
@@ -51,7 +51,7 @@ ENTRY_POINTS = {
     "boxplus": lambda a, b, c: [boxplus(a, b)],
     "boxminus": lambda a, b, c: [boxminus(a, b)],
     "nary_boxplus": lambda a, b, c: [nary_boxplus((a, b, c)), nary_boxplus((a, b, c), {1, 3})],
-    "nary_boxplus_indexed": lambda a, b, c: [nary_boxplus(IndexedTuple((a, -a, c)))],
+    "nary_boxplus_indexed": lambda a, b, c: [nary_boxplus((a, -a, c), index_set={1, 2, 3})],
     "smile_minus": lambda a, b, c: [smile_minus((a, b, c))],
     "smile_plus": lambda a, b, c: [smile_plus((a, b, c))],
     "lower_form": lambda a, b, c: [lower_form((a, b), (b, c))],

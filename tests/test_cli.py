@@ -31,6 +31,25 @@ def test_line_parallel_worked_example(capsys):
     assert json.loads(out) == {"parallel": True, "ratio": "1/2"}
 
 
+def test_line_parallel_answers_false_only_for_independent_directions(capsys):
+    code, out, _ = run(
+        capsys, "line", "parallel", "--a", "3,1", "--b", "1,-2", "--c", "0,0", "--d", "1,1",
+    )
+    assert code == 0
+    assert json.loads(out) == {"parallel": False}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("--a", "3,1", "--b", "1,-2", "--c", "1,1", "--d", "1,1"), "DegeneratePair"),
+    (("--a", "1,2", "--b", "3,4", "--c", "1,2,3", "--d", "4,5,6"), "DimensionMismatch"),
+])
+def test_line_parallel_domain_errors_exit_one_with_json(capsys, argv, error):
+    code, out, err = run(capsys, "line", "parallel", *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_rationals_print_as_quotients(capsys):
     code, out, _ = run(capsys, "eval", "--boxplus", "1/2,-1/4")
     assert code == 0

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from boxlim import (
     HullCombination,
-    chain_distance,
     co_contains,
     co_orthant,
     co_point,
@@ -234,10 +233,3 @@ def test_co_orthant_validates_coefficients():
         co_orthant([(1, 2), (2, 1)], (q(1, 2), q(1, 2)))
     with pytest.raises(InvalidCoefficients):
         co_orthant([(1, 2), (2, 1)], (1,))
-
-
-def test_chain_distance_equals_the_largest_step():
-    chain = [(0, 0), (1, 0), (1, 3), (0, 3)]
-    assert chain_distance(chain) == 3
-    assert chain_distance(chain) == dist_boxplus(chain[0], chain[-1])
-    assert chain_distance([(1, 1)]) == 0

@@ -16,7 +16,6 @@ from boxlim import (
     lower_form,
     parallel_normal_form,
     parallel_ratio,
-    is_parallel,
     q,
     upper_form,
     vec,
@@ -359,7 +358,6 @@ def test_half_line_supports_are_disjoint():
 def test_parallel_frozen_example():
     a, b = vec("3,1"), vec("1,-2")
     c, d = vec("-2,4"), vec("-6,1")
-    assert is_parallel(a, b, c, d)
     assert parallel_ratio(a, b, c, d) == q(1, 2)
     coeffs, low, high = parallel_normal_form(a, b, c, d)
     assert coeffs == (q(-2), q(3))
@@ -367,7 +365,6 @@ def test_parallel_frozen_example():
 
 
 def test_parallel_rejects_independent_directions():
-    assert not is_parallel((3, 1), (1, -2), (0, 0), (1, 1))
     with pytest.raises(NotParallel):
         parallel_ratio((3, 1), (1, -2), (0, 0), (1, 1))
 
@@ -380,7 +377,6 @@ def test_parallel_ratio_recovers_the_scale(c):
     # u ⊟ v = u, so the pair (u, 0) with u = (3/c, 2/c) has ratio exactly c
     u = (q(3) / c, q(2) / c)
     v = (q(0), q(0))
-    assert is_parallel(a, b, u, v)
     assert parallel_ratio(a, b, u, v) == c
 
 

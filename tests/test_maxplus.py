@@ -31,7 +31,6 @@ from boxlim.maxplus import (
     mp_abs,
     mp_abs_le,
     mp_boxminus,
-    mp_div,
     mp_hull_contains,
     mp_hull_point,
     mp_inv,
@@ -94,7 +93,6 @@ def test_otimes_adds_logmags(z, w):
 @given(nonzero_elements)
 def test_inverse_and_division(z):
     assert mp_otimes(z, mp_inv(z)) == MONE
-    assert mp_div(z, z) == MONE
 
 
 @given(elements, elements)

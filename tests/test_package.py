@@ -14,6 +14,7 @@ import boxlim
 from boxlim import cli
 
 SRC = Path(boxlim.__file__).resolve().parents[1]
+ROOT = SRC.parent
 
 # `boxlim.__all__` when every submodule was imported eagerly
 EAGER_ALL = set("""
@@ -23,17 +24,17 @@ EAGER_ALL = set("""
     InvalidCoefficients InvalidCombination LimitAlgebraError LineForm
     LineMembership MAXPLUS_PSEUDO_FIELD MSym MONE MZERO NotParallel SUITES
     alpha alpha_inv ball_contains ball_describe boxminus boxplus cconj
-    chain_distance check_pseudo_field_axioms check_symmetric_space_axioms cinv
+    check_pseudo_field_axioms check_symmetric_space_axioms cinv
     cmod_infty co_contains co_orthant co_p_sample co_point converge cos_infty
     cplus cplx ctimes det_infty dist_boxplus dist_decomposition_check
     exact_power_sum_is_zero from_polar half_lines hyperplane_form inner3_limit
-    inner_infty is_f_right_angled is_parallel line2d_form line_contains_2d
+    inner_infty is_f_right_angled line2d_form line_contains_2d
     line_contains_nd line_p_sample line_point lower_form mat maxplus_vector_space
     mp_boxplus mp_dist mp_dist_std mp_format mp_nary mp_otimes mp_parse msym
     nary_boxplus nary_vec_boxplus norm_infty on_unit_square orthogonal_pairing
     p_cos p_det p_dist p_inner p_norm p_sin p_sum parallel_normal_form
     parallel_ratio pcos polar psi_exp psi_ln psin pythagoras_check q
-    real_vector_space render_figure run_all run_suite scale sin_infty
+    real_vector_space render_figure run_suite scale sin_infty
     smile_minus smile_plus upper_form vec vec_boxplus
 """.split())
 
@@ -149,3 +150,22 @@ def test_every_module_level_import_is_used():
                 )
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert imported <= used | exported, (path.name, sorted(imported - used - exported))
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public name earns its place by a reader in the package, a demo or the
+    # benchmark harness: an AST load of the name, an attribute access or an
+    # import; the lazy export table in __init__.py and test files do not count
+    read = set()
+    for folder in (SRC / "boxlim", ROOT / "demos", ROOT / "benchmarks"):
+        for path in sorted(folder.rglob("*.py")):
+            if path == SRC / "boxlim" / "__init__.py" or path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    read.update(a.name.split(".")[-1] for a in node.names)
+    assert sorted(set(boxlim.__all__) - read) == []

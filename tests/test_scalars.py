@@ -22,14 +22,7 @@ from boxlim import (
     upper_form,
 )
 from boxlim.errors import EmptyIndexSet, EmptyList, TooLarge
-from boxlim.scalars import (
-    IndexedTuple,
-    QFraction,
-    ScalarQ,
-    qfloor,
-    residual_index_set,
-    xi,
-)
+from boxlim.scalars import QFraction, ScalarQ, residual_index_set, xi
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8).map(q)
 value_lists = st.lists(rationals, min_size=1, max_size=6)
@@ -71,12 +64,6 @@ def test_q_accepts_an_exponent_at_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert q(f"1e{limit}") == 10**limit
     assert q(f"1e-{limit}") == q(1, 10**limit)
-
-
-def test_qfloor_is_exact():
-    assert qfloor(q(-7, 2)) == -4
-    assert qfloor(q(7, 2)) == 3
-    assert qfloor(q(4)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +203,17 @@ def test_residual_restriction_preserves_nary(vals):
         assert nary_boxplus(vals) == 0
 
 
-def test_indexed_tuple_validates_positions():
-    t = IndexedTuple((5, -5, 3))
-    assert t.index_set == frozenset({1, 2, 3})
-    assert nary_boxplus(IndexedTuple((5, -5, 3), frozenset({1, 3}))) == 5
+def test_index_set_restricts_the_sum():
+    assert nary_boxplus((5, -5, 3), index_set={1, 2, 3}) == nary_boxplus((5, -5, 3)) == 3
+    assert nary_boxplus((5, -5, 3), index_set={1, 3}) == 5
     with pytest.raises(IndexError):
-        IndexedTuple((1, 2), frozenset({3}))
+        nary_boxplus((1, 2), index_set={3})
 
 
 @pytest.mark.parametrize("positions", [[1.9, 2.5], [2.0], [True], [1, False], ["2"], [q(2)]])
 def test_positions_that_are_not_ints_raise(positions):
     with pytest.raises(ValueError):
         nary_boxplus((3, -2, 1), index_set=positions)
-    with pytest.raises(ValueError):
-        IndexedTuple((3, -2, 1), frozenset(positions))
 
 
 @pytest.mark.parametrize("positions", [[0], [4], [-1]])

@@ -1,5 +1,7 @@
 """Square trigonometry: pcos/psin, angle parameters, limit angles, Pythagoras."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
@@ -34,7 +36,7 @@ from boxlim.errors import (
     ZeroVector,
 )
 from boxlim.sampling import Sampler
-from boxlim.scalars import ScalarQ, qfloor
+from boxlim.scalars import ScalarQ
 from boxlim.trig import _reduce8
 
 angles = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(q)
@@ -48,7 +50,7 @@ angles = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(q)
 def test_integer_angle_reduction_equals_the_rational_floor(t):
     got = _reduce8(t)
     assert type(got) is ScalarQ
-    assert got == t - 8 * qfloor(t / 8)
+    assert got == t - 8 * math.floor(t / 8)
     assert 0 <= got < 8
 
 

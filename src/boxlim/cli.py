@@ -169,8 +169,8 @@ def _apply_file(args: argparse.Namespace) -> None:
         raise ValueError("--file must hold a JSON object of named inputs")
     for key, value in data.items():
         name = key.replace("-", "_")
-        # the finite-p settings default to None too, but they are not inputs
-        if name in ("p_grid", "tol"):
+        # these options default to None too, but they are not inputs
+        if name in ("p_grid", "tol", "op", "format", "out", "file"):
             continue
         if getattr(args, name, None) is None and hasattr(args, name):
             if isinstance(value, list):
@@ -381,11 +381,17 @@ def _cmd_trig(args):
 def _cmd_complex(args):
     from .cplane import cconj, cinv, cmod_infty, cplus, cplx, ctimes, from_polar, polar
 
+    def number(text: str):
+        parts = vec(text)
+        if len(parts) > 2:
+            raise ValueError("expected a complex number 're,im'")
+        return cplx(*parts)
+
     def pair(text: str):
-        zs = _points(text)
+        zs = text.split(";")
         if len(zs) != 2:
             raise ValueError("expected two complex numbers 'a,b;c,d'")
-        return cplx(*zs[0]), cplx(*zs[1])
+        return number(zs[0]), number(zs[1])
 
     def cj(z) -> dict:
         return {"re": _sj(z.re), "im": _sj(z.im)}
@@ -395,13 +401,13 @@ def _cmd_complex(args):
     if args.plus is not None:
         return cj(cplus(*pair(args.plus)))
     if args.mod is not None:
-        return cmod_infty(cplx(*vec(args.mod)))
+        return cmod_infty(number(args.mod))
     if args.conj is not None:
-        return cj(cconj(cplx(*vec(args.conj))))
+        return cj(cconj(number(args.conj)))
     if args.inv is not None:
-        return cj(cinv(cplx(*vec(args.inv))))
+        return cj(cinv(number(args.inv)))
     if args.polar is not None:
-        m, theta = polar(cplx(*vec(args.polar)))
+        m, theta = polar(number(args.polar))
         return {"modulus": _sj(m), "theta": _sj(theta.theta)}
     if args.from_polar is not None:
         parts = args.from_polar.split(";")

@@ -79,7 +79,8 @@ class LineForm:
 
 @dataclass(frozen=True)
 class HalfLine:
-    """Points offset + t·direction for t ≥ t_min (supports are disjoint).
+    """Points offset + t·direction for t ≥ t_min (supports are disjoint);
+    ``point`` and ``certificate`` raise ``InvalidCoefficients`` below t_min.
 
     sense is +1 when direction = x ⊟ y and −1 when direction = y ⊟ x,
     fixing which certificate pattern reproduces point(t) from (x, y).
@@ -90,13 +91,19 @@ class HalfLine:
     t_min: ClassVar[ScalarQ] = ONE
     sense: int = 1
 
-    def point(self, t: ScalarLike) -> Vec:
+    def _param(self, t: ScalarLike) -> ScalarQ:
         t = _carrier(t)
+        if t < self.t_min:
+            raise InvalidCoefficients(f"a half-line point needs t >= {self.t_min}")
+        return t
+
+    def point(self, t: ScalarLike) -> Vec:
+        t = self._param(t)
         return tuple(o + t * d for o, d in zip(self.offset, self.direction))
 
     def certificate(self, t: ScalarLike) -> tuple:
         """Line-membership coefficients of point(t) relative to the generators."""
-        t = _carrier(t)
+        t = self._param(t)
         if self.sense >= 0:
             return (ONE, t, -t, ZERO)
         return (-t, ZERO, ONE, t)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import strategies
 from boxlim import (
     alpha,
     alpha_inv,
@@ -32,7 +33,7 @@ from boxlim import (
 )
 from boxlim.scalars import ScalarQ
 
-fractions_ = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+fractions_ = strategies.rationals(-9, 9, 7)
 triples = st.tuples(fractions_, fractions_, fractions_)
 
 

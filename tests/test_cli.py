@@ -119,6 +119,17 @@ def test_complex_product(capsys):
     assert json.loads(out) == {"re": 3, "im": -6}
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mod", "1,2,3"), ("--conj", "1,2,3"), ("--inv", "1,2,3"), ("--polar", "1,2,3"),
+    ("--times", "1,2,3;4,5"), ("--plus", "1,2;4,5,6"),
+])
+def test_complex_literals_of_three_parts_exit_one_with_json(capsys, argv):
+    code, out, err = run(capsys, "complex", *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "detail": "expected a complex number 're,im'"}
+
+
 def test_maxplus_literals(capsys):
     code, out, _ = run(capsys, "maxplus", "--add", "3/2,3/2+ipi")
     assert json.loads(out) == "-inf"
@@ -275,6 +286,32 @@ def test_file_leaves_the_oracle_settings_alone(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "--op", "sum", "--file", str(data))
     assert code == 0
     assert json.loads(out)["p"] == [1, 2, 4, 8, 16, 32]
+
+
+def test_file_does_not_choose_the_trig_operation(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"x": "3,1", "y": "1,-2", "z": "0,0", "op": "bogus"}))
+    code, out, err = run(capsys, "trig", "--file", str(data))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "detail": "choose a trig operation"}
+
+
+@pytest.mark.parametrize("fmt", ["xml", "csv"])
+def test_file_does_not_choose_the_format(tmp_path, capsys, fmt):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"boxplus": "1/2,-1/4", "format": fmt}))
+    code, out, _ = run(capsys, "eval", "--file", str(data))
+    assert code == 0
+    assert json.loads(out) == "1/2"
+
+
+def test_file_does_not_choose_the_output_path(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"x": "3,1", "y": "1,-2", "out": str(target)}))
+    code, out, _ = run(capsys, "dist", "--file", str(data))
+    assert code == 0 and out.strip() == "3"
+    assert not target.exists()
 
 
 def test_flag_values_starting_with_a_dash(capsys):

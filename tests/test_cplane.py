@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import strategies
 from boxlim import (
     AngleParam,
     alpha_inv,
@@ -20,10 +21,10 @@ from boxlim import (
 )
 from boxlim.errors import ZeroArgument
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(q)
+rationals = strategies.rationals(-6, 6, 6).map(q)
 complexes = st.tuples(rationals, rationals).map(lambda p: cplx(*p))
 nonzero_complexes = complexes.filter(lambda z: cmod_infty(z) != 0)
-angles = st.fractions(min_value=-10, max_value=10, max_denominator=8).map(q)
+angles = strategies.rationals(-10, 10, 8).map(q)
 
 
 def test_ctimes_frozen_value():

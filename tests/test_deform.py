@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
+import strategies
 from boxlim import (
     DEFAULT_P_GRID,
     co_p_sample,
@@ -213,7 +214,7 @@ def _fraction(v: mpf) -> Fraction:
         min_size=1,
         max_size=4,
     ),
-    st.fractions(min_value=-(10**15), max_value=10**15, max_denominator=10**12),
+    strategies.wide_rationals,
 )
 def test_converge_errors_are_the_exact_distance_rounded_once(values, limit):
     vals = [mp.make_mpf(from_man_exp(-man if neg else man, exp)) for neg, man, exp in values]

@@ -1,10 +1,13 @@
 """Two-point hulls: combinations, membership, distance decomposition."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import strategies
+from strategies import TIES, fine_triples
 from boxlim import (
     HullCombination,
     co_contains,
@@ -28,12 +31,9 @@ from boxlim.scalars import nary_boxplus
 
 X, Y = vec("3,1"), vec("1,-2")
 
-unit_coeffs = st.fractions(min_value=0, max_value=1, max_denominator=4).map(q)
-rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(q)
-
-
-def vectors(n):
-    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+unit_coeffs = strategies.rationals(0, 1, 4).map(q)
+rationals = strategies.rationals(-5, 5, 4).map(q)
+vectors = partial(strategies.vectors, elements=rationals)
 
 
 @st.composite
@@ -140,9 +140,6 @@ def _ref_co_contains(x, y, z):
     return None
 
 
-TIES = tuple(Fraction(v) for v in ("0", "1/2", "-1/2", "1", "-1", "2", "-2"))
-
-
 @st.composite
 def tie_heavy_triples(draw):
     """x ≠ y and z in dimension n ≤ 3 from {0, ±1/2, ±1, ±2}: z random or a
@@ -168,20 +165,6 @@ def test_membership_equals_the_unpruned_enumeration(triple):
     assert co_contains(*triple) == (part is not None)
     if part is not None:
         assert SEARCH_STAGES[part] == before[part] + 1
-
-
-# every k/d with d <= 12 and |k/d| <= 2, and zero drawn more often
-FINE = sorted({Fraction(k, d) for d in range(1, 13) for k in range(-2 * d, 2 * d + 1)})
-fine_values = st.one_of(st.just(Fraction(0)), st.sampled_from(FINE))
-
-
-@st.composite
-def fine_triples(draw):
-    """x, y and z in dimension n <= 4 with denominators up to 12 and zero
-    coordinates, as Fraction or as the carrier."""
-    n = draw(st.integers(1, 4))
-    conv = draw(st.sampled_from((q, Fraction)))
-    return tuple(tuple(conv(draw(fine_values)) for _ in range(n)) for _ in range(3))
 
 
 @settings(deadline=None, max_examples=300)

@@ -3,10 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import strategies
 from boxlim import (
     boxplus,
     check_pseudo_field_axioms,
@@ -53,11 +55,8 @@ from boxlim.metric import f_limit_check
 from boxlim.sampling import Sampler, det_gap_ok, gap_ok
 from boxlim.scalars import ScalarQ, _net_by_magnitude
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(q)
-
-
-def vectors(n):
-    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+rationals = strategies.rationals(-6, 6, 6).map(q)
+vectors = partial(strategies.vectors, elements=rationals)
 
 
 dims = st.integers(1, 4)
@@ -142,7 +141,7 @@ def test_vector_arguments_share_one_dimension(name):
 # ---------------------------------------------------------------------------
 # the carrier at the vector boundary
 
-fraction_entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+fraction_entries = strategies.rationals(-6, 6, 6)
 any_entry = st.one_of(st.integers(-6, 6), fraction_entries, fraction_entries.map(q))
 
 

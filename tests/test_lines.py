@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import strategies
+from strategies import TIES, fine_triples
 from boxlim import (
     half_lines,
     hyperplane_form,
@@ -232,9 +234,6 @@ def _first_hit(x, y, z, quads):
     return next((quad for quad in quads if _ref_matches(x, y, z, quad)), None)
 
 
-TIES = tuple(Fraction(v) for v in ("0", "1/2", "-1/2", "1", "-1", "2", "-2"))
-
-
 @st.composite
 def tie_heavy_triples(draw):
     """x ≠ y and z in dimension n ≤ 3 from {0, ±1/2, ±1, ±2}: z random, a
@@ -256,20 +255,6 @@ def tie_heavy_triples(draw):
         t, r, s, w = quad
         z = tuple(nary_boxplus((t * a, r * a, s * b, w * b)) for a, b in zip(x, y))
     return tuple(tuple(conv(v) for v in p) for p in (x, y, z))
-
-
-# every k/d with d <= 12 and |k/d| <= 2, and zero drawn more often
-FINE = sorted({Fraction(k, d) for d in range(1, 13) for k in range(-2 * d, 2 * d + 1)})
-fine_values = st.one_of(st.just(Fraction(0)), st.sampled_from(FINE))
-
-
-@st.composite
-def fine_triples(draw):
-    """x, y and z in dimension n <= 4 with denominators up to 12 and zero
-    coordinates, as Fraction or as the carrier."""
-    n = draw(st.integers(1, 4))
-    conv = draw(st.sampled_from((q, Fraction)))
-    return tuple(tuple(conv(draw(fine_values)) for _ in range(n)) for _ in range(3))
 
 
 @settings(deadline=None, max_examples=300)
@@ -335,13 +320,21 @@ def test_half_lines_cover_both_senses():
     assert lo.t_min == 1 and hi.t_min == 1
 
 
-@given(st.fractions(min_value=1, max_value=4, max_denominator=4).map(q))
+@given(strategies.rationals(1, 4, 4).map(q))
 def test_half_line_points_stay_on_the_line(t):
     f = line2d_form(X2, Y2)
     for h in half_lines(X2, Y2):
         z = h.point(t)
         assert line_contains_2d(f, z)
         assert line_point(X2, Y2, *h.certificate(t)) == z
+
+
+def test_half_line_points_below_t_min_raise():
+    for h in half_lines(X2, Y2):
+        with pytest.raises(InvalidCoefficients):
+            h.point(q(1, 2))
+        with pytest.raises(InvalidCoefficients):
+            h.certificate(q(1, 2))
 
 
 def test_half_line_supports_are_disjoint():
@@ -369,8 +362,7 @@ def test_parallel_rejects_independent_directions():
         parallel_ratio((3, 1), (1, -2), (0, 0), (1, 1))
 
 
-@given(st.fractions(min_value=-3, max_value=3, max_denominator=4)
-       .map(q).filter(bool))
+@given(strategies.rationals(-3, 3, 4).map(q).filter(bool))
 def test_parallel_ratio_recovers_the_scale(c):
     a, b = vec("3,1"), vec("1,-2")
     # the limit difference a ⊟ b is (3, 2); anchoring v at the origin makes

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strategies
 from boxlim import (
     MAXPLUS_PSEUDO_FIELD,
     MZERO,
@@ -37,7 +38,7 @@ from boxlim.maxplus import (
     mp_neg,
 )
 
-logmags = st.fractions(min_value=-6, max_value=6, max_denominator=4).map(q)
+logmags = strategies.rationals(-6, 6, 4).map(q)
 elements = st.one_of(
     st.just(MZERO),
     st.tuples(st.sampled_from((1, -1)), logmags).map(lambda p: msym(*p)),

@@ -1,8 +1,11 @@
 """The limit ultrametric, ball descriptors, and sequence convergence."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
+import strategies
 from boxlim import (
     Fixed,
     Free,
@@ -16,13 +19,8 @@ from boxlim import (
 from boxlim.errors import DimensionMismatch, NegativeRadius
 from boxlim.metric import f_limit_check
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(q)
-
-
-def vectors(n):
-    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
-
-
+rationals = strategies.rationals(-6, 6, 6).map(q)
+vectors = partial(strategies.vectors, elements=rationals)
 triples = st.integers(1, 4).flatmap(
     lambda n: st.tuples(vectors(n), vectors(n), vectors(n))
 )
@@ -103,7 +101,7 @@ def test_ball_rejects_negative_radius():
 
 @given(st.integers(1, 3).flatmap(
     lambda n: st.tuples(vectors(n), vectors(n)),
-), st.fractions(min_value=0, max_value=6, max_denominator=4).map(q))
+), strategies.rationals(0, 6, 4).map(q))
 def test_ball_membership_matches_the_distance(pair, radius):
     center, z = pair
     desc = ball_describe(center, radius)

@@ -6,15 +6,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import boxlim
+import strategies
 from boxlim import cli
 
 SRC = Path(boxlim.__file__).resolve().parents[1]
 ROOT = SRC.parent
+TESTS = Path(__file__).resolve().parent
 
 # `boxlim.__all__` when every submodule was imported eagerly
 EAGER_ALL = set("""
@@ -150,6 +153,39 @@ def test_every_module_level_import_is_used():
                 )
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert imported <= used | exported, (path.name, sorted(imported - used - exported))
+
+
+def _test_calls(name: str):
+    """(file, line, call) for each call of ``name`` or ``<anything>.name``
+    in the test files."""
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                yield path.name, node.lineno, node
+
+
+def test_only_the_strategy_module_calls_hypothesis_fractions():
+    # st.fractions is slow to draw from; tests/strategies.py lists each finite
+    # support once, and keeps the one support too large to list
+    calls = [f"{name}:{line}" for name, line, _ in _test_calls("fractions")
+             if name != "strategies.py"]
+    assert calls == []
+
+
+def test_every_test_support_lists_its_reduced_fractions_once_simplest_first():
+    used = {tuple(ast.literal_eval(a) for a in call.args)
+            for _, _, call in _test_calls("rationals")}
+    assert used
+    for lo, hi, den in sorted(used):
+        values = strategies.support(lo, hi, den)
+        assert len(set(values)) == len(values)
+        assert set(values) == {
+            Fraction(k, d) for d in range(1, den + 1) for k in range(lo * d, hi * d + 1)
+        }
+        assert list(values) == sorted(values, key=lambda v: (v.denominator, abs(v), v < 0))
+        assert (values[0] == 0) == (lo <= 0 <= hi)
 
 
 def test_every_public_name_is_read_outside_the_tests():

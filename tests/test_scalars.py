@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+import strategies
 from boxlim import (
     boxminus,
     boxplus,
@@ -24,7 +25,7 @@ from boxlim import (
 from boxlim.errors import EmptyIndexSet, EmptyList, TooLarge
 from boxlim.scalars import QFraction, ScalarQ, residual_index_set, xi
 
-rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8).map(q)
+rationals = strategies.rationals(-8, 8, 8).map(q)
 value_lists = st.lists(rationals, min_size=1, max_size=6)
 
 
@@ -295,7 +296,7 @@ def test_symmetric_form_sandwich(pair):
 # ---------------------------------------------------------------------------
 # the fallback carrier (a Fraction subclass with integer fast paths)
 
-fractions_ = st.fractions(min_value=-8, max_value=8, max_denominator=8)
+fractions_ = strategies.rationals(-8, 8, 8)
 
 
 def test_q_returns_the_carrier_type():

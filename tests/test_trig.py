@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+import strategies
 from boxlim import (
     DEFAULT_P_GRID,
     DEFAULT_TOL,
@@ -39,11 +40,11 @@ from boxlim.sampling import Sampler
 from boxlim.scalars import ScalarQ
 from boxlim.trig import _reduce8
 
-angles = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(q)
+angles = strategies.rationals(-20, 20, 8).map(q)
 
 
 @given(st.one_of(
-    st.fractions(min_value=-100, max_value=100, max_denominator=12),
+    strategies.rationals(-100, 100, 12),
     st.integers(-12, 12).map(lambda k: q(8 * k)),
     st.just(q(0)),
 ))
@@ -88,7 +89,7 @@ def test_angle_roundtrip_from_theta(theta):
     assert alpha(alpha_inv(theta)) == AngleParam(theta)
 
 
-@given(st.fractions(min_value=-1, max_value=1, max_denominator=8).map(q),
+@given(strategies.rationals(-1, 1, 8).map(q),
        st.integers(0, 3))
 def test_angle_roundtrip_from_boundary_points(u, side):
     z = ((q(1), u), (u, q(1)), (q(-1), u), (u, q(-1)))[side]

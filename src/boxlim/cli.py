@@ -73,6 +73,14 @@ def _points(text: str) -> list:
     return [vec(part) for part in text.split(";")]
 
 
+def _two(items: list, expected: str) -> list:
+    """``items`` if it holds two values; else ``ValueError`` naming the input
+    that was expected."""
+    if len(items) != 2:
+        raise ValueError(f"expected {expected}")
+    return items
+
+
 def _printable(r: ScalarQ) -> ScalarQ:
     """``r``, or ``TooLarge`` if it has more digits than Python's int/str
     limit lets it print; every exact value the CLI prints is checked here."""
@@ -200,18 +208,15 @@ def _cmd_eval(args):
     if args.nary is not None:
         result = nary_boxplus(vec(args.nary))
     elif args.boxplus is not None:
-        a, b = vec(args.boxplus)
-        result = boxplus(a, b)
+        result = boxplus(*_two(vec(args.boxplus), "--boxplus 'a,b'"))
     elif args.boxminus is not None:
-        a, b = vec(args.boxminus)
-        result = boxminus(a, b)
+        result = boxminus(*_two(vec(args.boxminus), "--boxminus 'a,b'"))
     elif args.smile_minus is not None:
         result = smile_minus(vec(args.smile_minus))
     elif args.smile_plus is not None:
         result = smile_plus(vec(args.smile_plus))
     elif args.inner is not None:
-        x, y = _points(args.inner)
-        result = inner_infty(x, y)
+        result = inner_infty(*_two(_points(args.inner), "--inner 'x;y'"))
     elif args.norm is not None:
         result = norm_infty(vec(args.norm))
     else:
@@ -388,10 +393,8 @@ def _cmd_complex(args):
         return cplx(*parts)
 
     def pair(text: str):
-        zs = text.split(";")
-        if len(zs) != 2:
-            raise ValueError("expected two complex numbers 'a,b;c,d'")
-        return number(zs[0]), number(zs[1])
+        a, b = _two(text.split(";"), "two complex numbers 'a,b;c,d'")
+        return number(a), number(b)
 
     def cj(z) -> dict:
         return {"re": _sj(z.re), "im": _sj(z.im)}
@@ -410,10 +413,8 @@ def _cmd_complex(args):
         m, theta = polar(number(args.polar))
         return {"modulus": _sj(m), "theta": _sj(theta.theta)}
     if args.from_polar is not None:
-        parts = args.from_polar.split(";")
-        if len(parts) != 2:
-            raise ValueError("expected --from-polar 'modulus;theta'")
-        return cj(from_polar(q(parts[0]), q(parts[1])))
+        m, theta = _two(args.from_polar.split(";"), "--from-polar 'modulus;theta'")
+        return cj(from_polar(q(m), q(theta)))
     raise ValueError("choose a complex operation")
 
 
@@ -433,15 +434,9 @@ def _cmd_maxplus(args):
         return [mp_parse(part.strip()) for part in text.split(",")]
 
     if args.add is not None:
-        zs = elems(args.add)
-        if len(zs) != 2:
-            raise ValueError("expected --add 'z,w'")
-        z = mp_boxplus(*zs)
+        z = mp_boxplus(*_two(elems(args.add), "--add 'z,w'"))
     elif args.mul is not None:
-        zs = elems(args.mul)
-        if len(zs) != 2:
-            raise ValueError("expected --mul 'z,w'")
-        z = mp_otimes(*zs)
+        z = mp_otimes(*_two(elems(args.mul), "--mul 'z,w'"))
     elif args.neg is not None:
         z = mp_neg(mp_parse(args.neg))
     elif args.inv is not None:
@@ -449,10 +444,8 @@ def _cmd_maxplus(args):
     elif args.nary is not None:
         z = mp_nary(elems(args.nary))
     elif args.dist is not None:
-        sides = args.dist.split(";")
-        if len(sides) != 2:
-            raise ValueError("expected --dist 'z1,z2;w1,w2'")
-        z = mp_dist(elems(sides[0]), elems(sides[1]))
+        zs, ws = _two(args.dist.split(";"), "--dist 'z1,z2;w1,w2'")
+        z = mp_dist(elems(zs), elems(ws))
     else:
         raise ValueError("choose a max-plus operation")
     _printable(z.logmag)

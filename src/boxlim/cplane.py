@@ -7,8 +7,7 @@ angle coordinate give an exact polar decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .errors import ZeroArgument
 from .scalars import ScalarLike, ScalarQ, _carrier, boxminus, boxplus
 from .trig import AngleParam, alpha, pcos, psin
@@ -27,16 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoxComplex:
+class BoxComplex(Record):
     """Complex number re + i·im with exact rational parts."""
 
-    re: ScalarQ
-    im: ScalarQ
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _carrier(self.re))
-        object.__setattr__(self, "im", _carrier(self.im))
+    def __init__(self, re: ScalarLike, im: ScalarLike):
+        setfield(self, "re", _carrier(re))
+        setfield(self, "im", _carrier(im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

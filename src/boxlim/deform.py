@@ -26,12 +26,12 @@ and ``DEFAULT_TOL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, mpf_neg, mpf_nthroot, round_nearest, to_rational
 
+from ._record import Record, setfield
 from .errors import (
     MAX_P,
     DegeneratePair,
@@ -276,15 +276,24 @@ def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple:
 # convergence harness
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Errors of a finite-p evaluator against its claimed limit along a p-grid."""
 
-    p_grid: tuple[int, ...]
-    errors: tuple[float, ...]
-    converged: bool
-    final_error: float
-    tol: float = field(default=DEFAULT_TOL)
+    __slots__ = ("p_grid", "errors", "converged", "final_error", "tol")
+
+    def __init__(
+        self,
+        p_grid: tuple[int, ...],
+        errors: tuple[float, ...],
+        converged: bool,
+        final_error: float,
+        tol: float = DEFAULT_TOL,
+    ):
+        setfield(self, "p_grid", p_grid)
+        setfield(self, "errors", errors)
+        setfield(self, "converged", converged)
+        setfield(self, "final_error", final_error)
+        setfield(self, "tol", tol)
 
     def as_dict(self) -> dict:
         return {

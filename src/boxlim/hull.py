@@ -16,10 +16,10 @@ that provably fail are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._certify import SEARCH_STAGES, Certifier, magnitudes, ratio
+from ._record import Record, setfield
 from .errors import (
     EmptyList,
     InvalidCoefficients,
@@ -40,23 +40,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HullCombination:
+class HullCombination(Record):
     """Hull coefficients (t, r, s, w) ∈ [0,1]⁴ with max = 1."""
 
-    t: ScalarQ
-    r: ScalarQ
-    s: ScalarQ
-    w: ScalarQ
+    __slots__ = ("t", "r", "s", "w")
 
-    def __post_init__(self):
-        for name in ("t", "r", "s", "w"):
-            object.__setattr__(self, name, _carrier(getattr(self, name)))
-        cs = (self.t, self.r, self.s, self.w)
+    def __init__(self, t: ScalarLike, r: ScalarLike, s: ScalarLike, w: ScalarLike):
+        cs = (_carrier(t), _carrier(r), _carrier(s), _carrier(w))
         if any(c < 0 or c > 1 for c in cs):
             raise InvalidCombination("coefficients must lie in [0, 1]")
         if max(cs) != 1:
             raise InvalidCombination("maximum coefficient must be exactly 1")
+        for name, c in zip(self.__slots__, cs):
+            setfield(self, name, c)
 
     def as_tuple(self) -> tuple:
         return (self.t, self.r, self.s, self.w)

@@ -21,10 +21,10 @@ the plain enumeration would find first, and NotFound remains advisory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from ._certify import FREE, SEARCH_STAGES, Certifier, magnitudes, ratio
+from ._record import Record, setfield
 from .errors import (
     MAX_GRID,
     MAX_GRID_UNIT,
@@ -66,19 +66,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LineForm:
+class LineForm(Record):
     """Exact line/hyperplane equation: lower smile ≤ constant ≤ upper smile."""
 
-    coeffs: Vec
-    constant: ScalarQ
+    __slots__ = ("coeffs", "constant")
     orientation: ClassVar[str] = (
         "lower_form(coeffs, z) <= constant <= upper_form(coeffs, z)"
     )
 
+    def __init__(self, coeffs: Vec, constant: ScalarQ):
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "constant", constant)
 
-@dataclass(frozen=True)
-class HalfLine:
+
+class HalfLine(Record):
     """Points offset + t·direction for t ≥ t_min (supports are disjoint);
     ``point`` and ``certificate`` raise ``InvalidCoefficients`` below t_min.
 
@@ -86,10 +87,13 @@ class HalfLine:
     fixing which certificate pattern reproduces point(t) from (x, y).
     """
 
-    offset: Vec
-    direction: Vec
+    __slots__ = ("offset", "direction", "sense")
     t_min: ClassVar[ScalarQ] = ONE
-    sense: int = 1
+
+    def __init__(self, offset: Vec, direction: Vec, sense: int = 1):
+        setfield(self, "offset", offset)
+        setfield(self, "direction", direction)
+        setfield(self, "sense", sense)
 
     def _param(self, t: ScalarLike) -> ScalarQ:
         t = _carrier(t)
@@ -109,12 +113,14 @@ class HalfLine:
         return (-t, ZERO, ONE, t)
 
 
-@dataclass(frozen=True)
-class LineMembership:
+class LineMembership(Record):
     """Outcome of the nD membership search; NotFound is advisory only."""
 
-    found: bool
-    certificate: tuple | None = None
+    __slots__ = ("found", "certificate")
+
+    def __init__(self, found: bool, certificate: tuple | None = None):
+        setfield(self, "found", found)
+        setfield(self, "certificate", certificate)
 
     def __bool__(self) -> bool:
         return self.found
@@ -162,7 +168,10 @@ def hyperplane_form(points: Sequence[Sequence[ScalarLike]]) -> LineForm:
         raise DimensionMismatch("no points")
     for p in pts:
         if len(p) != n:
-            raise DimensionMismatch(f"need {n} points of dimension {n}")
+            raise DimensionMismatch(
+                f"got {n} point(s) with one of dimension {len(p)}; "
+                "a hyperplane form needs n points of dimension n"
+            )
     rows = [tuple(p[i] for p in pts) for i in range(n)]
     constant = det_infty(rows)
     if constant == 0:

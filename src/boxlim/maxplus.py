@@ -11,10 +11,10 @@ dequantization helpers, since e^a is irrational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record, setfield
 from .errors import (
     MAX_EMBED_BITS,
     DimensionMismatch,
@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
 )
 from .linalg import PseudoFieldOps, SymmetricSpaceOps
-from .scalars import ZERO, ScalarLike, ScalarQ, _carrier, q
+from .scalars import ZERO, ScalarLike, _carrier, q
 
 __all__ = [
     "MSym",
@@ -51,18 +51,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MSym:
+class MSym(Record):
     """Zero (sign 0) or Signed(±, logmag) with exact rational logmag."""
 
-    sign: int
-    logmag: ScalarQ = ZERO
+    __slots__ = ("sign", "logmag")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
-        lm = ZERO if self.sign == 0 else _carrier(self.logmag)
-        object.__setattr__(self, "logmag", lm)
+    def __init__(self, sign: int, logmag: ScalarLike = ZERO):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0, or +1, got {sign}")
+        setfield(self, "sign", sign)
+        setfield(self, "logmag", ZERO if sign == 0 else _carrier(logmag))
 
     def __bool__(self) -> bool:
         return self.sign != 0

@@ -9,9 +9,9 @@ is pinned exactly to the center value, every other coordinate is free within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._record import Record, setfield
 from .errors import DimensionMismatch, NegativeRadius
 from .scalars import ScalarLike, ScalarQ, ZERO, _as_exact, _carrier
 from .linalg import Vec, _vecs, vec
@@ -39,27 +39,38 @@ def dist_boxplus(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
     return best
 
 
-@dataclass(frozen=True)
-class Fixed:
+class Fixed(Record):
     """Ball coordinate pinned exactly to the center value."""
 
-    value: ScalarQ
+    __slots__ = ("value",)
+
+    def __init__(self, value: ScalarQ):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(Record):
     """Ball coordinate free within [−bound, bound]; bound equals the radius."""
 
-    bound: ScalarQ
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: ScalarQ):
+        setfield(self, "bound", bound)
 
 
-@dataclass(frozen=True)
-class BallDescriptor:
+class BallDescriptor(Record):
     """Exact coordinatewise description of a closed ball of d⊞."""
 
-    center: Vec
-    radius: ScalarQ
-    coords: tuple  # per-coordinate Fixed(value) | Free(bound)
+    __slots__ = ("center", "radius", "coords")
+
+    def __init__(
+        self,
+        center: Vec,
+        radius: ScalarQ,
+        coords: tuple,  # per-coordinate Fixed(value) | Free(bound)
+    ):
+        setfield(self, "center", center)
+        setfield(self, "radius", radius)
+        setfield(self, "coords", coords)
 
 
 def ball_describe(x: Sequence[ScalarLike], alpha: ScalarLike) -> BallDescriptor:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
@@ -21,6 +20,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from ._record import Record, setfield
 from .cplane import (
     cconj,
     cmod_infty,
@@ -116,15 +116,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one verification suite."""
 
-    name: str
-    passed: bool
-    samples: int
-    detail: str
-    elapsed: float
+    __slots__ = ("name", "passed", "samples", "detail", "elapsed")
+
+    def __init__(
+        self, name: str, passed: bool, samples: int, detail: str, elapsed: float
+    ):
+        setfield(self, "name", name)
+        setfield(self, "passed", passed)
+        setfield(self, "samples", samples)
+        setfield(self, "detail", detail)
+        setfield(self, "elapsed", elapsed)
 
     def __bool__(self) -> bool:
         return self.passed

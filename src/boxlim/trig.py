@@ -9,9 +9,9 @@ cosine and sine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, setfield
 from .errors import (
     DimensionMismatch,
     NotOnUnitSquare,
@@ -61,13 +61,15 @@ def is_f_right_angled(
     return inner3_limit(x, y, z) == 0
 
 
-@dataclass(frozen=True)
-class OrthogonalPartition:
+class OrthogonalPartition(Record):
     """Index pairs (1-based) whose products cancel exactly, plus at most one
     leftover index whose product is 0."""
 
-    pairs: tuple
-    leftover: int | None = None
+    __slots__ = ("pairs", "leftover")
+
+    def __init__(self, pairs: tuple, leftover: int | None = None):
+        setfield(self, "pairs", pairs)
+        setfield(self, "leftover", leftover)
 
 
 def orthogonal_pairing(
@@ -178,14 +180,13 @@ def sin_infty(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
 # the unit-square angle coordinate
 
 
-@dataclass(frozen=True)
-class AngleParam:
+class AngleParam(Record):
     """Angle coordinate on the unit-square boundary, reduced into [0, 8)."""
 
-    theta: ScalarQ
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _reduce8(self.theta))
+    def __init__(self, theta: ScalarLike):
+        setfield(self, "theta", _reduce8(theta))
 
 
 def _reduce8(theta: ScalarLike) -> ScalarQ:

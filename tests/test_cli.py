@@ -130,6 +130,29 @@ def test_complex_literals_of_three_parts_exit_one_with_json(capsys, argv):
                                "detail": "expected a complex number 're,im'"}
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("--boxplus", "1,2,3"), "--boxplus 'a,b'"),
+    (("--boxplus", "1"), "--boxplus 'a,b'"),
+    (("--boxminus", "1,2,3"), "--boxminus 'a,b'"),
+    (("--inner", "1,2"), "--inner 'x;y'"),
+    (("--inner", "1,2;3,4;5,6"), "--inner 'x;y'"),
+])
+def test_eval_pairs_of_the_wrong_length_name_the_expected_input(capsys, argv, expected):
+    code, out, err = run(capsys, "eval", *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "detail": f"expected {expected}"}
+
+
+def test_line_equation_names_the_point_count_and_the_dimension_found(capsys):
+    code, out, err = run(capsys, "line", "equation", "--points", "1,2")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "DimensionMismatch",
+        "detail": "got 1 point(s) with one of dimension 2; "
+        "a hyperplane form needs n points of dimension n",
+    }
+
+
 def test_maxplus_literals(capsys):
     code, out, _ = run(capsys, "maxplus", "--add", "3/2,3/2+ipi")
     assert json.loads(out) == "-inf"

@@ -49,7 +49,7 @@ from boxlim import (
 )
 from boxlim.deform import p_matvec
 from boxlim.errors import DegeneratePair, DimensionMismatch
-from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, _level_tally
+from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, PseudoFieldOps, _level_tally
 from boxlim.lines import line_grid_probe
 from boxlim.metric import f_limit_check
 from boxlim.sampling import Sampler, det_gap_ok, gap_ok
@@ -450,9 +450,10 @@ def test_real_symmetric_space_axioms_hold():
 def test_axiom_report_captures_a_failure():
     sample = [(q(1), q(1), q(1))]
     # sabotage the sum (1 + 1 = 2 ≠ 1) to exercise the failure path
-    from dataclasses import replace
-
-    broken = replace(REAL_PSEUDO_FIELD, add=lambda a, b: a + b)
+    f = REAL_PSEUDO_FIELD
+    broken = PseudoFieldOps(
+        f.name, lambda a, b: a + b, f.mul, f.neg, f.inv, f.zero, f.one
+    )
     report = check_pseudo_field_axioms(sample, broken)
     assert not report.passed
     assert report.failed_axiom == "add-idempotent"

@@ -25,6 +25,7 @@ from boxlim import (
 from boxlim.errors import (
     DegenerateConfiguration,
     DegeneratePair,
+    DimensionMismatch,
     InvalidCoefficients,
     NotParallel,
     TooLarge,
@@ -382,6 +383,22 @@ def test_hyperplane_form_through_three_points():
     assert len(f.coeffs) == 3
     for p in pts:
         assert lower_form(f.coeffs, p) <= f.constant <= upper_form(f.coeffs, p)
+
+
+@pytest.mark.parametrize("points, given, dim", [
+    ([(1, 2)], 1, 2),
+    ([(1, 2), (3, 4), (5, 6)], 3, 2),
+    ([(1, 2), (3, 4, 5)], 2, 3),
+])
+def test_hyperplane_form_names_the_point_count_and_the_dimension_found(
+    points, given, dim
+):
+    with pytest.raises(DimensionMismatch) as exc:
+        hyperplane_form(points)
+    assert str(exc.value) == (
+        f"got {given} point(s) with one of dimension {dim}; "
+        "a hyperplane form needs n points of dimension n"
+    )
 
 
 def test_hyperplane_form_rejects_degenerate_configurations():

@@ -155,6 +155,37 @@ def test_every_module_level_import_is_used():
         assert imported <= used | exported, (path.name, sorted(imported - used - exported))
 
 
+def test_no_module_imports_dataclasses():
+    # the value types share boxlim._record; `import dataclasses` would cost
+    # every CLI call about 9 ms, most of it `inspect`
+    found = []
+    for path in sorted((SRC / "boxlim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            if "dataclasses" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_cli_and_its_handler_modules_load_neither_dataclasses_nor_inspect():
+    # compared with the modules loaded before, so that a site hook that
+    # loads them does not count
+    added = json.loads(_python(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import boxlim.cli, boxlim.metric, boxlim.hull, boxlim.lines, boxlim.trig\n"
+        "import boxlim.cplane, boxlim.maxplus\n"
+        "added = set(sys.modules) - before\n"
+        "print(json.dumps(sorted(added & {'dataclasses', 'inspect'})))"
+    ))
+    assert added == []
+
+
 def _test_calls(name: str):
     """(file, line, call) for each call of ``name`` or ``<anything>.name``
     in the test files."""

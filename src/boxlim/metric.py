@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 from ._record import Record, setfield
 from .errors import DimensionMismatch, NegativeRadius
-from .scalars import ScalarLike, ScalarQ, ZERO, _as_exact, _carrier
+from .scalars import ScalarLike, ScalarQ, ZERO, _Q, _as_exact, _carrier, _from_pair, _pair
 from .linalg import Vec, _vecs, vec
 
 __all__ = [
@@ -28,15 +28,39 @@ __all__ = [
 
 
 def dist_boxplus(x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> ScalarQ:
-    """Limit distance: the dominant disagreeing magnitude (an ultrametric)."""
-    xv, yv = _vecs(x, y)
-    best = ZERO
-    for a, b in zip(xv, yv):
-        if a != b:
-            m = max(abs(a), abs(b))  # = |a ⊟ b| whenever a ≠ b
-            if m > best:
-                best = m
-    return best
+    """Limit distance: the dominant disagreeing magnitude (an ultrametric).
+
+    Every entry is read in place as its canonical pair; the result is the
+    one carrier built, unless it is a nonnegative carrier entry itself.
+    """
+    xs, ys = _entries(x), _entries(y)
+    if len(xs) != len(ys):
+        raise DimensionMismatch(f"dim {len(xs)} vs {len(ys)}")
+    best, best_m, best_d = None, 0, 1
+    for a, b in zip(xs, ys):
+        na, da = _pair(a)
+        nb, db = _pair(b)
+        if na != nb or da != db:
+            # max(|a|, |b|) = |a ⊟ b| whenever a ≠ b
+            if na < 0:
+                na = -na
+            if nb < 0:
+                nb = -nb
+            if nb * da > na * db:
+                a, na, da = b, nb, db
+            if na * best_d > best_m * da:
+                best, best_m, best_d = a, na, da
+    if best is None:
+        return ZERO
+    if type(best) is _Q and best.numerator == best_m:
+        return best
+    return _from_pair(best_m, best_d)
+
+
+def _entries(x: str | Sequence[ScalarLike]) -> Sequence[ScalarLike]:
+    """The entries of a vector input, unconverted; a literal like "3,-1/2"
+    goes through ``vec``."""
+    return vec(x) if isinstance(x, str) else tuple(x)
 
 
 class Fixed(Record):
@@ -89,17 +113,18 @@ def ball_describe(x: Sequence[ScalarLike], alpha: ScalarLike) -> BallDescriptor:
 
 
 def ball_contains(b: BallDescriptor, z: Sequence[ScalarLike]) -> bool:
-    """Exact membership of z per the descriptor."""
-    zv = vec(z)
-    if len(zv) != len(b.coords):
-        raise DimensionMismatch(f"dim {len(zv)} vs {len(b.coords)}")
-    for tag, v in zip(b.coords, zv):
+    """Exact membership of z per the descriptor; z is read in place."""
+    # every entry is read first, so that a bad one raises even after a miss
+    zs = [_pair(v) for v in _entries(z)]
+    if len(zs) != len(b.coords):
+        raise DimensionMismatch(f"dim {len(zs)} vs {len(b.coords)}")
+    for tag, (n, d) in zip(b.coords, zs):
         if isinstance(tag, Fixed):
-            if v != tag.value:
+            v = tag.value
+            if n != v.numerator or d != v.denominator:
                 return False
-        else:
-            if abs(v) > tag.bound:
-                return False
+        elif (n if n >= 0 else -n) * tag.bound.denominator > tag.bound.numerator * d:
+            return False
     return True
 
 

@@ -11,11 +11,12 @@ All scalars are exact rationals.  Magnitude ties decide results, so floating
 point would silently corrupt them; floats are rejected at the boundary.  The
 carrier is gmpy2's ``mpq`` when gmpy2 is installed, otherwise ``QFraction``
 below.  One rule serves both: ``q`` returns a ``fractions.Fraction`` as it
-is, and every operation converts a ``Fraction`` to the carrier on the way in
-(``_carrier``), so every result is the carrier under either one.  The kernel
-(``boxplus``, Ϝ, the smiles) compares magnitudes as |n_a|·d_b against
-|n_b|·d_a and reads only ``.numerator`` and ``.denominator``, so the same
-code serves every carrier.
+is; a ``Fraction`` is read in place, and only the returned value is a new
+carrier, so every result is the carrier under either one.  The kernel
+(``boxplus``, Ϝ, the smiles, the symmetric forms) reads each input as its
+canonical pair (``_pair``), compares magnitudes as |n_a|·d_b against
+|n_b|·d_a, and returns a carrier input as it is or builds the result from
+its pair (``_from_pair``), so the same code serves every carrier.
 """
 
 from __future__ import annotations
@@ -334,8 +335,8 @@ def q(value: ScalarLike, den: int | None = None) -> ScalarQ:
     Accepts rationals, ints, ``fractions.Fraction``, and strings: ``"7"``,
     ``"3/4"``, ``"-0.25"``, ``"1e-3"`` (finite decimals convert exactly).
     ``q(p, q)`` builds a quotient directly.  Floats are rejected — ties must
-    be exact.  A ``Fraction`` comes back as it is; the operations convert it
-    to the carrier on the way in.  A literal whose exponent has a larger
+    be exact.  A ``Fraction`` comes back as it is; the operations read it in
+    place and return the carrier.  A literal whose exponent has a larger
     magnitude than Python's int/str digit limit (4300 by default) raises
     ``TooLarge`` before any power of ten is built.
     """
@@ -359,7 +360,8 @@ def q(value: ScalarLike, den: int | None = None) -> ScalarQ:
 
 
 def _carrier(v: ScalarLike) -> ScalarQ:
-    """The carrier for an operation's scalar input.
+    """The carrier for a scalar that is stored: a vector entry or a field of
+    a value type.  The kernel operations read their inputs with ``_pair``.
 
     A carrier is returned as it is, a ``Fraction`` (already in lowest terms)
     is rebuilt from its pair without a gcd, and anything else goes through
@@ -370,6 +372,24 @@ def _carrier(v: ScalarLike) -> ScalarQ:
     if isinstance(v, Fraction):
         return _from_pair(v._numerator, v._denominator)
     return q(v)
+
+
+def _pair(v: ScalarLike) -> tuple:
+    """The canonical ``(numerator, denominator)`` of a scalar input, read in
+    place: no carrier is built for a carrier or a ``Fraction``.
+
+    The carrier is tested first; a ``Fraction`` is read through its slots,
+    which every ``Fraction`` has under either carrier; anything else goes
+    through ``q``, so a float, a bad string or an oversized literal raises as
+    it does there.  The hot loops below test ``type(v) is _Q`` themselves
+    and call this only for other inputs.
+    """
+    if type(v) is _Q:
+        return v.numerator, v.denominator
+    if isinstance(v, Fraction):
+        return v._numerator, v._denominator
+    v = q(v)
+    return v.numerator, v.denominator
 
 
 def _as_exact(value: Union[ScalarLike, float]) -> ScalarQ:
@@ -392,26 +412,40 @@ def boxplus(a: ScalarLike, b: ScalarLike) -> ScalarQ:
     Exact ties: ``a ⊞ a = a`` and ``a ⊞ (−a) = 0`` (the midpoint rule for
     ``|a| = |b|`` has no other cases over an ordered field).
     """
-    if type(a) is not _Q:
-        a = _carrier(a)
-    if type(b) is not _Q:
-        b = _carrier(b)
+    if type(a) is _Q:
+        na = a.numerator
+        da = a.denominator
+    else:
+        na, da = _pair(a)
+    if type(b) is _Q:
+        nb = b.numerator
+        db = b.denominator
+    else:
+        nb, db = _pair(b)
     # magnitudes |n_a|/d_a against |n_b|/d_b, cross-multiplied over integers
-    na = a.numerator
-    nb = b.numerator
-    ma = (na if na >= 0 else -na) * b.denominator
-    mb = (nb if nb >= 0 else -nb) * a.denominator
-    if ma > mb:
-        return a
+    ma = (na if na >= 0 else -na) * db
+    mb = (nb if nb >= 0 else -nb) * da
     if mb > ma:
-        return b
-    # equal magnitudes of canonical pairs: equal denominators, so a = b or a = -b
-    return a if na == nb else ZERO
+        return b if type(b) is _Q else _from_pair(nb, db)
+    # a survives a larger magnitude, or a tie with b = a (equal magnitudes of
+    # canonical pairs have equal denominators, so a = b or a = -b)
+    if ma > mb or na == nb:
+        return a if type(a) is _Q else _from_pair(na, da)
+    return ZERO
 
 
 def boxminus(a: ScalarLike, b: ScalarLike) -> ScalarQ:
     """Limit difference ``a ⊟ b = a ⊞ (−b)``; zero iff ``a = b``."""
-    return boxplus(a, -_carrier(b))
+    na, da = _pair(a)
+    nb, db = _pair(b)
+    ma = (na if na >= 0 else -na) * db
+    mb = (nb if nb >= 0 else -nb) * da
+    if mb > ma:
+        return _from_pair(-nb, db)
+    # a survives a larger magnitude, or a tie with -b = a
+    if ma > mb or na != nb:
+        return a if type(a) is _Q else _from_pair(na, da)
+    return ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +472,13 @@ def _coerce_indexed(
     x: Sequence[ScalarLike],
     index_set: Iterable[int] | None,
 ) -> tuple[tuple, tuple[int, ...]]:
-    """Normalize input to (values, sorted 1-based positions)."""
-    vals = tuple(_carrier(v) for v in x)
+    """Normalize input to (values, sorted 1-based positions).
+
+    Each value goes through ``q``, which returns a carrier or a ``Fraction``
+    as it is, so ``==`` and ``.numerator``/``.denominator`` work on all of
+    them.
+    """
+    vals = tuple(map(q, x))
     if index_set is None:
         return vals, tuple(range(1, len(vals) + 1))
     return vals, tuple(sorted(_positions(index_set, len(vals))))
@@ -491,8 +530,8 @@ def residual_index_set(
     return frozenset(out)
 
 
-def _nary(vals: Sequence) -> ScalarQ:
-    """Ϝ over a sequence of already-coerced rationals (hot path, no bookkeeping).
+def _nary(vals: Sequence[ScalarLike]) -> ScalarQ:
+    """Ϝ over a sequence of scalar inputs (hot path, no bookkeeping).
 
     Magnitudes are compared as |n_a|·d_b against |n_b|·d_a over integers.
     One pass finds the top magnitude and its signed count; that decides the
@@ -500,29 +539,34 @@ def _nary(vals: Sequence) -> ScalarQ:
     second pass tally every magnitude.
     """
     top = None
-    top_m, top_d, top_net = 0, 1, 0
+    top_n, top_m, top_d, top_net = 0, 0, 1, 0
     for v in vals:
-        n = v.numerator
-        if n:
+        if type(v) is _Q:
+            n = v.numerator
             d = v.denominator
+        else:
+            n, d = _pair(v)
+        if n:
             m = n if n > 0 else -n
             x = m * top_d
             y = top_m * d
             if x > y:
-                top, top_m, top_d, top_net = v, m, d, (1 if n > 0 else -1)
+                top, top_n, top_m, top_d, top_net = v, n, m, d, (1 if n > 0 else -1)
             elif x == y:
                 top_net += 1 if n > 0 else -1
     if top_net:
-        return top if (top_net > 0) == (top.numerator > 0) else -top
-    if top is None:
+        if (top_net > 0) == (top_n > 0):
+            return top if type(top) is _Q else _from_pair(top_n, top_d)
+        return _from_pair(-top_n, top_d)
+    if not top_m:
         return ZERO
     return _nary_tally(vals)
 
 
-def _nary_tally(vals: Sequence) -> ScalarQ:
+def _nary_tally(vals: Sequence[ScalarLike]) -> ScalarQ:
     """Ϝ from the signed counts of every magnitude."""
     top_n, top_d, top_net = 0, 1, 0
-    for (n, d), c in _net_by_magnitude(vals).items():
+    for (n, d), c in _net_by_magnitude(map(q, vals)).items():
         if c and n * top_d > top_n * d:
             top_n, top_d, top_net = n, d, c
     if not top_net:
@@ -541,7 +585,7 @@ def nary_boxplus(
     is nothing to evaluate.
     """
     if index_set is None:
-        vals = [v if type(v) is _Q else _carrier(v) for v in x]
+        vals = tuple(x)
     else:
         values, pos = _coerce_indexed(x, index_set)
         vals = [values[j - 1] for j in pos]
@@ -556,20 +600,23 @@ def nary_boxplus(
 
 def _smile(values: Sequence[ScalarLike], lower: bool) -> ScalarQ:
     """The value of maximal magnitude; on a tie ±m, ``lower`` picks the sign."""
-    best, best_m, best_d = None, 0, 1
+    best, best_n, best_m, best_d = None, 0, 0, 1
     for v in values:
-        if type(v) is not _Q:
-            v = _carrier(v)
-        n = v.numerator
-        d = v.denominator
+        if type(v) is _Q:
+            n = v.numerator
+            d = v.denominator
+        else:
+            n, d = _pair(v)
         m = n if n >= 0 else -n
         x = m * best_d
         y = best_m * d
         if x > y or (x == y and (n < 0 if lower else n > 0)) or best is None:
-            best, best_m, best_d = v, m, d
+            best, best_n, best_m, best_d = v, n, m, d
     if best is None:
         raise EmptyList("smile of an empty list")
-    return best if best_m else ZERO
+    if not best_m:
+        return ZERO
+    return best if type(best) is _Q else _from_pair(best_n, best_d)
 
 
 def smile_minus(values: Sequence[ScalarLike]) -> ScalarQ:
@@ -587,11 +634,18 @@ def smile_plus(values: Sequence[ScalarLike]) -> ScalarQ:
 
 
 def _products(a: Sequence[ScalarLike], x: Sequence[ScalarLike]) -> list:
-    av = [v if type(v) is _Q else _carrier(v) for v in a]
-    xv = [v if type(v) is _Q else _carrier(v) for v in x]
+    """The products a_i·x_i, one carrier each, multiplied on the pairs."""
+    av = [_pair(v) for v in a]
+    xv = [_pair(v) for v in x]
     if len(av) != len(xv):
         raise DimensionMismatch(f"coefficients dim {len(av)} vs vector dim {len(xv)}")
-    return [u * v for u, v in zip(av, xv)]
+    out = []
+    for (na, da), (nb, db) in zip(av, xv):
+        # cross-cancel first: the product of canonical pairs is then canonical
+        g1 = gcd(na, db)
+        g2 = gcd(nb, da)
+        out.append(_from_pair((na // g1) * (nb // g2), (da // g2) * (db // g1)))
+    return out
 
 
 def lower_form(a: Sequence[ScalarLike], x: Sequence[ScalarLike]) -> ScalarQ:

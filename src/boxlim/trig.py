@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import Vec, _integer_rows, _vecs, det_infty, inner_infty, norm_infty, vec
 from .metric import dist_boxplus
-from .scalars import ONE, ScalarLike, ScalarQ, _carrier, _from_pair, _nary
+from .scalars import ONE, ScalarLike, ScalarQ, _Q, _carrier, _from_pair, _nary, _pair
 
 __all__ = [
     "AngleParam",
@@ -192,11 +192,9 @@ class AngleParam(Record):
 def _reduce8(theta: ScalarLike) -> ScalarQ:
     """θ − 8·⌊θ/8⌋ over the integers: for θ = n/d, n mod 8d over d, which
     needs no gcd because gcd(n mod 8d, d) = gcd(n, d) = 1."""
-    t = _carrier(theta)
-    n = t.numerator
-    d = t.denominator
+    n, d = _pair(theta)
     r = n % (8 * d)
-    return t if r == n else _from_pair(r, d)
+    return theta if r == n and type(theta) is _Q else _from_pair(r, d)
 
 
 def pcos(theta: ScalarLike) -> ScalarQ:

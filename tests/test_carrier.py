@@ -1,8 +1,11 @@
 """One carrier at every scalar entry point: plain Fractions in, carrier results out.
 
-``q`` returns a ``fractions.Fraction`` as it is; every operation converts it
-on the way in.  Each entry point below is run twice, on plain Fractions and
-on the same values as carriers, and must give carrier results that are equal.
+``q`` returns a ``fractions.Fraction`` as it is; an operation reads it in
+place, and only the returned value is a new carrier.  Each entry point below
+is run twice, on plain Fractions and on the same values as carriers, and must
+give carrier results that are equal.  Every input is still checked, also one
+that cannot decide the result, and a carrier input that is the result comes
+back as the same object.
 """
 
 from fractions import Fraction
@@ -12,13 +15,16 @@ from hypothesis import given, strategies as st
 
 import strategies
 from boxlim import (
+    AngleParam,
     alpha,
     alpha_inv,
+    ball_contains,
     ball_describe,
     boxminus,
     boxplus,
     cplx,
     ctimes,
+    dist_boxplus,
     from_polar,
     lower_form,
     mp_otimes,
@@ -31,6 +37,7 @@ from boxlim import (
     upper_form,
     vec,
 )
+from boxlim.errors import DimensionMismatch
 from boxlim.scalars import ScalarQ
 
 fractions_ = strategies.rationals(-9, 9, 7)
@@ -68,6 +75,7 @@ ENTRY_POINTS = {
     "alpha_inv": lambda a, b, c: list(alpha_inv(a)),
     "from_polar": lambda a, b, c: [from_polar(b, a).re, from_polar(b, a).im],
     "ball_describe": lambda a, b, c: [ball_describe((a, b), abs(c)).radius],
+    "dist_boxplus": lambda a, b, c: [dist_boxplus((a, b), (b, c)), dist_boxplus((a, c), (-a, c))],
 }
 
 
@@ -80,3 +88,48 @@ def test_fraction_inputs_give_carrier_results(name, abc):
     assert all(type(v) is ScalarQ for v in from_fractions)
     assert all(type(v) is ScalarQ for v in from_carriers)
     assert from_fractions == from_carriers
+
+
+FIVE = ScalarQ(5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: boxplus(Fraction(3), 0.0),
+    lambda: boxminus(0.5, Fraction(3)),
+    lambda: nary_boxplus((Fraction(3), 0.0)),
+    lambda: nary_boxplus((Fraction(3), 0.0), index_set={1}),
+    lambda: smile_minus((Fraction(3), 0.0)),
+    lambda: smile_plus((0.0, Fraction(3))),
+    lambda: lower_form((Fraction(1), 0.5), (Fraction(1), Fraction(1))),
+    lambda: upper_form((Fraction(1), Fraction(1)), (Fraction(1), 0.5)),
+    lambda: dist_boxplus((0.5, 1), (0.5, 2)),
+    lambda: dist_boxplus((Fraction(3), Fraction(1)), (Fraction(3), 0.25)),
+    lambda: ball_contains(ball_describe((3, 2), 1), (Fraction(4), 0.0)),
+    lambda: pcos(0.5),
+])
+def test_every_input_is_checked_even_where_it_cannot_decide_the_result(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_dist_boxplus_still_checks_the_dimensions():
+    with pytest.raises(DimensionMismatch):
+        dist_boxplus((Fraction(1), Fraction(2)), (Fraction(1),))
+    with pytest.raises(DimensionMismatch):
+        dist_boxplus((), (Fraction(1),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: boxplus(FIVE, Fraction(1)),
+    lambda: boxplus(Fraction(-1), FIVE),
+    lambda: boxplus(FIVE, Fraction(5)),
+    lambda: boxminus(FIVE, Fraction(-1)),
+    lambda: nary_boxplus((Fraction(1), FIVE, Fraction(-2))),
+    lambda: nary_boxplus((FIVE, Fraction(5), Fraction(-5))),
+    lambda: smile_plus((Fraction(1), FIVE, Fraction(-5))),
+    lambda: smile_minus((Fraction(1), FIVE, Fraction(5), Fraction(-2))),
+    lambda: dist_boxplus((Fraction(1), FIVE), (Fraction(1), Fraction(-2))),
+    lambda: AngleParam(FIVE).theta,
+])
+def test_a_carrier_input_that_is_the_result_comes_back_as_itself(call):
+    assert call() is FIVE

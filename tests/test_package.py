@@ -1,4 +1,5 @@
-"""The lazy package namespace and the import graph of the CLI subcommands."""
+"""The lazy package namespace, the import graph of the CLI subcommands, and
+the package's dependence on its carrier."""
 
 import ast
 import importlib
@@ -236,3 +237,43 @@ def test_every_public_name_is_read_outside_the_tests():
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     read.update(a.name.split(".")[-1] for a in node.names)
     assert sorted(set(boxlim.__all__) - read) == []
+
+
+def test_only_the_scalar_kernel_reads_the_private_fraction_slots():
+    # the pair reader in scalars.py may read Fraction's _numerator and
+    # _denominator slots; every other module reads .numerator/.denominator,
+    # which every carrier has
+    found = []
+    for path in sorted((SRC / "boxlim").glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# a module named gmpy2 whose mpq is fractions.Fraction: the package takes its
+# gmpy2 branch, with a carrier that is not QFraction
+_STAND_IN = (
+    "import fractions, sys, types\n"
+    "gmpy2 = types.ModuleType('gmpy2')\n"
+    "gmpy2.mpq = fractions.Fraction\n"
+    "sys.modules['gmpy2'] = gmpy2\n"
+    "import boxlim.scalars\n"
+    "assert boxlim.scalars.ScalarQ is fractions.Fraction\n"
+    "import pytest\n"
+    "sys.exit(pytest.main(sys.argv[1:]))\n"
+)
+
+
+def test_the_carrier_and_metric_tests_pass_under_a_stand_in_gmpy2():
+    # the pair reader and _from_pair are carrier-generic: a result built by
+    # QFraction's _make would fail the carrier type checks of test_carrier
+    done = subprocess.run(
+        [sys.executable, "-c", _STAND_IN, "-q", "-p", "no:cacheprovider",
+         str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py")],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

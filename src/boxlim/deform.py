@@ -9,6 +9,8 @@ floating point (mpmath), at a working precision that grows with p.  Exact
 cancellations therefore stay exactly zero at every p.  The deformed cosine
 and sine keep that promise too: their ratio of power sums is formed
 exactly, so each takes one root, and an exact ±1 or 0 comes out exact.
+Vector and matrix inputs are read in place; only integer rows are built
+(``linalg._integer_rows``), never a carrier per entry.
 
 Every root is one rounding of an integer quotient and one root at the
 working precision, with the sign set exactly; no mpmath context is entered,
@@ -40,7 +42,7 @@ from .errors import (
     TooLarge,
     ZeroVector,
 )
-from .linalg import _bareiss, _integer_rows, _vecs, mat, vec
+from .linalg import _bareiss, _integer_rows
 from .scalars import ScalarLike, ScalarQ, _as_exact, q
 
 __all__ = [
@@ -125,46 +127,61 @@ def _param(v) -> ScalarQ:
 # deformed scalar/vector operations
 
 
+def _common_rows(x, y) -> tuple[list[int], list[int], int]:
+    """x and y over one common scale f: the integer rows a = f·x and b = f·y,
+    and f.  The dimensions must agree."""
+    (a, b), (fa, fb) = _integer_rows((x, y), same_dim=True)
+    f = math.lcm(fa, fb)
+    if fa != f:
+        a = [s * (f // fa) for s in a]
+    if fb != f:
+        b = [t * (f // fb) for t in b]
+    return a, b, f
+
+
 def p_sum(values: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ x_i^(2p+1))^(1/(2p+1)) — the deformed indexed sum, converging to Ϝ."""
     k, prec = _power(p)
-    vals = vec(values)
-    if not vals:
+    (ints,), (f,) = _integer_rows((values,))
+    if not ints:
         raise EmptyList("deformed sum of an empty list")
-    (ints,), (f,) = _integer_rows([vals])
     return _root(sum(a**k for a in ints), f**k, k, prec)
 
 
 def exact_power_sum_is_zero(values: Sequence[ScalarLike], p: int) -> bool:
-    """Exact rational test Σ x_i^(2p+1) = 0 (no floating point involved)."""
+    """Exact test Σ x_i^(2p+1) = 0, as Σ a_i^(2p+1) = 0 on the integer row
+    a = f·x (no floating point involved)."""
     k, _ = _power(p)
-    return sum(v**k for v in vec(values)) == 0
+    (ints,), _ = _integer_rows((values,))
+    return sum(a**k for a in ints) == 0
 
 
 def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ (x_i y_i)^(2p+1))^(1/(2p+1)), converging to the limit inner product."""
     k, prec = _power(p)
-    xv, yv = _vecs(x, y)
-    if not xv:
+    (a, b), (fa, fb) = _integer_rows((x, y), same_dim=True)
+    if not a:
         raise EmptyList("deformed sum of an empty list")
-    (a, b), (fa, fb) = _integer_rows([xv, yv])
-    return _root(sum((s * t) ** k for s, t in zip(a, b)), (fa * fb) ** k, k, prec)
+    return _inner_root(a, b, fa * fb, k, prec)
+
+
+def _inner_root(a: list[int], b: list[int], f: int, k: int, prec: int) -> mpf:
+    """The deformed inner product of a/f_a and b/f_b, with f = f_a·f_b."""
+    return _root(sum((s * t) ** k for s, t in zip(a, b)), f**k, k, prec)
 
 
 def p_norm(x: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ |x_i|^(2(2p+1)))^(1/(2(2p+1))), converging to the Chebyshev norm."""
     k, prec = _power(p)
-    (ints,), (f,) = _integer_rows([vec(x)])
+    (ints,), (f,) = _integer_rows((x,))
     return _root(sum(a ** (2 * k) for a in ints), f ** (2 * k), 2 * k, prec)
 
 
 def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ |x_i^(2p+1) − y_i^(2p+1)|²)^(1/(2(2p+1))), converging to the limit distance."""
     k, prec = _power(p)
-    xv, yv = _vecs(x, y)
     # one common scale f, so that x_i^k − y_i^k = (a_i^k − b_i^k) / f^k
-    (ints,), (f,) = _integer_rows([xv + yv])
-    a, b = ints[: len(xv)], ints[len(xv) :]
+    a, b, f = _common_rows(x, y)
     total = sum((s**k - t**k) ** 2 for s, t in zip(a, b))
     return _root(total, f ** (2 * k), 2 * k, prec)
 
@@ -177,11 +194,10 @@ def p_det(A: Sequence[Sequence[ScalarLike]], p: int) -> mpf:
     Bareiss elimination, O(n³), divided back by the scales.
     """
     k, prec = _power(p)
-    rows = mat(A)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    ints, factors = _integer_rows(A)
+    n = len(ints)
+    if n == 0 or any(len(r) != n for r in ints):
         raise DimensionMismatch("matrix must be square and nonempty")
-    ints, factors = _integer_rows(rows)
     det = _bareiss([[v**k for v in r] for r in ints])
     return _root(det, math.prod(factors) ** k, k, prec)
 
@@ -190,18 +206,20 @@ def p_matvec(
     A: Sequence[Sequence[ScalarLike]], x: Sequence[ScalarLike], p: int
 ) -> tuple:
     """Coordinatewise deformed sum of row products (matrix action at finite p)."""
-    _power(p)
-    xv, *rows = _vecs(x, *A)
-    return tuple(p_inner(row, xv, p) for row in rows)
+    k, prec = _power(p)
+    # x and each row are read once; each row's dimension must be x's
+    (b, *rows), (fb, *factors) = _integer_rows((x, *A), same_dim=True)
+    if rows and not b:
+        raise EmptyList("deformed sum of an empty list")
+    return tuple(_inner_root(a, b, fa * fb, k, prec) for a, fa in zip(rows, factors))
 
 
 def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """Deformed cosine ⟨x,y⟩_p / (‖x‖_p ‖y‖_p), from one root of an exact ratio."""
     k, prec = _power(p)
-    xv, yv = _vecs(x, y)
-    if all(v == 0 for v in xv) or all(v == 0 for v in yv):
+    (a, b), _ = _integer_rows((x, y), same_dim=True)
+    if not any(a) or not any(b):
         raise ZeroVector("deformed cosine needs nonzero vectors")
-    (a, b), _ = _integer_rows([xv, yv])
     return _ratio_root(sum((s * t) ** k for s, t in zip(a, b)), a, b, k, prec)
 
 
@@ -209,12 +227,11 @@ def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """Deformed sine: 2×2 deformed determinant over the norm product (dim 2),
     from one root of an exact ratio."""
     k, prec = _power(p)
-    xv, yv = _vecs(x, y)
-    if len(xv) != 2:
+    (a, b), _ = _integer_rows((x, y), same_dim=True)
+    if len(a) != 2:
         raise DimensionMismatch("deformed sine is defined in dimension 2")
-    if all(v == 0 for v in xv) or all(v == 0 for v in yv):
+    if not any(a) or not any(b):
         raise ZeroVector("deformed sine needs nonzero vectors")
-    (a, b), _ = _integer_rows([xv, yv])
     return _ratio_root((a[0] * b[1]) ** k - (b[0] * a[1]) ** k, a, b, k, prec)
 
 
@@ -260,11 +277,9 @@ def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple:
     # φ_p^{-1}(s^k x_i^k + (1 − s^k) y_i^k) per coordinate, k = 2p+1: with
     # s = n/d and one common scale f taking x, y to integers a, b, the root
     # of (n^k a_i^k + (d^k − n^k) b_i^k) / (d^k f^k)
-    xv, yv = _vecs(x, y)
-    if xv == yv:
+    a, b, f = _common_rows(x, y)
+    if a == b:
         raise DegeneratePair(f"{what} sampling needs two distinct points")
-    (ints,), (f,) = _integer_rows([xv + yv])
-    a, b = ints[: len(xv)], ints[len(xv) :]
     nk, dk = s.numerator**k, s.denominator**k
     return tuple(
         _root(nk * u**k + (dk - nk) * v**k, dk * f**k, k, prec)

@@ -20,8 +20,10 @@ from .scalars import (
     ZERO,
     ScalarLike,
     ScalarQ,
+    _Q,
     _carrier,
     _nary,
+    _pair,
     boxplus,
     q,
 )
@@ -132,8 +134,14 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
     pairwise fold.  Guarded at n ≤ 8.  ``DET_PATHS`` counts which path
     decided each answer.
     """
-    rows = mat(A)
+    rows = tuple(A)
     n = len(rows)
+    # n ≤ 2 is decided on carriers; for n ≥ 3 the entries are read in place
+    if n > 2:
+        ints, factors = _integer_rows(rows)
+        rows = ints
+    else:
+        rows = mat(rows)
     if n == 0:
         raise DimensionMismatch("empty matrix")
     for r in rows:
@@ -146,7 +154,6 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
     if n == 2:
         (a, b), (c, d) = rows
         return boxplus(a * d, -(b * c))
-    ints, factors = _integer_rows(rows)
     steps = _subset_steps(n)
     mags = [0] * (1 << n)  # largest product magnitude per column set
     nets = [0] * (1 << n)  # signed count of the products at that magnitude
@@ -241,10 +248,31 @@ def _level_tally(ints: list[list[int]]) -> dict[int, int]:
     return tallies[-1]
 
 
-def _integer_rows(rows: Mat) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators: the integer rows and the factors."""
-    factors = [math.lcm(*(v.denominator for v in r)) for r in rows]
-    ints = [[v.numerator * (f // v.denominator) for v in r] for r, f in zip(rows, factors)]
+def _integer_rows(
+    rows: Iterable, same_dim: bool = False
+) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: the integer rows and the factors.
+
+    Vector and matrix inputs are read in place; only integer rows are built.
+    A row is any iterable of scalars, or a comma-separated literal read
+    through ``vec``.  Each entry is read as its canonical pair: the carrier
+    through ``.numerator``/``.denominator``, anything else through
+    ``scalars._pair``, so a float, a bad string or an oversized literal
+    raises as it does in ``vec``.  With ``same_dim``, each row's dimension
+    must equal the first one's, checked as each row is read (as ``_vecs``
+    does).
+    """
+    ints: list[list[int]] = []
+    factors: list[int] = []
+    for r in rows:
+        if isinstance(r, str):
+            r = vec(r)
+        pairs = [(v.numerator, v.denominator) if type(v) is _Q else _pair(v) for v in r]
+        if same_dim and ints and len(pairs) != len(ints[0]):
+            raise DimensionMismatch(f"dim {len(ints[0])} vs {len(pairs)}")
+        f = math.lcm(*[d for _, d in pairs])
+        ints.append([n * (f // d) for n, d in pairs])
+        factors.append(f)
     return ints, factors
 
 

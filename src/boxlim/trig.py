@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import Vec, _integer_rows, _vecs, det_infty, inner_infty, norm_infty, vec
 from .metric import dist_boxplus
-from .scalars import ONE, ScalarLike, ScalarQ, _Q, _carrier, _from_pair, _nary, _pair
+from .scalars import ONE, ScalarLike, ScalarQ, _Q, _from_pair, _nary, _pair
 
 __all__ = [
     "AngleParam",
@@ -199,7 +199,16 @@ def _reduce8(theta: ScalarLike) -> ScalarQ:
 
 def pcos(theta: ScalarLike) -> ScalarQ:
     """Period-8 piecewise-linear cosine of the square."""
-    t = _reduce8(theta)
+    return _cos8(_reduce8(theta))
+
+
+def psin(theta: ScalarLike) -> ScalarQ:
+    """Period-8 piecewise-linear sine of the square."""
+    return _sin8(_reduce8(theta))
+
+
+def _cos8(t: ScalarQ) -> ScalarQ:
+    """``pcos`` of a t already reduced into [0, 8)."""
     if t < 1:
         return ONE
     if t < 3:
@@ -211,9 +220,8 @@ def pcos(theta: ScalarLike) -> ScalarQ:
     return ONE
 
 
-def psin(theta: ScalarLike) -> ScalarQ:
-    """Period-8 piecewise-linear sine of the square."""
-    t = _reduce8(theta)
+def _sin8(t: ScalarQ) -> ScalarQ:
+    """``psin`` of a t already reduced into [0, 8)."""
     if t < 1:
         return t
     if t < 3:
@@ -246,6 +254,6 @@ def alpha(z: Sequence[ScalarLike]) -> AngleParam:
 
 
 def alpha_inv(theta) -> Vec:
-    """Inverse angle map: the boundary point (pcos θ, psin θ)."""
-    t = theta.theta if isinstance(theta, AngleParam) else _carrier(theta)
-    return (pcos(t), psin(t))
+    """Inverse angle map: the boundary point (pcos θ, psin θ), θ reduced once."""
+    t = theta.theta if isinstance(theta, AngleParam) else _reduce8(theta)
+    return (_cos8(t), _sin8(t))

@@ -5,7 +5,9 @@ place, and only the returned value is a new carrier.  Each entry point below
 is run twice, on plain Fractions and on the same values as carriers, and must
 give carrier results that are equal.  Every input is still checked, also one
 that cannot decide the result, and a carrier input that is the result comes
-back as the same object.
+back as the same object.  The finite-p evaluators and the limit
+determinant read vectors and matrices in place, into integer rows: plain
+Fractions, carriers and comma literals give the same bits.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from boxlim import (
     boxplus,
     cplx,
     ctimes,
+    det_infty,
     dist_boxplus,
     from_polar,
     lower_form,
@@ -36,6 +39,19 @@ from boxlim import (
     smile_plus,
     upper_form,
     vec,
+)
+from boxlim.deform import (
+    co_p_sample,
+    exact_power_sum_is_zero,
+    line_p_sample,
+    p_cos,
+    p_det,
+    p_dist,
+    p_inner,
+    p_matvec,
+    p_norm,
+    p_sin,
+    p_sum,
 )
 from boxlim.errors import DimensionMismatch
 from boxlim.scalars import ScalarQ
@@ -76,6 +92,7 @@ ENTRY_POINTS = {
     "from_polar": lambda a, b, c: [from_polar(b, a).re, from_polar(b, a).im],
     "ball_describe": lambda a, b, c: [ball_describe((a, b), abs(c)).radius],
     "dist_boxplus": lambda a, b, c: [dist_boxplus((a, b), (b, c)), dist_boxplus((a, c), (-a, c))],
+    "det_infty": lambda a, b, c: [det_infty(((a, b, c), (c, a, b), (b, -c, a)))],
 }
 
 
@@ -88,6 +105,47 @@ def test_fraction_inputs_give_carrier_results(name, abc):
     assert all(type(v) is ScalarQ for v in from_fractions)
     assert all(type(v) is ScalarQ for v in from_carriers)
     assert from_fractions == from_carriers
+
+
+def _literal(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# each finite-p entry point as a function of three rationals and of the form
+# a vector is passed in (a matrix is passed as a tuple of rows in that form)
+FINITE_P = {
+    "p_sum": lambda a, b, c, form: p_sum(form((a, b, c)), 2),
+    "exact_power_sum_is_zero": lambda a, b, c, form: exact_power_sum_is_zero(form((a, -a, c)), 2),
+    "p_inner": lambda a, b, c, form: p_inner(form((a, b)), form((c, a)), 2),
+    "p_norm": lambda a, b, c, form: p_norm(form((a, b, c)), 2),
+    "p_dist": lambda a, b, c, form: p_dist(form((a, b)), form((b, c)), 2),
+    "p_det": lambda a, b, c, form: p_det((form((a, b, c)), form((c, a, b)), form((b, -c, a))), 2),
+    "p_matvec": lambda a, b, c, form: p_matvec((form((a, b)), form((c, a))), form((b, c)), 2),
+    "p_cos": lambda a, b, c, form: p_cos(form((a, b)), form((c, 1)), 2),
+    "p_sin": lambda a, b, c, form: p_sin(form((a, 1)), form((b, c)), 2),
+    "co_p_sample": lambda a, b, c, form: co_p_sample(form((a, b)), form((c, 1)), 2, Fraction(1, 3)),
+    "line_p_sample": lambda a, b, c, form: line_p_sample(form((a, b)), form((c, 1)), 2, Fraction(-2, 5)),
+}
+
+
+def _outcome(call) -> tuple:
+    """The exact bits of a finite-p result (an mpf, a tuple of them or a
+    bool), or the type and message of what it raised."""
+    try:
+        out = call()
+    except Exception as exc:  # compared across the input forms
+        return ("raised", type(exc), str(exc))
+    return tuple(v._mpf_ for v in out) if isinstance(out, tuple) else getattr(out, "_mpf_", out)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_P))
+@given(abc=triples)
+def test_finite_p_results_do_not_depend_on_the_input_form(name, abc):
+    op = FINITE_P[name]
+    from_fractions = _outcome(lambda: op(*abc, tuple))
+    from_carriers = _outcome(lambda: op(*abc, lambda v: tuple(map(_as_carrier, v))))
+    from_literals = _outcome(lambda: op(*abc, _literal))
+    assert from_fractions == from_carriers == from_literals
 
 
 FIVE = ScalarQ(5)
@@ -106,9 +164,23 @@ FIVE = ScalarQ(5)
     lambda: dist_boxplus((Fraction(3), Fraction(1)), (Fraction(3), 0.25)),
     lambda: ball_contains(ball_describe((3, 2), 1), (Fraction(4), 0.0)),
     lambda: pcos(0.5),
+    lambda: p_sum((Fraction(3), Fraction(0), 0.5), 1),
+    lambda: p_det(((Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0, 0.5)), 1),
+    lambda: det_infty(((Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0, 0.5))),
+    lambda: co_p_sample((Fraction(1), Fraction(2)), (Fraction(3), 0.5), 1, 0),
 ])
 def test_every_input_is_checked_even_where_it_cannot_decide_the_result(call):
     with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: p_det(((Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0)), 1),
+    lambda: det_infty(((Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0))),
+    lambda: det_infty(((Fraction(1), 0, 0), (0, Fraction(1)), (0, 0, Fraction(1)))),
+])
+def test_a_ragged_matrix_is_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
         call()
 
 

@@ -253,6 +253,19 @@ def test_only_the_scalar_kernel_reads_the_private_fraction_slots():
     assert found == []
 
 
+def test_the_finite_p_layer_reads_its_inputs_in_place():
+    # deform reads vectors and matrices through linalg._integer_rows, which
+    # builds the integer rows and no carrier per entry
+    tree = ast.parse((SRC / "boxlim" / "deform.py").read_text(encoding="utf-8"))
+    calls = [
+        f"deform.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("vec", "_vecs", "mat")
+    ]
+    assert calls == []
+
+
 # a module named gmpy2 whose mpq is fractions.Fraction: the package takes its
 # gmpy2 branch, with a carrier that is not QFraction
 _STAND_IN = (

@@ -27,10 +27,22 @@ candidate list and on int masks:
   ``bounded`` entries are the values a slot bounded by 1 may take.
 - **The −v index.**  For each position the table holds the position of −v,
   so a cancelling pair (c, −c) is two positions.
-- **The product table.**  The exact check :meth:`Certifier.matches` takes
-  four positions and reads the products v·x_i and v·y_i from a table filled
-  the first time a position is used, so each product is computed once per
-  search.
+- **The integer product table.**  The exact check :meth:`Certifier.matches`
+  takes four positions and reads the products v·x_i and v·y_i from a table
+  of ints filled the first time a position is used, so each product is
+  computed once per search.  Coordinate i is scaled by L times the lcm of
+  the denominators of x_i, y_i and z_i, with L the lcm of the candidates'
+  denominators, and at that scale every product and z_i are ints; Ϝ
+  commutes with a positive scale.  The scales are built on the search's
+  first exact check, so a search that checks nothing pays nothing for them.
+- **The dominance reject.**  With each row the table keeps the mask of the
+  coordinates where |v·x_i| (or |v·y_i|) exceeds |z_i|.  Every level above
+  |z_i| must cancel, so it holds an even number of the four products: a
+  coordinate that exceeds |z_i| in one or three slots fails, and the XOR of
+  the four masks rejects the quadruple before any coordinate is summed.
+  Otherwise a coordinate that no product exceeds needs more products equal
+  to z_i than to −z_i; at one that two or four exceed, the top level must
+  cancel, and the at most two products below it decide.
 
 The hull search, stage 3 of the line search and the grid probe's shape A
 enumerate quadruples through :meth:`Certifier.first_bounded`: t and s come
@@ -54,10 +66,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .scalars import _nary
 
 SEARCH_STAGES: Counter = Counter()
 
@@ -85,15 +96,16 @@ class Certifier:
     by default) are the values a bounded slot may take."""
 
     __slots__ = (
-        "values", "bounded", "one", "neg", "_need", "_xmask", "_ymask",
+        "values", "bounded", "one", "neg", "_keys", "_need", "_xmask", "_ymask",
         "_force", "_fills", "_stop", "_zv", "_xv", "_yv", "_xprod", "_yprod",
+        "_big", "_xs", "_ys", "_zs", "_zabs", "_bits",
     )
 
     def __init__(self, xv: Sequence, yv: Sequence, zv: Sequence, values: Sequence,
                  bounded: int | None = None):
         self.values = values
         self.bounded = len(values) if bounded is None else bounded
-        keys = [(v.numerator, v.denominator) for v in values]
+        keys = self._keys = [(v.numerator, v.denominator) for v in values]
         at = {k: p for p, k in enumerate(keys)}
         self.one = at.get((1, 1))
         self.neg = [at.get((-n, d)) for n, d in keys]
@@ -133,6 +145,7 @@ class Certifier:
         self._zv, self._xv, self._yv = zv, xv, yv
         self._xprod = [None] * len(values)
         self._yprod = [None] * len(values)
+        self._zs = None
 
     def covers(self, kt: int, kr: int, ks: int, kw: int) -> bool:
         """Whether the quadruple at these positions reproduces every nonzero
@@ -145,22 +158,63 @@ class Certifier:
         t, r, s, w the values at these positions."""
         SEARCH_STAGES["matches"] += 1
         xp, yp = self._xprod, self._yprod
-        t = xp[kt] or self._products(kt, True)
-        r = xp[kr] or self._products(kr, True)
-        s = yp[ks] or self._products(ks, False)
-        w = yp[kw] or self._products(kw, False)
-        for zi, a, b, c, d in zip(self._zv, t, r, s, w):
-            if _nary((a, b, c, d)) != zi:
+        t, mt = xp[kt] or self._products(kt, True)
+        r, mr = xp[kr] or self._products(kr, True)
+        s, ms = yp[ks] or self._products(ks, False)
+        w, mw = yp[kw] or self._products(kw, False)
+        # the levels above |z_i| must cancel, so each needs an even number of
+        # products: a coordinate where one or three exceed |z_i| fails
+        if mt ^ mr ^ ms ^ mw:
+            return False
+        over = mt | mr | ms | mw
+        for zi, a, b, c, d, bit in zip(self._zs, t, r, s, w, self._bits):
+            if over & bit:
+                # the top level lies above |z_i| and must cancel, so it holds
+                # two or four products; the at most two smaller ones decide
+                top = max(a, -a, b, -b, c, -c, d, -d)
+                if ((a == top) - (a == -top) + (b == top) - (b == -top)
+                        + (c == top) - (c == -top) + (d == top) - (d == -top)):
+                    return False
+                a, b = ([v for v in (a, b, c, d) if -top < v < top] + [0, 0])[:2]
+                top = max(a, -a, b, -b)
+                net = (a == top) - (a == -top) + (b == top) - (b == -top)
+                if zi != (top if net > 0 else -top if net else 0):
+                    return False
+            elif zi and ((a == zi) + (b == zi) + (c == zi) + (d == zi)
+                         <= (a == -zi) + (b == -zi) + (c == -zi) + (d == -zi)):
+                # no product exceeds |z_i|: its level needs more z_i than −z_i
                 return False
         return True
 
+    def _scale(self) -> None:
+        # coordinate i scaled by L·lcm of its denominators, L the lcm of the
+        # candidates' denominators: each v·L, x_i, y_i and z_i becomes an int
+        self._big = big = lcm(*[d for _, d in self._keys])
+        xs, ys, zs = [], [], []
+        for x, y, z in zip(self._xv, self._yv, self._zv):
+            xd, yd, zd = x.denominator, y.denominator, z.denominator
+            f = lcm(xd, yd, zd)
+            xs.append(x.numerator * (f // xd))
+            ys.append(y.numerator * (f // yd))
+            zs.append(z.numerator * (f // zd) * big)
+        self._xs, self._ys, self._zs = xs, ys, zs
+        self._zabs = [abs(z) for z in zs]
+        self._bits = [1 << i for i in range(len(zs))]
+
     def _products(self, k: int, on_x: bool) -> tuple:
-        v = self.values[k]
-        if on_x:
-            row = self._xprod[k] = tuple(v * a for a in self._xv)
-        else:
-            row = self._yprod[k] = tuple(v * b for b in self._yv)
-        return row
+        # (the scaled products of the value at k, the mask where they exceed |z_i|)
+        if self._zs is None:
+            self._scale()
+        n, d = self._keys[k]
+        v = n * (self._big // d)
+        row = [v * a for a in (self._xs if on_x else self._ys)]
+        over = 0
+        for bit, p, m in zip(self._bits, row, self._zabs):
+            if p > m or -p > m:
+                over |= bit
+        entry = (row, over)
+        (self._xprod if on_x else self._yprod)[k] = entry
+        return entry
 
     def quad(self, ks: Sequence[int]) -> tuple:
         """The values at four positions."""

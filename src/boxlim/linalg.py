@@ -115,8 +115,8 @@ def norm_infty(x: Sequence[ScalarLike]) -> ScalarQ:
 DET_PATHS: Counter = Counter()
 """Limit determinants with n ≥ 3 decided by each path: ``tight`` (nonzero
 signed count of the top-magnitude permutations), ``cancelled`` (that count
-was 0, so every magnitude was tallied) and ``zero`` (every permutation meets
-a zero entry)."""
+was 0, so the magnitudes were tallied in floored passes down from the top)
+and ``zero`` (every permutation meets a zero entry)."""
 
 
 def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
@@ -128,11 +128,16 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
     first |S| rows it keeps the largest product magnitude M and the signed
     count c of the assignments that reach it.  A nonzero c at the full set
     gives the answer sign(c)·M over the row factors.  Only when c = 0, so
-    that the top level cancels, does a second pass tally every magnitude
-    (``_level_tally``); the answer is then the largest magnitude whose
-    signed count is nonzero, which is Ϝ of all n! products, never a
-    pairwise fold.  Guarded at n ≤ 8.  ``DET_PATHS`` counts which path
-    decided each answer.
+    that the top level cancels, do further passes tally the magnitudes
+    (``_level_tally``), each above a floor: ⌊M/2⌋ + 1, then ⌊M/2⁸⌋ + 1,
+    then 0.  A pass drops every partial product that cannot reach its
+    floor, so the levels it keeps are exact, and the first pass that keeps
+    a level decides.  The floors run only when the ordinary determinant
+    (``_bareiss``) is nonzero, which guarantees a surviving level; when it
+    is zero, one pass with no floor decides.  The answer is the largest
+    magnitude whose signed count is nonzero, which is Ϝ of all n!
+    products, never a pairwise fold.  Guarded at n ≤ 8.  ``DET_PATHS``
+    counts which path decided each answer.
     """
     rows = tuple(A)
     n = len(rows)
@@ -182,9 +187,19 @@ def det_infty(A: Sequence[Sequence[ScalarLike]]) -> ScalarQ:
         DET_PATHS["tight"] += 1
     else:
         DET_PATHS["cancelled"] += 1
-        # the positive row factors scale every product alike, and Ϝ commutes with that
-        tally = _level_tally(ints)
-        if not tally:
+        # The positive row factors scale every product alike, and Ϝ commutes
+        # with that.  Every product is an integer, so nothing lies below a
+        # cancelled 1.  An empty tally would make the determinant,
+        # Σ count·magnitude, zero: when Bareiss finds it nonzero some level
+        # survives, and the floors look for it near the top first; when it
+        # is zero every level may cancel, and one whole pass decides.
+        if top == 1:
+            return ZERO
+        for floor in (top // 2 + 1, (top >> 8) + 1, 0) if _bareiss(ints) else (0,):
+            tally = _level_tally(ints, floor)
+            if tally:
+                break
+        else:
             return ZERO
         top = max(tally)
         net = tally[top]
@@ -200,8 +215,9 @@ def _subset_steps(n: int) -> list:
     ``mask`` holds the columns given to rows 0..row.  Each move (j, prev,
     odd) puts ``row`` on column j, coming from ``prev`` = mask without j;
     ``odd`` is the parity of the columns in ``prev`` above j, the
-    inversions the move adds.  Masks come in increasing order, so every
-    ``prev`` is done before the masks that use it.
+    inversions the move adds.  Masks come row by row, each row's in
+    increasing order, so every ``prev`` is done before the masks that use
+    it.
     """
     steps = _SUBSET_STEPS.get(n)
     if steps is None:
@@ -215,23 +231,40 @@ def _subset_steps(n: int) -> list:
                     if mask >> j & 1
                 ],
             )
-            for mask in range(1, 1 << n)
+            for mask in sorted(range(1, 1 << n), key=int.bit_count)
         ]
     return steps
 
 
-def _level_tally(ints: list[list[int]]) -> dict[int, int]:
+def _level_tally(ints: list[list[int]], floor: int = 0) -> dict[int, int]:
     """{magnitude: signed count} of the nonzero permutation products of a
-    square integer matrix, without the levels that cancel.
+    square integer matrix, without the levels that cancel or lie below
+    ``floor``.
 
     The subset DP of ``det_infty`` with a tally in place of (top, count) per
     mask.  A magnitude whose count is 0 at a mask adds 0 at every mask that
-    extends it, so it is dropped there.
+    extends it, so it is dropped there.  With ``floor`` > 0 a partial
+    product m is dropped too when m times the row maxima |a| of the rows
+    still to assign stays below ``floor``: no product that extends it can
+    reach ``floor``, so every level at or above it stays exact.  Once every
+    mask of a row is empty, so is the tally.
     """
     n = len(ints)
+    # least[i]: the smallest partial product kept once rows 0..i are assigned
+    least = [0] * n
+    if floor:
+        rest = 1
+        for i in range(n - 1, -1, -1):
+            least[i] = -(-floor // rest) if rest else floor
+            rest *= max(map(abs, ints[i]))
     tallies: list = [None] * (1 << n)
     tallies[0] = {1: 1}
+    at, alive = 0, True
     for mask, i, moves in _subset_steps(n):
+        if i != at:
+            if not alive:
+                return {}
+            at, alive = i, False
         row = ints[i]
         tally: dict = {}
         get = tally.get
@@ -244,7 +277,10 @@ def _level_tally(ints: list[list[int]]) -> dict[int, int]:
                 for m, c in before.items():
                     m *= a
                     tally[m] = get(m, 0) + (-c if odd else c)
-        tallies[mask] = {m: c for m, c in tally.items() if c}
+        low = least[i]
+        tally = tallies[mask] = {m: c for m, c in tally.items() if c and m >= low}
+        if tally:
+            alive = True
     return tallies[-1]
 
 

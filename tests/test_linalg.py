@@ -384,6 +384,50 @@ def test_level_tally_is_the_net_count_of_every_product_magnitude(ints):
     assert _level_tally(ints) == {m: c for (m, _), c in net.items() if c}
 
 
+@settings(deadline=None)
+@given(integer_matrices, st.integers(0, 1100))
+def test_level_tally_above_a_floor_is_the_whole_tally_cut_at_the_floor(ints, floor):
+    # entries within ±4 at n ≤ 5: every magnitude is at most 4**5 = 1024
+    net = _net_by_magnitude(signed_products(ints))
+    assert _level_tally(ints, floor) == {m: c for (m, _), c in net.items() if c and m >= floor}
+
+
+# Cancelled top levels decided by each floored pass: the first (⌊M/2⌋ + 1),
+# the second (⌊M/2⁸⌋ + 1), the unfloored third, and the single unfloored pass
+# taken when the ordinary determinant is 0 although a lower level survives.
+FLOORED = (
+    ((0, 1, 60, 60), (-7, 3, -1, 3), (1, 3, 5, 5), (100, -2, 3, -2)),
+    ((-7, -2, 60), (2, 2, -7), (60, 60, -7)),
+    ((-2, 100, 60, 2), (-1, 100, 60, 2), (0, 1, 5, 2), (60, 1, -7, -1)),
+    ((-7, -7, 0, 0), (3, 3, 2, 0), (1, -1, 100, -2), (3, 2, 1, -1)),
+)
+
+
+@pytest.mark.parametrize("rows", FLOORED)
+def test_det_floored_passes_match_the_one_shot_sum(rows):
+    before = DET_PATHS["cancelled"]
+    assert det_infty(rows) == reference_det(rows) != 0
+    assert DET_PATHS["cancelled"] == before + 1
+
+
+@pytest.mark.parametrize("n, seed", [(7, 0), (7, 4), (8, 0)])
+def test_det_of_sign_matrices_matches_the_one_shot_sum(n, seed):
+    # seeds 0 give a cancelled top level, and then every level is 1
+    rng = random.Random(seed)
+    rows = [[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)]
+    assert det_infty(rows) == reference_det(rows)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (2, 7)])
+def test_det_with_two_proportional_rows_is_zero(i, j):
+    # σ and σ∘(i j) give equal magnitudes with opposite signs, so every level
+    # cancels; the ordinary determinant is 0 and one unfloored pass decides
+    rng = random.Random(8 * i + j)
+    rows = [[rng.randint(-6, 6) for _ in range(8)] for _ in range(8)]
+    rows[j] = [-2 * a for a in rows[i]]
+    assert det_infty(rows) == reference_det(rows) == 0
+
+
 # The top-left block has a·d = b·c and outweighs every other entry, so the
 # top magnitude's two sign classes cancel; the other entries are distinct
 # primes, so lower levels rarely tie.

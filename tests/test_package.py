@@ -282,10 +282,12 @@ _STAND_IN = (
 
 def test_the_carrier_and_metric_tests_pass_under_a_stand_in_gmpy2():
     # the pair reader and _from_pair are carrier-generic: a result built by
-    # QFraction's _make would fail the carrier type checks of test_carrier
+    # QFraction's _make would fail the carrier type checks of test_carrier;
+    # the search pins show that the searches' integer tables are too
     done = subprocess.run(
         [sys.executable, "-c", _STAND_IN, "-q", "-p", "no:cacheprovider",
-         str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py")],
+         str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py"),
+         str(TESTS / "test_search_pins.py")],
         capture_output=True, text=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )

@@ -12,13 +12,13 @@ all be hit by the fourth.  If those coordinates agree on its ratio, that
 ratio is the only value left for it; if they disagree, or one of them has no
 ratio on that side, no value is.
 
-Each search builds its tables once and then works on positions in its
-candidate list and on int masks:
+Each search reads x, y and z once, into integer rows at one common scale
+(``linalg._common_rows``), builds its tables once, and then works on
+positions in its candidate list and on int masks:
 
-- **Candidate pairs.**  The candidate lists are built as canonical
-  (numerator, denominator) int pairs (:func:`magnitudes`, :func:`ratio`), so
-  equal values are equal tuples and no rational is hashed; each distinct
-  value then becomes one carrier.
+- **Candidate pairs.**  Candidates are canonical (numerator, denominator)
+  int pairs (:func:`ratio`), ordered by cross-multiplication (``by_value``);
+  a carrier is built only for a returned certificate (:meth:`Certifier.quad`).
 - **Position masks.**  Coordinates are bits of an int mask.  A
   :class:`Certifier` holds, for each position of the list, the masks of the
   nonzero coordinates its value reproduces on the x side and on the y side;
@@ -30,11 +30,10 @@ candidate list and on int masks:
 - **The integer product table.**  The exact check :meth:`Certifier.matches`
   takes four positions and reads the products v·x_i and v·y_i from a table
   of ints filled the first time a position is used, so each product is
-  computed once per search.  Coordinate i is scaled by L times the lcm of
-  the denominators of x_i, y_i and z_i, with L the lcm of the candidates'
-  denominators, and at that scale every product and z_i are ints; Ϝ
-  commutes with a positive scale.  The scales are built on the search's
-  first exact check, so a search that checks nothing pays nothing for them.
+  computed once per search.  The rows are multiplied by L, the lcm of the
+  candidates' denominators, so every product and z_i·L is an int; L is
+  built on the first exact check, so a search that checks nothing pays
+  nothing for it.
 - **The dominance reject.**  With each row the table keeps the mask of the
   coordinates where |v·x_i| (or |v·y_i|) exceeds |z_i|.  Every level above
   |z_i| must cancel, so it holds an even number of the four products: a
@@ -65,9 +64,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Sequence
+
+from .scalars import _from_pair
 
 
 SEARCH_STAGES: Counter = Counter()
@@ -79,33 +81,38 @@ FREE = None
 def ratio(n: int, d: int) -> tuple:
     """The canonical pair of n/d for ints n and d ≠ 0: equal rationals, equal
     pairs."""
+    m = n | d
+    if not m & 1:
+        # shift off a common power of two (the max-plus embedding's powers of
+        # two have up to 400 000 bits, and a gcd would divide them)
+        s = (m & -m).bit_length() - 1
+        n >>= s
+        d >>= s
     g = gcd(n, d)
     if d < 0:
         g = -g
     return (n // g, d // g)
 
 
-def magnitudes(v: Sequence) -> list:
-    """The canonical pair (|n|, d) of each entry's magnitude."""
-    return [(abs(a.numerator), a.denominator) for a in v]
+# sort key of canonical pairs in the order of their values
+by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
 class Certifier:
-    """The tables of one search for z against the generators x, y over the
-    candidate list ``values``, whose first ``bounded`` entries (all of them
-    by default) are the values a bounded slot may take."""
+    """The tables of one search for z against x, y, as integer rows at one
+    common scale, over the candidate pairs ``keys``, whose first ``bounded``
+    entries (all of them by default) are the values a bounded slot may take."""
 
     __slots__ = (
-        "values", "bounded", "one", "neg", "_keys", "_need", "_xmask", "_ymask",
-        "_force", "_fills", "_stop", "_zv", "_xv", "_yv", "_xprod", "_yprod",
-        "_big", "_xs", "_ys", "_zs", "_zabs", "_bits",
+        "keys", "bounded", "one", "neg", "_need", "_xmask", "_ymask", "_force",
+        "_fills", "_stop", "_rows", "_xprod", "_yprod", "_big", "_zs", "_zabs",
+        "_bits",
     )
 
-    def __init__(self, xv: Sequence, yv: Sequence, zv: Sequence, values: Sequence,
-                 bounded: int | None = None):
-        self.values = values
-        self.bounded = len(values) if bounded is None else bounded
-        keys = self._keys = [(v.numerator, v.denominator) for v in values]
+    def __init__(self, xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
+                 keys: Sequence[tuple], bounded: int | None = None):
+        self.keys = keys
+        self.bounded = len(keys) if bounded is None else bounded
         at = {k: p for p, k in enumerate(keys)}
         self.one = at.get((1, 1))
         self.neg = [at.get((-n, d)) for n, d in keys]
@@ -114,14 +121,13 @@ class Certifier:
         xhit: dict = {}
         yhit: dict = {}
         ratios = []
-        for i, (zi, xi, yi) in enumerate(zip(zv, xv, yv)):
+        for i, (zi, xi, yi) in enumerate(zip(zs, xs, ys)):
             if not zi:
                 continue
             bit = 1 << i
             need |= bit
-            zn, zd = zi.numerator, zi.denominator
-            rx = ratio(zn * xi.denominator, zd * xi.numerator) if xi else None
-            ry = ratio(zn * yi.denominator, zd * yi.numerator) if yi else None
+            rx = ratio(zi, xi) if xi else None
+            ry = ratio(zi, yi) if yi else None
             if rx is not None:
                 xhit[rx] = xhit.get(rx, 0) | bit
             if ry is not None:
@@ -142,9 +148,9 @@ class Certifier:
         }
         self._fills = ({}, {})
         self._stop = None
-        self._zv, self._xv, self._yv = zv, xv, yv
-        self._xprod = [None] * len(values)
-        self._yprod = [None] * len(values)
+        self._rows = (xs, ys, zs)
+        self._xprod = [None] * len(keys)
+        self._yprod = [None] * len(keys)
         self._zs = None
 
     def covers(self, kt: int, kr: int, ks: int, kw: int) -> bool:
@@ -187,17 +193,9 @@ class Certifier:
         return True
 
     def _scale(self) -> None:
-        # coordinate i scaled by L·lcm of its denominators, L the lcm of the
-        # candidates' denominators: each v·L, x_i, y_i and z_i becomes an int
-        self._big = big = lcm(*[d for _, d in self._keys])
-        xs, ys, zs = [], [], []
-        for x, y, z in zip(self._xv, self._yv, self._zv):
-            xd, yd, zd = x.denominator, y.denominator, z.denominator
-            f = lcm(xd, yd, zd)
-            xs.append(x.numerator * (f // xd))
-            ys.append(y.numerator * (f // yd))
-            zs.append(z.numerator * (f // zd) * big)
-        self._xs, self._ys, self._zs = xs, ys, zs
+        # L, the lcm of the candidates' denominators: each v·L is an int
+        self._big = big = lcm(*[d for _, d in self.keys])
+        zs = self._zs = [z * big for z in self._rows[2]]
         self._zabs = [abs(z) for z in zs]
         self._bits = [1 << i for i in range(len(zs))]
 
@@ -205,9 +203,9 @@ class Certifier:
         # (the scaled products of the value at k, the mask where they exceed |z_i|)
         if self._zs is None:
             self._scale()
-        n, d = self._keys[k]
+        n, d = self.keys[k]
         v = n * (self._big // d)
-        row = [v * a for a in (self._xs if on_x else self._ys)]
+        row = [v * a for a in self._rows[0 if on_x else 1]]
         over = 0
         for bit, p, m in zip(self._bits, row, self._zabs):
             if p > m or -p > m:
@@ -217,8 +215,8 @@ class Certifier:
         return entry
 
     def quad(self, ks: Sequence[int]) -> tuple:
-        """The values at four positions."""
-        return tuple(self.values[k] for k in ks)
+        """The values at four positions, as carriers."""
+        return tuple(_from_pair(*self.keys[k]) for k in ks)
 
     def fill(self, covered: int, on_x: bool):
         """Bounded positions that the free slot may take, given the mask the
@@ -240,7 +238,7 @@ class Certifier:
         # stop[k]: the first bounded position whose value, or an earlier one,
         # exceeds the value at k
         if self._stop is None:
-            prefix = self.values[: self.bounded]
+            prefix = [by_value(k) for k in self.keys[: self.bounded]]
             top = list(accumulate(prefix, max))
             self._stop = [bisect_right(top, v) for v in prefix]
         return self._stop
@@ -253,30 +251,38 @@ class Certifier:
         the prefix up to its first entry above s (innermost, through
         ``fill``).  With ``sum_one`` a quadruple is checked only if its +1s
         outnumber its −1s: the limit sum of entries in [−1, 1] is then 1.
+        The outer loops carry the balance of +1s over −1s in t, r and s.
         """
         stop = self._stops()
         xm, ym = self._xmask, self._ymask
         memo = self._fills[False]
-        one = self.one
-        minus = self.neg[one]
+        # without sum_one no position counts and every balance is 2
+        one, minus = (self.one, self.neg[self.one]) if sum_one else (None, None)
+        start = 0 if sum_one else 2
         for kt in ts:
             xt = xm[kt]
+            bt = start + (kt == one) - (kt == minus)
             for kr in range(stop[kt]):
                 tr = xt | xm[kr]
+                br = bt + (kr == one) - (kr == minus)
                 for ks in ss:
                     covered = tr | ym[ks]
                     ws = memo.get(covered)
                     if ws is None:
                         ws = self.fill(covered, False)
+                    if not ws:
+                        continue
+                    bal = br + (ks == one) - (ks == minus)
+                    if bal < 1:
+                        if bal < 0 or one not in ws:
+                            continue
+                        ws = (one,)
+                    skip = minus if bal == 1 else None
                     end = stop[ks]
                     for kw in ws:
                         if kw >= end:
                             break
-                        if sum_one:
-                            quad = (kt, kr, ks, kw)
-                            if quad.count(one) <= quad.count(minus):
-                                continue
-                        if self.matches(kt, kr, ks, kw):
+                        if kw != skip and self.matches(kt, kr, ks, kw):
                             return self.quad((kt, kr, ks, kw))
         return None
 

@@ -42,7 +42,7 @@ from .errors import (
     TooLarge,
     ZeroVector,
 )
-from .linalg import _bareiss, _integer_rows
+from .linalg import _bareiss, _common_rows, _integer_rows
 from .scalars import ScalarLike, ScalarQ, _as_exact, q
 
 __all__ = [
@@ -127,18 +127,6 @@ def _param(v) -> ScalarQ:
 # deformed scalar/vector operations
 
 
-def _common_rows(x, y) -> tuple[list[int], list[int], int]:
-    """x and y over one common scale f: the integer rows a = f·x and b = f·y,
-    and f.  The dimensions must agree."""
-    (a, b), (fa, fb) = _integer_rows((x, y), same_dim=True)
-    f = math.lcm(fa, fb)
-    if fa != f:
-        a = [s * (f // fa) for s in a]
-    if fb != f:
-        b = [t * (f // fb) for t in b]
-    return a, b, f
-
-
 def p_sum(values: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ x_i^(2p+1))^(1/(2p+1)) — the deformed indexed sum, converging to Ϝ."""
     k, prec = _power(p)
@@ -181,7 +169,7 @@ def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     """(Σ |x_i^(2p+1) − y_i^(2p+1)|²)^(1/(2(2p+1))), converging to the limit distance."""
     k, prec = _power(p)
     # one common scale f, so that x_i^k − y_i^k = (a_i^k − b_i^k) / f^k
-    a, b, f = _common_rows(x, y)
+    (a, b), f = _common_rows(x, y)
     total = sum((s**k - t**k) ** 2 for s, t in zip(a, b))
     return _root(total, f ** (2 * k), 2 * k, prec)
 
@@ -277,7 +265,7 @@ def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple:
     # φ_p^{-1}(s^k x_i^k + (1 − s^k) y_i^k) per coordinate, k = 2p+1: with
     # s = n/d and one common scale f taking x, y to integers a, b, the root
     # of (n^k a_i^k + (d^k − n^k) b_i^k) / (d^k f^k)
-    a, b, f = _common_rows(x, y)
+    (a, b), f = _common_rows(x, y)
     if a == b:
         raise DegeneratePair(f"{what} sampling needs two distinct points")
     nk, dk = s.numerator**k, s.denominator**k

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._certify import SEARCH_STAGES, Certifier, magnitudes, ratio
+from ._certify import SEARCH_STAGES, Certifier, by_value, ratio
 from ._record import Record, setfield
 from .errors import (
     EmptyList,
@@ -27,9 +27,9 @@ from .errors import (
     NotAMember,
     OrthantViolation,
 )
-from .linalg import Vec, _vecs, nary_vec_boxplus, scale
+from .linalg import Vec, _common_rows, _vecs, nary_vec_boxplus, scale
 from .metric import dist_boxplus
-from .scalars import ScalarLike, ScalarQ, _carrier, _from_pair, _nary
+from .scalars import ScalarLike, _carrier, _nary
 
 __all__ = [
     "HullCombination",
@@ -71,7 +71,7 @@ def co_point(
     )
 
 
-def _coord_feasible(zi: ScalarQ, xi: ScalarQ, yi: ScalarQ) -> bool:
+def _coord_feasible(zi: int, xi: int, yi: int) -> bool:
     # a hull coordinate is 0, or a [0,1]-multiple of x_i, or of y_i
     if zi == 0:
         return True
@@ -82,24 +82,24 @@ def _coord_feasible(zi: ScalarQ, xi: ScalarQ, yi: ScalarQ) -> bool:
     return False
 
 
-def _hull_candidates(xv: Vec, yv: Vec, zv: Vec) -> list:
-    """Coefficient breakpoints in ascending order: {0,1}, the |z|/|x| and
-    |z|/|y| ratios, one round of magnitude-tie solutions t|x_i| = s|y_i|
-    anchored in the base set; every one of them at most 1."""
-    xs, ys, zs = map(magnitudes, (xv, yv, zv))
+def _hull_candidates(xs: list[int], ys: list[int], zs: list[int]) -> list:
+    """Coefficient breakpoints of the integer rows, as ascending canonical
+    pairs: {0,1}, the |z|/|x| and |z|/|y| ratios, one round of magnitude-tie
+    solutions t|x_i| = s|y_i| anchored in the base set; each at most 1."""
+    xs, ys, zs = ([abs(v) for v in row] for row in (xs, ys, zs))
     cand = {(0, 1), (1, 1)}
-    for (zn, zd), (an, ad) in zip(zs + zs, xs + ys):
-        if an and zn * ad <= zd * an:
-            cand.add(ratio(zn * ad, zd * an))
+    for z, a in zip(zs + zs, xs + ys):
+        if a and z <= a:
+            cand.add(ratio(z, a))
     # |x_i|/|y_i| as an unreduced pair, for each coordinate with both nonzero
-    ties = [(xn * yd, xd * yn) for (xn, xd), (yn, yd) in zip(xs, ys) if xn and yn]
+    ties = [(a, b) for a, b in zip(xs, ys) if a and b]
     for cn, cd in list(cand):
         if cn:
             for a, b in ties:
                 for n, d in ((cn * a, cd * b), (cn * b, cd * a)):
                     if n <= d:
                         cand.add(ratio(n, d))
-    return sorted(_from_pair(n, d) for n, d in cand)
+    return sorted(cand, key=by_value)
 
 
 def co_contains(
@@ -112,12 +112,12 @@ def co_contains(
     exact arithmetic; only quadruples that provably fail are skipped (see
     ``_certify``).
     """
-    xv, yv, zv = _vecs(x, y, z)
-    if not all(_coord_feasible(zi, xi, yi) for zi, xi, yi in zip(zv, xv, yv)):
+    rows, _ = _common_rows(x, y, z)
+    if not all(_coord_feasible(zi, xi, yi) for xi, yi, zi in zip(*rows)):
         SEARCH_STAGES["hull:infeasible"] += 1
         return False
 
-    core = Certifier(xv, yv, zv, _hull_candidates(xv, yv, zv))
+    core = Certifier(*rows, _hull_candidates(*rows))
     # the candidates ascend and end with 1, so max = 1 means t or s at last
     last = core.one
     if core.first_bounded((last,), range(last + 1)) is not None:

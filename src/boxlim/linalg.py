@@ -284,32 +284,46 @@ def _level_tally(ints: list[list[int]], floor: int = 0) -> dict[int, int]:
     return tallies[-1]
 
 
-def _integer_rows(
-    rows: Iterable, same_dim: bool = False
-) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators: the integer rows and the factors.
+def _pair_rows(rows: Iterable, same_dim: bool) -> list[list[tuple]]:
+    """Each row read in place as the canonical pairs of its entries.
 
-    Vector and matrix inputs are read in place; only integer rows are built.
-    A row is any iterable of scalars, or a comma-separated literal read
-    through ``vec``.  Each entry is read as its canonical pair: the carrier
-    through ``.numerator``/``.denominator``, anything else through
-    ``scalars._pair``, so a float, a bad string or an oversized literal
-    raises as it does in ``vec``.  With ``same_dim``, each row's dimension
-    must equal the first one's, checked as each row is read (as ``_vecs``
-    does).
+    A row is any iterable of scalars, or a comma-separated literal read by
+    ``vec``.  A carrier entry is read through ``.numerator``/``.denominator``
+    and any other through ``scalars._pair``, so a float, a bad string or an
+    oversized literal raises as in ``vec``.  With ``same_dim``, each row's
+    dimension must equal the first one's, checked as each row is read.
     """
-    ints: list[list[int]] = []
-    factors: list[int] = []
+    out: list[list[tuple]] = []
     for r in rows:
         if isinstance(r, str):
             r = vec(r)
         pairs = [(v.numerator, v.denominator) if type(v) is _Q else _pair(v) for v in r]
-        if same_dim and ints and len(pairs) != len(ints[0]):
-            raise DimensionMismatch(f"dim {len(ints[0])} vs {len(pairs)}")
+        if same_dim and out and len(pairs) != len(out[0]):
+            raise DimensionMismatch(f"dim {len(out[0])} vs {len(pairs)}")
+        out.append(pairs)
+    return out
+
+
+def _integer_rows(
+    rows: Iterable, same_dim: bool = False
+) -> tuple[list[list[int]], list[int]]:
+    """Each row, read by ``_pair_rows``, times the lcm of its denominators:
+    the integer rows and the factors."""
+    ints: list[list[int]] = []
+    factors: list[int] = []
+    for pairs in _pair_rows(rows, same_dim):
         f = math.lcm(*[d for _, d in pairs])
         ints.append([n * (f // d) for n, d in pairs])
         factors.append(f)
     return ints, factors
+
+
+def _common_rows(*vectors) -> tuple[list[list[int]], int]:
+    """The vectors, read by ``_pair_rows`` with equal dimensions, times f,
+    the lcm of all their denominators: the integer rows and f."""
+    rows = _pair_rows(vectors, True)
+    f = math.lcm(*[d for pairs in rows for _, d in pairs])
+    return [[n * (f // d) for n, d in pairs] for pairs in rows], f
 
 
 def _bareiss(rows: list[list[int]]) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import ClassVar, Sequence
 
-from ._certify import FREE, SEARCH_STAGES, Certifier, magnitudes, ratio
+from ._certify import FREE, SEARCH_STAGES, Certifier, by_value, ratio
 from ._record import Record, setfield
 from .errors import (
     MAX_GRID,
@@ -35,14 +35,13 @@ from .errors import (
     NotParallel,
     TooLarge,
 )
-from .linalg import Vec, _vecs, det_infty, vec
+from .linalg import Vec, _common_rows, _vecs, det_infty, vec
 from .scalars import (
     ONE,
     ZERO,
     ScalarLike,
     ScalarQ,
     _carrier,
-    _from_pair,
     _nary,
     boxminus,
     lower_form,
@@ -207,8 +206,8 @@ def line_contains_2d(f: LineForm, z: Sequence[ScalarLike]) -> bool:
 # nD membership certificates
 
 
-def _line_candidates(xv: Vec, yv: Vec, zv: Vec) -> list:
-    """Breakpoint candidates for certificate coefficients, in (|v|, v) order.
+def _line_candidates(xs: list[int], ys: list[int], zs: list[int]) -> list:
+    """Breakpoint candidates of the integer rows, as pairs in (|v|, v) order.
 
     {0, ±1}, the signed ratios ±z_i/x_i and ±z_i/y_i, and one augmentation
     round of magnitude-tie solutions (±c·x_i/y_i, ±c·y_i/x_i) — ties are
@@ -216,21 +215,20 @@ def _line_candidates(xv: Vec, yv: Vec, zv: Vec) -> list:
     under negation, so it is 0 followed by −m, m for each magnitude m in
     ascending order.
     """
-    xs, ys, zs = map(magnitudes, (xv, yv, zv))
+    xs, ys, zs = ([abs(v) for v in row] for row in (xs, ys, zs))
     base = {(1, 1)}
-    for (zn, zd), (an, ad) in zip(zs + zs, xs + ys):
-        if an and zn:
-            base.add(ratio(zn * ad, zd * an))
+    for z, a in zip(zs + zs, xs + ys):
+        if a and z:
+            base.add(ratio(z, a))
     cand = set(base)
-    for (xn, xd), (yn, yd) in zip(xs, ys):
-        if xn and yn:
-            a, b = xn * yd, xd * yn
+    for a, b in zip(xs, ys):
+        if a and b:
             for cn, cd in base:
                 cand.add(ratio(cn * a, cd * b))
                 cand.add(ratio(cn * b, cd * a))
-    out = [ZERO]
-    for v in sorted(_from_pair(n, d) for n, d in cand):
-        out += (-v, v)
+    out = [(0, 1)]
+    for n, d in sorted(cand, key=by_value):
+        out += ((-n, d), (n, d))
     return out
 
 
@@ -245,22 +243,22 @@ def line_contains_nd(
     certificate is exact and final; NotFound is advisory (the candidate set
     is conjecturally complete), cross-checkable with line_grid_probe.
     """
-    xv, yv, zv = _pair(x, y, z)
+    (xs, ys, zs), _ = _common_rows(*_pair(x, y, z))
 
     def member(stage: str, quad: tuple) -> LineMembership:
         SEARCH_STAGES[stage] += 1
         return LineMembership(True, quad)
 
     # stage 0: generators
-    if zv == xv:
+    if zs == xs:
         return member("line:generator", (ONE, ZERO, ZERO, ZERO))
-    if zv == yv:
+    if zs == ys:
         return member("line:generator", (ZERO, ZERO, ONE, ZERO))
 
-    cand = _line_candidates(xv, yv, zv)
+    cand = _line_candidates(xs, ys, zs)
     # in (|v|, v) order 0 comes first and 1 closes the entries with |v| <= 1
-    one = cand.index(ONE)
-    core = Certifier(xv, yv, zv, cand, one + 1)
+    one = cand.index((1, 1))
+    core = Certifier(xs, ys, zs, cand, one + 1)
     neg = core.neg
 
     # stage 1: cancellation families (always valid coefficient quadruples)
@@ -304,27 +302,27 @@ def line_grid_probe(
     ``MAX_GRID`` in all; a larger one raises ``TooLarge`` before any of it is
     built.
     """
-    xv, yv, zv = _pair(x, y, z)
+    rows, _ = _common_rows(*_pair(x, y, z))
     step = _carrier(step)
     bound = _carrier(bound)
     if step <= 0 or bound < 1:
         raise ValueError("need step > 0 and bound >= 1")
-    k_unit = ONE / step
-    if k_unit.denominator != 1:
+    if step.numerator != 1:
         raise ValueError("step must divide 1")
-    k_unit = int(k_unit)
-    k_bound = int((bound / step).numerator // (bound / step).denominator)
+    k_unit = step.denominator
+    k_bound = bound.numerator * k_unit // bound.denominator
     if 2 * k_unit + 1 > MAX_GRID_UNIT or 2 * k_bound + 1 > MAX_GRID:
         raise TooLarge(
             f"grid probe limited to {MAX_GRID_UNIT} values in [-1, 1] and {MAX_GRID}"
             f" in all, got {2 * k_unit + 1} and {2 * k_bound + 1}"
         )
 
-    # the values in [-1, 1] ascending, then each pair c, -c beyond magnitude 1
-    grid = [i * step for i in range(-k_unit, k_unit + 1)]
+    # the values i·step = i/k_unit in [-1, 1] ascending, then each pair c, -c
+    # beyond magnitude 1
+    grid = [ratio(i, k_unit) for i in range(-k_unit, k_unit + 1)]
     for i in range(k_unit + 1, k_bound + 1):
-        grid += (i * step, -i * step)
-    core = Certifier(xv, yv, zv, grid, 2 * k_unit + 1)
+        grid += (ratio(i, k_unit), ratio(-i, k_unit))
+    core = Certifier(*rows, grid, 2 * k_unit + 1)
     one = core.one
 
     # shape A: everything within [-1, 1], each side an unordered pair with

@@ -196,24 +196,18 @@ def mp_dist_std(zs: Sequence[MSym], ws: Sequence[MSym]) -> float:
 # convexity mirror
 
 
-def _embed(values: Sequence[MSym]) -> tuple:
-    """Exact order/product-preserving embedding MSym(s, l) ↦ s·2^(l·D); raises
+def _embed(values: Sequence[MSym]) -> list[int]:
+    """Exact order/product-preserving embedding MSym(s, l) ↦ the int s·2^(e − lo),
+    with e = l·D for D the lcm of the denominators and lo the least e; raises
     ``TooLarge`` before any power is built if some |l·D| > ``MAX_EMBED_BITS``."""
-    denoms = [int(z.logmag.denominator) for z in values if z.sign]
-    d = math.lcm(*denoms) if denoms else 1
+    d = math.lcm(*[int(z.logmag.denominator) for z in values if z.sign])
     # zero has log-magnitude 0, so its exponent is 0 as well
     exps = [int(z.logmag.numerator) * (d // int(z.logmag.denominator)) for z in values]
     top = max(map(abs, exps), default=0)
     if top > MAX_EMBED_BITS:
         raise TooLarge(f"hull embedding exponent limited to {MAX_EMBED_BITS}, got {top}")
-    out = []
-    for z, e in zip(values, exps):
-        if z.sign == 0:
-            out.append(ZERO)
-        else:
-            mag = q(2) ** e if e >= 0 else q(1, 2 ** (-e))
-            out.append(z.sign * mag)
-    return tuple(out)
+    lo = min(exps, default=0)
+    return [z.sign << (e - lo) for z, e in zip(values, exps)]
 
 
 def mp_hull_point(
@@ -250,19 +244,18 @@ def mp_hull_contains(
 ) -> bool:
     """Membership in the transported two-point hull.
 
-    Decided through the exact embedding s·2^(l·D) into the rational carrier:
-    the hull search only manipulates products, ratios, and magnitude
-    comparisons of instance values, all of which the embedding preserves,
-    and any certificate it returns lies in the embedded subgroup.  Raises
-    ``TooLarge`` when an exponent l·D would exceed ``MAX_EMBED_BITS``.
+    Decided by ``co_contains`` on the exact embedding into the integers
+    (``_embed``): the hull search only manipulates products, ratios and
+    magnitude comparisons of instance values, all of which the embedding
+    preserves, and any certificate it returns lies in the embedded subgroup.
+    Raises ``TooLarge`` when an exponent l·D would exceed ``MAX_EMBED_BITS``.
     """
     from .hull import co_contains
 
     xs, ys, zs = tuple(x), tuple(y), tuple(z)
     if not (len(xs) == len(ys) == len(zs)):
         raise DimensionMismatch("equal dimensions required")
-    flat = list(xs) + list(ys) + list(zs)
-    emb = _embed(flat)
+    emb = _embed(xs + ys + zs)
     n = len(xs)
     return co_contains(emb[:n], emb[n : 2 * n], emb[2 * n :])
 

@@ -376,18 +376,20 @@ def _carrier(v: ScalarLike) -> ScalarQ:
 
 def _pair(v: ScalarLike) -> tuple:
     """The canonical ``(numerator, denominator)`` of a scalar input, read in
-    place: no carrier is built for a carrier or a ``Fraction``.
+    place: no carrier is built for a carrier, a ``Fraction`` or an int.
 
     The carrier is tested first; a ``Fraction`` is read through its slots,
-    which every ``Fraction`` has under either carrier; anything else goes
-    through ``q``, so a float, a bad string or an oversized literal raises as
-    it does there.  The hot loops below test ``type(v) is _Q`` themselves
-    and call this only for other inputs.
+    which every ``Fraction`` has under either carrier, and an int is n/1;
+    anything else goes through ``q``, so a float, a bad string or an
+    oversized literal raises as it does there.  The hot loops below test
+    ``type(v) is _Q`` themselves and call this only for other inputs.
     """
     if type(v) is _Q:
         return v.numerator, v.denominator
     if isinstance(v, Fraction):
         return v._numerator, v._denominator
+    if type(v) is int:
+        return v, 1
     v = q(v)
     return v.numerator, v.denominator
 

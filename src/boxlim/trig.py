@@ -19,7 +19,7 @@ from .errors import (
     NotRightAngled,
     ZeroVector,
 )
-from .linalg import Vec, _integer_rows, _vecs, det_infty, inner_infty, norm_infty, vec
+from .linalg import Vec, _common_rows, _vecs, det_infty, inner_infty, norm_infty, vec
 from .metric import dist_boxplus
 from .scalars import ONE, ScalarLike, ScalarQ, _Q, _from_pair, _nary, _pair
 
@@ -138,9 +138,7 @@ def pythagoras_check(
     if lhs != rhs:
         return False
     # one common scale f: every power sum below is an integer over f^(2k)
-    (ints,), (f,) = _integer_rows([xv + yv + zv])
-    n = len(xv)
-    a, b, c = ints[:n], ints[n : 2 * n], ints[2 * n :]
+    (a, b, c), f = _common_rows(xv, yv, zv)
     for p in p_grid:
         k, prec = _power(p)
         ak, bk, ck = [v**k for v in a], [v**k for v in b], [v**k for v in c]

@@ -7,7 +7,9 @@ give carrier results that are equal.  Every input is still checked, also one
 that cannot decide the result, and a carrier input that is the result comes
 back as the same object.  The finite-p evaluators and the limit
 determinant read vectors and matrices in place, into integer rows: plain
-Fractions, carriers and comma literals give the same bits.
+Fractions, carriers and comma literals give the same bits.  The certificate
+searches read their points into integer rows too: every input form gives
+the same answer, the same carrier certificate and the same search stages.
 """
 
 from fractions import Fraction
@@ -24,11 +26,14 @@ from boxlim import (
     ball_describe,
     boxminus,
     boxplus,
+    co_contains,
     cplx,
     ctimes,
     det_infty,
     dist_boxplus,
     from_polar,
+    line_contains_nd,
+    line_point,
     lower_form,
     mp_otimes,
     msym,
@@ -53,7 +58,10 @@ from boxlim.deform import (
     p_sin,
     p_sum,
 )
-from boxlim.errors import DimensionMismatch
+from boxlim._certify import SEARCH_STAGES
+from boxlim.errors import DegeneratePair, DimensionMismatch
+from boxlim.lines import line_grid_probe
+from boxlim.maxplus import mp_hull_contains
 from boxlim.scalars import ScalarQ
 
 fractions_ = strategies.rationals(-9, 9, 7)
@@ -146,6 +154,108 @@ def test_finite_p_results_do_not_depend_on_the_input_form(name, abc):
     from_carriers = _outcome(lambda: op(*abc, lambda v: tuple(map(_as_carrier, v))))
     from_literals = _outcome(lambda: op(*abc, _literal))
     assert from_fractions == from_carriers == from_literals
+
+
+def _msyms(signs, logmags) -> tuple:
+    """Max-plus points from signs and a vector of log-magnitudes in any form."""
+    parts = logmags.split(",") if isinstance(logmags, str) else logmags
+    return tuple(msym(s, v) for s, v in zip(signs, parts))
+
+
+def _hull(a, b, c, form):
+    # z is the hull point with coefficients (1/2, 0, 1, 0) when a > 0
+    x, y = (a, b, 1), (c, b, 0)
+    z = (Fraction(boxplus(a / 2, c)), b, Fraction(1, 2)) if a > 0 else (c, a, Fraction(1, 2))
+    return co_contains(form(x), form(y), form(z))
+
+
+def _line(a, b, c, form):
+    # z is the line point with coefficients (b, 0, 1, −b) when a > 0
+    x, y = (a, b, 1), (c, b, -1)
+    z = tuple(map(Fraction, line_point(x, y, b, 0, 1, -b))) if a > 0 else (a, 0, b)
+    return line_contains_nd(form(x), form(y), form(z))
+
+
+# each certificate search as a function of three rationals and of the form a
+# point is passed in
+SEARCHES = {
+    "co_contains": _hull,
+    "line_contains_nd": _line,
+    "line_grid_probe": lambda a, b, c, form: line_grid_probe(
+        form((a, 1)), form((c, b)), form((b, 1)), step=Fraction(1, 2), bound=2),
+    "mp_hull_contains": lambda a, b, c, form: mp_hull_contains(
+        _msyms((1, -1), form((a, b))), _msyms((-1, 1), form((c, b))),
+        _msyms((1, 1), form((a, b)))),
+}
+
+# the forms a point is passed in: plain Fractions, carriers, each integral
+# entry as an int, and a comma literal
+POINT_FORMS = (
+    tuple,
+    lambda v: tuple(map(_as_carrier, v)),
+    lambda v: tuple(int(w) if w.denominator == 1 else w for w in v),
+    _literal,
+)
+
+
+def _search_outcome(call) -> tuple:
+    """The answer, the certificate and the ``SEARCH_STAGES`` delta of a
+    search, or the type and message of what it raised."""
+    before = SEARCH_STAGES.copy()
+    try:
+        out = call()
+    except Exception as exc:  # compared across the input forms
+        return ("raised", type(exc), str(exc))
+    delta = SEARCH_STAGES - before
+    if isinstance(out, bool):
+        return out, None, delta
+    if out.certificate is not None:
+        assert all(type(v) is ScalarQ for v in out.certificate)
+    return out.found, out.certificate, delta
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+@given(abc=triples)
+def test_search_results_do_not_depend_on_the_input_form(name, abc):
+    op = SEARCHES[name]
+    first, *rest = (_search_outcome(lambda: op(*abc, form)) for form in POINT_FORMS)
+    assert all(out == first for out in rest)
+
+
+_X, _Y = (Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))
+
+# malformed points for the three searches, with what each search raises; a
+# line needs x ≠ y, which is checked before z is read, while the hull of x
+# and x is a set like any other
+MALFORMED = [
+    ((_X, _Y, (Fraction(1), 0.5)), (TypeError, "no exact rational from float: 0.5") * 3),
+    ((_X, _Y, (1, 2, 3)), (DimensionMismatch, "dim 2 vs 3") * 3),
+    ((_X, _Y, 5), (TypeError, "'int' object is not iterable") * 3),
+    ((_X, _Y, "1,x"), (ValueError, "Invalid literal for Fraction: 'x'") * 3),
+    (((1, 0.5), _Y, (1, 2)), (TypeError, "no exact rational from float: 0.5") * 3),
+    ((_X, (1,), (1, 2)), (DimensionMismatch, "dim 2 vs 1") * 3),
+    ((_X, 3, (1, 2)), (TypeError, "'int' object is not iterable") * 3),
+    ((_X, _X, (1, 2)), (True, None) + (DegeneratePair, "two distinct points are required") * 2),
+    ((_X, _X, (1, 0.5)), (TypeError, "no exact rational from float: 0.5")
+     + (DegeneratePair, "two distinct points are required") * 2),
+    ((_X, _X, (1,)), (DimensionMismatch, "dim 2 vs 1")
+     + (DegeneratePair, "two distinct points are required") * 2),
+]
+
+
+def _raised(call) -> tuple:
+    try:
+        return call(), None
+    except Exception as exc:  # compared with the expected type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("points, expected", MALFORMED)
+def test_the_searches_reject_malformed_points_in_order(points, expected):
+    got = ()
+    for search in (co_contains, line_contains_nd, line_grid_probe):
+        got += _raised(lambda: search(*points))
+    assert got == expected
 
 
 FIVE = ScalarQ(5)

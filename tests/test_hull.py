@@ -27,6 +27,7 @@ from boxlim.errors import (
 )
 from boxlim._certify import SEARCH_STAGES
 from boxlim.hull import _coord_feasible, _hull_candidates
+from boxlim.linalg import _common_rows
 from boxlim.scalars import nary_boxplus
 
 X, Y = vec("3,1"), vec("1,-2")
@@ -170,7 +171,10 @@ def test_membership_equals_the_unpruned_enumeration(triple):
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(tie_heavy_triples(), fine_triples()))
 def test_hull_candidates_equal_the_fraction_reference(triple):
-    assert _hull_candidates(*triple) == _ref_hull_candidates(*triple)
+    rows, _ = _common_rows(*triple)
+    assert _hull_candidates(*rows) == [
+        (v.numerator, v.denominator) for v in _ref_hull_candidates(*triple)
+    ]
 
 
 def test_membership_dimension_mismatch():

@@ -253,17 +253,43 @@ def test_only_the_scalar_kernel_reads_the_private_fraction_slots():
     assert found == []
 
 
+def _calls(node, names) -> list:
+    """The line numbers of the calls under node to a function in names."""
+    return [
+        n.lineno for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", getattr(n.func, "attr", None)) in names
+    ]
+
+
 def test_the_finite_p_layer_reads_its_inputs_in_place():
     # deform reads vectors and matrices through linalg._integer_rows, which
     # builds the integer rows and no carrier per entry
     tree = ast.parse((SRC / "boxlim" / "deform.py").read_text(encoding="utf-8"))
-    calls = [
-        f"deform.py:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("vec", "_vecs", "mat")
-    ]
-    assert calls == []
+    assert _calls(tree, {"vec", "_vecs", "mat"}) == []
+
+
+def test_the_certificate_searches_run_on_integer_rows():
+    # _certify works on integer rows and candidate pairs: it builds no
+    # carrier and reads no carrier's parts, except the four carriers of a
+    # returned certificate in Certifier.quad; co_contains reads its points
+    # straight into integer rows
+    tree = ast.parse((SRC / "boxlim" / "_certify.py").read_text(encoding="utf-8"))
+    assert _calls(tree, {"vec", "_vecs", "mat", "_carrier", "q"}) == []
+    assert [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("numerator", "denominator")
+    ] == []
+    quad = next(
+        f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Certifier"
+        for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "quad"
+    )
+    assert _calls(tree, {"_from_pair"}) == _calls(quad, {"_from_pair"}) != []
+    hull = ast.parse((SRC / "boxlim" / "hull.py").read_text(encoding="utf-8"))
+    co_contains = next(
+        f for f in hull.body if isinstance(f, ast.FunctionDef) and f.name == "co_contains"
+    )
+    assert _calls(co_contains, {"_vecs"}) == []
 
 
 # a module named gmpy2 whose mpq is fractions.Fraction: the package takes its
@@ -283,11 +309,12 @@ _STAND_IN = (
 def test_the_carrier_and_metric_tests_pass_under_a_stand_in_gmpy2():
     # the pair reader and _from_pair are carrier-generic: a result built by
     # QFraction's _make would fail the carrier type checks of test_carrier;
-    # the search pins show that the searches' integer tables are too
+    # the search pins and the exact-check tests show that the searches'
+    # integer tables, read through _common_rows, are too
     done = subprocess.run(
         [sys.executable, "-c", _STAND_IN, "-q", "-p", "no:cacheprovider",
          str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py"),
-         str(TESTS / "test_search_pins.py")],
+         str(TESTS / "test_search_pins.py"), str(TESTS / "test_certify.py")],
         capture_output=True, text=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )

@@ -4,17 +4,20 @@ Every limit operation in this package is the p → ∞ limit of ordinary
 arithmetic transported through the odd power map φ_p(λ) = λ^(2p+1).  This
 module evaluates the finite-p side: power sums are computed exactly, over
 the integers left when each vector is scaled by the lcm of its
-denominators, and only the final odd root is taken in arbitrary-precision
-floating point (mpmath), at a working precision that grows with p.  Exact
-cancellations therefore stay exactly zero at every p.  The deformed cosine
+denominators, and only the final odd root is inexact: the integer quotient
+is rounded once to a binary float at a working precision that grows with
+p, and its root is rounded once more, correctly, by an integer Newton
+kernel (``_nthroot``); mpmath only holds the result.  Exact cancellations
+therefore stay exactly zero at every p.  The deformed cosine
 and sine keep that promise too: their ratio of power sums is formed
 exactly, so each takes one root, and an exact ±1 or 0 comes out exact.
 Vector and matrix inputs are read in place; only integer rows are built
 (``linalg._integer_rows``), never a carrier per entry.
 
-Every root is one rounding of an integer quotient and one root at the
-working precision, with the sign set exactly; no mpmath context is entered,
-so a result has the same bits whatever the caller's ``mp.prec``.  The
+Every root is one rounding of an integer quotient to the working precision
+and one correctly rounded (round-to-nearest) root of that float at the same
+precision, with the sign set exactly; no mpmath context is entered, so a
+result has the same bits whatever the caller's ``mp.prec``.  The
 convergence harness measures each error exactly, as one integer quotient
 rounded once to a float.
 
@@ -31,7 +34,7 @@ import math
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_neg, mpf_nthroot, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, from_rational, mpf_neg, round_nearest, to_rational
 
 from ._record import Record, setfield
 from .errors import (
@@ -87,12 +90,81 @@ def _power(p: int) -> tuple[int, int]:
 def _root(n: int, d: int, k: int, prec: int) -> mpf:
     """sign(n)·(|n|/d)^(1/k) for integers n and d > 0.
 
-    |n|/d is rounded once at prec and rooted once at prec; the sign is set
-    exactly.  No mpmath context is entered, so the caller's precision
-    cannot touch the result.
+    |n|/d is rounded once to nearest at prec, and ``_nthroot`` roots that
+    float, correctly rounded at prec; the sign is set exactly.  No mpmath
+    context is entered, so the caller's precision cannot touch the result.
     """
-    r = mpf_nthroot(from_rational(abs(n), d, prec, round_nearest), k, prec, round_nearest)
+    x = from_rational(abs(n), d, prec, round_nearest)
+    if not n:
+        return mp.make_mpf(x)
+    r = _nthroot(x[1], x[2], k, prec)
     return mp.make_mpf(mpf_neg(r) if n < 0 else r)
+
+
+def _nthroot(man: int, exp: int, k: int, prec: int) -> tuple:
+    """The k-th root of man·2^exp > 0, rounded to nearest at prec bits, as a
+    raw mpf.
+
+    With g = ⌊(t − 1)/k⌋ for t = exp + bit_length(man), the root lies in
+    [2^g, 2^(g+1)), and y = root / 2^g is the root of z = man·2^(exp − kg)
+    in [1, 2^k).  ``_fixed_root`` gives y to prec + G bits, G guard bits
+    with an error far below 2^(G/2) units.  The guard bits round y unless
+    they lie within 2^(G/2) of the half point; then y is taken again with G
+    doubled, and only if that is as close, the bracket decides exactly:
+    man·2^exp against the k-th power of the midpoint (2q + 1)·2^(g − prec).
+    No root of a prec-bit float is a midpoint for k ≥ 2, so no tie arises.
+    The schedule of ``_fixed_root`` ends for k < 2^20; the oracle's k is at
+    most 2(2·MAX_P + 1).
+    """
+    g = (exp + man.bit_length() - 1) // k
+    e = exp - k * g
+    guard = 2 * k.bit_length() + 10
+    for guard in (guard, 2 * guard):
+        r = _fixed_root(man, e, k, prec + guard)
+        low = r & ((1 << guard) - 1)
+        if abs(low - (1 << guard - 1)) > 1 << guard // 2:
+            return from_man_exp((r >> guard) + (low >> guard - 1), g + 1 - prec)
+    q = r >> guard
+    c = k * (g - prec)  # the midpoint's k-th power is (2q + 1)^k·2^c
+    x, mid = man, (2 * q + 1) ** k
+    if exp >= c:
+        x <<= exp - c
+    else:
+        mid <<= c - exp
+    return from_man_exp(q + (x > mid), g + 1 - prec)
+
+
+def _fixed_root(man: int, e: int, k: int, w: int) -> int:
+    """z^(1/k)·2^(w−1) for z = man·2^e in [1, 2^k), to within a few units.
+
+    Newton's step r ← ((k − 1)r + z / r^(k−1)) / k on integers with f = w − 1
+    fractional bits; r^(k−1) is taken by square-and-multiply, each product
+    truncated to f fractional bits.  A step near the root loses about
+    log2(k) bits of the doubling, so the schedule is built down from w as
+    w_prev = ⌊w/2⌋ + bit_length(k) + 4 until a 53-bit float seed covers it.
+    """
+    steps = [w]
+    while steps[-1] > 48:
+        steps.append(steps[-1] // 2 + k.bit_length() + 4)
+    # the seed 2^(log2(z)/k), from the top 53 bits of man, at the last
+    # precision of the schedule (or at w, if that is the only one)
+    bits = man.bit_length()
+    top = man >> bits - 53 if bits > 53 else man << 53 - bits
+    y = 2.0 ** ((bits + e + math.log2(top * 2.0**-53)) / k)
+    w = steps.pop() if len(steps) > 1 else w
+    r = int(math.ldexp(y, w - 1))
+    chain = bin(k - 1)[3:]  # the bits of k − 1 below its leading one
+    for v in reversed(steps):
+        r <<= v - w
+        w, f = v, v - 1
+        z = man << e + f if e + f >= 0 else man >> -(e + f)
+        power = r if k > 1 else 1 << f
+        for bit in chain:
+            power = power * power >> f
+            if bit == "1":
+                power = power * r >> f
+        r = ((k - 1) * r + (z << f) // power) // k
+    return r
 
 
 def _settings(p_grid: Sequence[int] | None, tol) -> tuple[tuple[int, ...], float]:

@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_nthroot, round_nearest
 
 import strategies
 from boxlim import (
@@ -32,6 +33,7 @@ from boxlim import (
     sin_infty,
     vec,
 )
+from boxlim import deform
 from boxlim.deform import MAX_P, _min_precision, p_matvec
 from boxlim.errors import DegeneratePair, TooLarge
 from boxlim.sampling import Sampler
@@ -289,6 +291,108 @@ def test_to_mpf_rounds_once():
                 sign, man, exp, bits = got._mpf_
                 exact = (-1) ** sign * man * Fraction(2) ** exp
                 assert abs(exact - Fraction(n, d)) <= Fraction(2) ** (exp + bits - prec) / 2
+
+
+def _side(man: int, exp: int, a: int, b: int, k: int) -> int:
+    # the sign of man·2^exp − (a·2^b)^k, on integers
+    c = b * k
+    x, y = man << max(exp - c, 0), a**k << max(c - exp, 0)
+    return (x > y) - (x < y)
+
+
+def _assert_nearest_root(man: int, exp: int, k: int, prec: int, root: tuple) -> None:
+    # root is a raw mpf of at most prec bits whose two rounding boundaries
+    # bracket man·2^exp strictly after the k-th power
+    sign, m, e, bits = root
+    assert sign == 0 and m > 0 and bits <= prec
+    m, e = m << prec - bits, e - (prec - bits)
+    assert _side(man, exp, 2 * m + 1, e - 1, k) < 0
+    if m == 1 << prec - 1:  # the float below lies in the binade below
+        assert _side(man, exp, 4 * m - 1, e - 2, k) > 0
+    else:
+        assert _side(man, exp, 2 * m - 1, e - 1, k) > 0
+
+
+def test_nthroot_is_correctly_rounded_on_every_small_float(monkeypatch):
+    # every prec-bit mantissa, exponents over a whole residue class mod k
+    fixed_root = deform._fixed_root
+    retries = near = 0
+
+    def recording(man, e, k, w):
+        nonlocal retries, near
+        r = fixed_root(man, e, k, w)
+        guard = 2 * k.bit_length() + 10
+        if w == prec + 2 * guard:  # the doubled-guard retry
+            retries += 1
+            # within 2^(G/2) of the half point again: the exact bracket decides
+            near += abs((r & (1 << 2 * guard) - 1) - (1 << 2 * guard - 1)) <= 1 << guard
+        return r
+
+    monkeypatch.setattr(deform, "_fixed_root", recording)
+    for prec in range(2, 13):
+        for k in range(2, 10):
+            for man in range(1 << prec - 1, 1 << prec):
+                for exp in range(-k, 0):
+                    _assert_nearest_root(man, exp, k, prec, deform._nthroot(man, exp, k, prec))
+    assert retries and near
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 257), st.data())
+def test_nthroot_is_correctly_rounded_at_oracle_sizes(k, data):
+    prec = _min_precision(k // 2)
+    man = data.draw(st.integers(1 << prec - 1, (1 << prec) - 1))
+    exp = data.draw(st.integers(-4 * prec, 4 * prec))
+    _assert_nearest_root(man, exp, k, prec, deform._nthroot(man, exp, k, prec))
+
+
+def _newton_branch(k: int, prec: int) -> bool:
+    # mpmath's mpf_nthroot takes exp(log(x)/k) instead where this is False
+    return not (k > 20 and (k >= 20000 or prec < int(233 + 28.3 * k**0.62)))
+
+
+def test_root_equals_mpmath_where_mpmath_takes_newton():
+    rng = random.Random(27)
+    for k in (3, 5, 9, 17, 33, 65, 129, 257):
+        prec = _min_precision(k // 2)
+        assert _newton_branch(k, prec)
+        for _ in range(100):
+            n = rng.getrandbits(rng.randint(1, 12 * k)) + 1
+            d = rng.getrandbits(rng.randint(1, 12 * k)) + 1
+            x = from_rational(n, d, prec, round_nearest)
+            assert deform._root(n, d, k, prec)._mpf_ == mpf_nthroot(x, k, prec, round_nearest)
+            assert deform._root(-n, d, k, prec)._mpf_ == mpf_neg(mpf_nthroot(x, k, prec, round_nearest))
+
+
+def test_root_at_the_p_cap_equals_mpmath_in_well_under_a_second():
+    k, prec = 2 * MAX_P + 1, _min_precision(MAX_P)
+    assert _newton_branch(k, prec)
+    rng = random.Random(2048)
+    n, d = rng.getrandbits(4 * prec) + 1, rng.getrandbits(3 * prec) + 1
+    start = time.perf_counter()
+    got = deform._root(n, d, k, prec)
+    assert time.perf_counter() - start < 1.0  # tens of milliseconds
+    assert got._mpf_ == mpf_nthroot(from_rational(n, d, prec, round_nearest), k, prec, round_nearest)
+
+
+def test_p_dist_root_where_mpmath_misrounds():
+    # oracle pool seed 3, position 752: at p = 8 the root is of
+    # n / 2^34 with k = 34 at 336 bits, where mpmath takes exp(log(x)/k)
+    n, k, prec = 684326478895674229439190841509809325093665, 34, _min_precision(8)
+    assert not _newton_branch(k, prec)
+    x = from_rational(n, 2**34, prec, round_nearest)
+    nearest = 74366524732147910427037206626310413167677048191195203765374344518643503130046291681684104488348896813
+    mpmath_man = 74366524732147910427037206626310413167677048191195203765374344518643503130046291681684104488348896812
+    assert mpf_nthroot(x, k, prec, round_nearest) == from_man_exp(mpmath_man, -332)
+    assert p_dist((-3, -4), (q(17, 2), -2), 8)._mpf_ == from_man_exp(nearest, -332)
+    _assert_nearest_root(x[1], x[2], k, prec, from_man_exp(nearest, -332))
+
+
+def test_root_of_zero_and_p_zero():
+    assert deform._root(0, 7, 3, 112) == 0
+    # k = 1 is p = 0: the root is the once-rounded quotient itself
+    for n, d in ((1, 3), (-10**40, 7), (5, 1)):
+        assert deform._root(n, d, 1, 80)._mpf_ == from_rational(n, d, 80, round_nearest)
 
 
 def _rounded(v: Fraction) -> mpf:

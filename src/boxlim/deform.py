@@ -110,11 +110,11 @@ def _nthroot(man: int, exp: int, k: int, prec: int) -> tuple:
     in [1, 2^k).  ``_fixed_root`` gives y to prec + G bits, G guard bits
     with an error far below 2^(G/2) units.  The guard bits round y unless
     they lie within 2^(G/2) of the half point; then y is taken again with G
-    doubled, and only if that is as close, the bracket decides exactly:
-    man·2^exp against the k-th power of the midpoint (2q + 1)·2^(g − prec).
-    No root of a prec-bit float is a midpoint for k ≥ 2, so no tie arises.
-    The schedule of ``_fixed_root`` ends for k < 2^20; the oracle's k is at
-    most 2(2·MAX_P + 1).
+    doubled, and only if that is as close does ``_above`` decide: man·2^exp
+    against the k-th power of the midpoint (2q + 1)·2^(g − prec).  No root
+    of a prec-bit float is a midpoint for k ≥ 2, so no tie arises.  The
+    schedule of ``_fixed_root`` ends for k < 2^20; the oracle's k is at most
+    2(2·MAX_P + 1).
     """
     g = (exp + man.bit_length() - 1) // k
     e = exp - k * g
@@ -125,13 +125,40 @@ def _nthroot(man: int, exp: int, k: int, prec: int) -> tuple:
         if abs(low - (1 << guard - 1)) > 1 << guard // 2:
             return from_man_exp((r >> guard) + (low >> guard - 1), g + 1 - prec)
     q = r >> guard
-    c = k * (g - prec)  # the midpoint's k-th power is (2q + 1)^k·2^c
-    x, mid = man, (2 * q + 1) ** k
-    if exp >= c:
-        x <<= exp - c
-    else:
-        mid <<= c - exp
-    return from_man_exp(q + (x > mid), g + 1 - prec)
+    return from_man_exp(q + _above(man, exp, 2 * q + 1, k, k * (g - prec)), g + 1 - prec)
+
+
+def _above(man: int, exp: int, m: int, k: int, c: int) -> bool:
+    """Whether man·2^exp > m^k·2^c, for k ≥ 2 and m > 0 where the two differ.
+
+    m^k is bracketed, lo·2^s ≤ m^k ≤ hi·2^s, by square-and-multiply with
+    every product cut to w bits, rounded down in lo and up in hi.  w starts
+    at twice the width of m, which settles a root within about 2^−prec ulp
+    of the midpoint (such as the root of 1 + k·2^−prec, which a prec-bit
+    float reaches for even k), and doubles until man·2^exp lies outside the
+    bracket.  Once w ≥ k·bit_length(m) no product is cut and lo = hi = m^k,
+    so the last pass is the exact comparison.
+    """
+    chain = bin(k)[3:]  # the bits of k below its leading one
+    w = 2 * m.bit_length() + 4 * k.bit_length()
+    while True:
+        lo = hi = m
+        s = 0
+        for bit in chain:
+            lo, hi, s = lo * lo, hi * hi, 2 * s
+            if bit == "1":
+                lo, hi = lo * m, hi * m
+            cut = max(lo.bit_length() - w, 0)
+            lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
+        shift = exp - c - s  # compare man·2^shift with lo and hi
+        x = man << shift if shift >= 0 else man
+        if shift < 0:
+            lo, hi = lo << -shift, hi << -shift
+        if x > hi:
+            return True
+        if x < lo:
+            return False
+        w *= 2
 
 
 def _fixed_root(man: int, e: int, k: int, w: int) -> int:

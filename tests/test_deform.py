@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_nthroot, round_nearest
 
@@ -347,10 +348,18 @@ def test_nthroot_is_correctly_rounded_at_oracle_sizes(k, data):
 
 
 def _newton_branch(k: int, prec: int) -> bool:
-    # mpmath's mpf_nthroot takes exp(log(x)/k) instead where this is False
+    # mpmath 1.3.0's mpf_nthroot takes exp(log(x)/k) instead where this is False
     return not (k > 20 and (k >= 20000 or prec < int(233 + 28.3 * k**0.62)))
 
 
+# the agreement tests pin mpmath's own branches, so they hold for the
+# release whose branch rule _newton_branch copies
+mpmath_1_3_0 = pytest.mark.skipif(
+    mpmath.__version__ != "1.3.0", reason="pins mpmath 1.3.0's Newton branch"
+)
+
+
+@mpmath_1_3_0
 def test_root_equals_mpmath_where_mpmath_takes_newton():
     # seeded draws at oracle sizes; mpmath's Newton branch is not always
     # correctly rounded (MISROUNDED["p_sum"]), but it is on every one of these
@@ -366,6 +375,7 @@ def test_root_equals_mpmath_where_mpmath_takes_newton():
             assert deform._root(-n, d, k, prec)._mpf_ == mpf_neg(mpf_nthroot(x, k, prec, round_nearest))
 
 
+@mpmath_1_3_0
 def test_root_at_the_p_cap_equals_mpmath_in_well_under_a_second():
     k, prec = 2 * MAX_P + 1, _min_precision(MAX_P)
     assert _newton_branch(k, prec)
@@ -377,21 +387,58 @@ def test_root_at_the_p_cap_equals_mpmath_in_well_under_a_second():
     assert got._mpf_ == mpf_nthroot(from_rational(n, d, prec, round_nearest), k, prec, round_nearest)
 
 
+def test_a_root_next_to_a_midpoint_at_the_p_cap_is_the_nearest_in_well_under_a_second():
+    # for even k, x = 1 + k·2^−prec is a prec-bit float whose root lies about
+    # (k − 1)/4·2^−prec ulp below the midpoint 1 + 2^−prec, since
+    # (1 + 2^−prec)^k = x + C(k, 2)·2^−2prec + …; so the nearest root is 1.
+    # The midpoint's exact k-th power would have k·(prec + 1) ≈ 538 M bits.
+    k, prec = 2 * (2 * MAX_P + 1), _min_precision(MAX_P)
+    man, exp = (1 << prec - 1) + k // 2, 1 - prec
+    start = time.perf_counter()
+    got = deform._nthroot(man, exp, k, prec)
+    assert time.perf_counter() - start < 1.0  # tens of milliseconds
+    assert got == from_man_exp(1, 0)
+    # the same float through p_norm: (a/2^40)^k lies within half an ulp of
+    # k·2^−prec, so the quotient 1 + (a/2^40)^k rounds to x
+    a = 4276478013
+    assert from_rational((1 << 40 * k) + a**k, 1 << 40 * k, prec, round_nearest)[1:3] == (man, exp)
+    start = time.perf_counter()
+    assert p_norm((1, q(a, 1 << 40)), MAX_P) == 1
+    assert time.perf_counter() - start < 2.0  # the power sum has 330 k bits
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 65, 130])
+def test_the_bracket_decides_like_the_exact_power(k):
+    # _above against the exact comparison, with x at and next to a float
+    # rounding of m^k, where the first, cut passes cannot decide
+    rng = random.Random(k)
+    for _ in range(200):
+        m = rng.getrandbits(rng.randint(2, 80)) | 1
+        c = rng.randint(-200, 200)
+        power = m**k
+        cut = max(power.bit_length() - rng.randint(2, 90), 0)
+        for man in (power >> cut) + rng.randint(-1, 1), (-(-power >> cut)) + rng.randint(-1, 1):
+            exp = c + cut
+            if man > 0 and man << cut != power:
+                assert deform._above(man, exp, m, k, c) is (man << cut > power)
+
+
 # roots that mpmath's mpf_nthroot misrounds by one ulp, from the benchmark's
-# oracle pools: (value, p, k, n, d, newton, nearest mantissa, exponent), where
-# the root is of n / d and `newton` says whether mpmath took its Newton branch
+# oracle pools: (value, p, k, n, d, nearest mantissa, exponent), where the
+# root is of n / d; in mpmath 1.3.0 the first takes mpf_nthroot's
+# exp(log(x)/k) branch and the second its Newton branch
 MISROUNDED = {
-    # pool seed 3, position 752: mpmath takes exp(log(x)/k)
+    # pool seed 3, position 752
     "p_dist": (
         lambda: p_dist((-3, -4), (q(17, 2), -2), 8),
-        8, 34, 684326478895674229439190841509809325093665, 2**34, False,
+        8, 34, 684326478895674229439190841509809325093665, 2**34,
         74366524732147910427037206626310413167677048191195203765374344518643503130046291681684104488348896813,
         -332,
     ),
-    # pool seed 229, position 2590: mpmath's Newton branch is one ulp low too
+    # pool seed 229, position 2590
     "p_sum": (
         lambda: p_sum((5, q(-22, 3), 4, q(22, 3), q(-11, 4), q(-22, 3)), 2),
-        2, 5, -4284050593, 12**5, True,
+        2, 5, -4284050593, 12**5,
         19607357202108574942423907085035376118545661,
         -141,
     ),
@@ -400,11 +447,9 @@ MISROUNDED = {
 
 @pytest.mark.parametrize("case", sorted(MISROUNDED))
 def test_a_root_that_mpmath_misrounds_is_the_nearest(case):
-    value, p, k, n, d, newton, nearest, exp = MISROUNDED[case]
+    value, p, k, n, d, nearest, exp = MISROUNDED[case]
     prec = _min_precision(p)
-    assert _newton_branch(k, prec) is newton
     x = from_rational(abs(n), d, prec, round_nearest)
-    assert mpf_nthroot(x, k, prec, round_nearest) == from_man_exp(nearest - 1, exp)
     want = from_man_exp(nearest, exp)
     assert value()._mpf_ == (mpf_neg(want) if n < 0 else want)
     _assert_nearest_root(x[1], x[2], k, prec, want)

@@ -13,8 +13,9 @@ ratio is the only value left for it; if they disagree, or one of them has no
 ratio on that side, no value is.
 
 Each search reads x, y and z once, into integer rows at one common scale
-(``linalg._common_rows``), builds its tables once, and then works on
-positions in its candidate list and on int masks:
+(``linalg._common_rows``; the line searches through ``lines._search_rows``,
+which rejects x = y before it reads z), builds its tables once, and then
+works on positions in its candidate list and on int masks:
 
 - **Candidate pairs.**  Candidates are canonical (numerator, denominator)
   int pairs (:func:`ratio`), ordered by cross-multiplication (``by_value``);
@@ -34,14 +35,13 @@ positions in its candidate list and on int masks:
   candidates' denominators, so every product and z_i·L is an int; L is
   built on the first exact check, so a search that checks nothing pays
   nothing for it.
-- **The dominance reject.**  With each row the table keeps the mask of the
+- **The parity reject.**  With each row the table keeps the mask of the
   coordinates where |v·x_i| (or |v·y_i|) exceeds |z_i|.  Every level above
   |z_i| must cancel, so it holds an even number of the four products: a
   coordinate that exceeds |z_i| in one or three slots fails, and the XOR of
   the four masks rejects the quadruple before any coordinate is summed.
-  Otherwise a coordinate that no product exceeds needs more products equal
-  to z_i than to −z_i; at one that two or four exceed, the top level must
-  cancel, and the at most two products below it decide.
+  A quadruple that passes is checked coordinate by coordinate with
+  ``scalars._nary_ints``, the Ϝ that every layer shares.
 
 The hull search, stage 3 of the line search and the grid probe's shape A
 enumerate quadruples through :meth:`Certifier.first_bounded`: t and s come
@@ -69,7 +69,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Sequence
 
-from .scalars import _from_pair
+from .scalars import _from_pair, _nary_ints
 
 
 SEARCH_STAGES: Counter = Counter()
@@ -172,23 +172,8 @@ class Certifier:
         # products: a coordinate where one or three exceed |z_i| fails
         if mt ^ mr ^ ms ^ mw:
             return False
-        over = mt | mr | ms | mw
-        for zi, a, b, c, d, bit in zip(self._zs, t, r, s, w, self._bits):
-            if over & bit:
-                # the top level lies above |z_i| and must cancel, so it holds
-                # two or four products; the at most two smaller ones decide
-                top = max(a, -a, b, -b, c, -c, d, -d)
-                if ((a == top) - (a == -top) + (b == top) - (b == -top)
-                        + (c == top) - (c == -top) + (d == top) - (d == -top)):
-                    return False
-                a, b = ([v for v in (a, b, c, d) if -top < v < top] + [0, 0])[:2]
-                top = max(a, -a, b, -b)
-                net = (a == top) - (a == -top) + (b == top) - (b == -top)
-                if zi != (top if net > 0 else -top if net else 0):
-                    return False
-            elif zi and ((a == zi) + (b == zi) + (c == zi) + (d == zi)
-                         <= (a == -zi) + (b == -zi) + (c == -zi) + (d == -zi)):
-                # no product exceeds |z_i|: its level needs more z_i than −z_i
+        for zi, a, b, c, d in zip(self._zs, t, r, s, w):
+            if _nary_ints((a, b, c, d)) != zi:
                 return False
         return True
 

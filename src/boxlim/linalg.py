@@ -319,9 +319,14 @@ def _integer_rows(
 
 
 def _common_rows(*vectors) -> tuple[list[list[int]], int]:
-    """The vectors, read by ``_pair_rows`` with equal dimensions, times f,
-    the lcm of all their denominators: the integer rows and f."""
-    rows = _pair_rows(vectors, True)
+    """The vectors, read by ``_pair_rows`` with equal dimensions, at one
+    common scale (``_common_scale``)."""
+    return _common_scale(_pair_rows(vectors, True))
+
+
+def _common_scale(rows: list[list[tuple]]) -> tuple[list[list[int]], int]:
+    """Rows of canonical pairs times f, the lcm of all their denominators:
+    the integer rows and f."""
     f = math.lcm(*[d for pairs in rows for _, d in pairs])
     return [[n * (f // d) for n, d in pairs] for pairs in rows], f
 

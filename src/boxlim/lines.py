@@ -35,7 +35,7 @@ from .errors import (
     NotParallel,
     TooLarge,
 )
-from .linalg import Vec, _common_rows, _vecs, det_infty, vec
+from .linalg import Vec, _common_scale, _pair_rows, _vecs, det_infty, vec
 from .scalars import (
     ONE,
     ZERO,
@@ -132,6 +132,19 @@ def _pair(x, y, *rest) -> list[Vec]:
     if xv == yv:
         raise DegeneratePair("two distinct points are required")
     return [xv, yv, *_vecs(xv, *rest)[1:]]
+
+
+def _search_rows(x, y, z) -> list[list[int]]:
+    """x, y and z as integer rows at one common scale.  x and y are read
+    once, as pair rows, and must be two distinct points (canonical pairs are
+    equal exactly when the values are), which is checked before z is read."""
+    rows = _pair_rows((x, y), True)
+    if rows[0] == rows[1]:
+        raise DegeneratePair("two distinct points are required")
+    (zp,) = _pair_rows((z,), False)
+    if len(zp) != len(rows[0]):
+        raise DimensionMismatch(f"dim {len(rows[0])} vs {len(zp)}")
+    return _common_scale([*rows, zp])[0]
 
 
 def line_point(
@@ -243,7 +256,7 @@ def line_contains_nd(
     certificate is exact and final; NotFound is advisory (the candidate set
     is conjecturally complete), cross-checkable with line_grid_probe.
     """
-    (xs, ys, zs), _ = _common_rows(*_pair(x, y, z))
+    xs, ys, zs = _search_rows(x, y, z)
 
     def member(stage: str, quad: tuple) -> LineMembership:
         SEARCH_STAGES[stage] += 1
@@ -302,7 +315,7 @@ def line_grid_probe(
     ``MAX_GRID`` in all; a larger one raises ``TooLarge`` before any of it is
     built.
     """
-    rows, _ = _common_rows(*_pair(x, y, z))
+    rows = _search_rows(x, y, z)
     step = _carrier(step)
     bound = _carrier(bound)
     if step <= 0 or bound < 1:

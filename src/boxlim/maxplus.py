@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
 )
 from .linalg import PseudoFieldOps, SymmetricSpaceOps
-from .scalars import ZERO, ScalarLike, _carrier, q
+from .scalars import ZERO, ScalarLike, _carrier, _levels, q
 
 __all__ = [
     "MSym",
@@ -134,19 +134,11 @@ def mp_nary(zs: Sequence[MSym]) -> MSym:
     zs = tuple(zs)
     if not zs:
         raise EmptyList("n-ary sum needs at least one element")
-    net: dict = {}
-    for z in zs:
-        if z.sign:
-            net[z.logmag] = net.get(z.logmag, 0) + z.sign
-    top = None
-    top_net = 0
-    for lm, c in net.items():
-        if c and (top is None or lm > top):
-            top = lm
-            top_net = c
-    if top is None:
+    net = _levels([(z.logmag, z.sign) for z in zs if z.sign])
+    if not net:
         return MZERO
-    return MSym(1 if top_net > 0 else -1, top)
+    top = max(net)
+    return MSym(1 if net[top] > 0 else -1, top)
 
 
 def mp_abs(z: MSym) -> MSym:

@@ -16,10 +16,10 @@ cancellation is exact at every p.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .linalg import Mat, Vec, _integer_rows, _level_tally
-from .scalars import ScalarQ, _net_by_magnitude, q
+from .scalars import ScalarQ, _levels, q
 
 __all__ = [
     "GAP_RATIO",
@@ -38,19 +38,16 @@ def gap_ok(values: Sequence[ScalarQ]) -> bool:
     """Oracle-friendly n-ary sums: fully cancelled levels are exact at every
     p, so only surviving magnitudes matter — the top must survive with net
     count ±1 and dominate the next surviving magnitude by the gap ratio."""
-    return _levels_gap_ok((q(n, d), c) for (n, d), c in _net_by_magnitude(values).items())
+    (ints,), _ = _integer_rows((values,))
+    return _levels_gap_ok(_levels([(abs(v), 1 if v > 0 else -1) for v in ints if v]))
 
 
-def _levels_gap_ok(levels: Iterable[tuple]) -> bool:
-    """The rule of ``gap_ok`` on (magnitude, net count) pairs.  Scaling every
-    magnitude by one positive factor keeps the verdict."""
-    surviving = sorted(((m, c) for m, c in levels if c), reverse=True)
-    if not surviving:
-        return True
-    top, count = surviving[0]
-    if count not in (1, -1):
-        return False
-    return len(surviving) == 1 or surviving[1][0] <= GAP_RATIO * top
+def _levels_gap_ok(net: dict) -> bool:
+    """The rule of ``gap_ok`` on a {magnitude: net count} tally without its
+    cancelled levels.  Scaling every magnitude by one positive factor keeps
+    the verdict."""
+    top, second = (sorted(net, reverse=True) + [0, 0])[:2]
+    return not top or (net[top] in (1, -1) and second <= GAP_RATIO * top)
 
 
 def norm_gap_ok(x: Sequence[ScalarQ]) -> bool:
@@ -71,17 +68,14 @@ def dist_gap_ok(x: Sequence[ScalarQ], y: Sequence[ScalarQ]) -> bool:
         if lo != 0 and lo > GAP_RATIO * hi:
             return False
         tops.append(hi)
-    if not tops:
-        return True
-    tops.sort(reverse=True)
-    return len(tops) == 1 or tops[1] <= GAP_RATIO * tops[0]
+    return _levels_gap_ok(_levels([(hi, 1) for hi in tops]))
 
 
 def det_gap_ok(m: Mat) -> bool:
     """Gap condition on the signed permutation products, tallied over the
     row-scaled integer matrix by the determinant's subset DP."""
     ints, _ = _integer_rows(m)
-    return _levels_gap_ok(_level_tally(ints).items())
+    return _levels_gap_ok(_level_tally(ints))
 
 
 def trig_gap_ok(x: Vec, y: Vec) -> bool:

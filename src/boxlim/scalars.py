@@ -17,6 +17,10 @@ carrier, so every result is the carrier under either one.  The kernel
 canonical pair (``_pair``), compares magnitudes as |n_a|·d_b against
 |n_b|·d_a, and returns a carrier input as it is or builds the result from
 its pair (``_from_pair``), so the same code serves every carrier.
+
+Ϝ's tally is one kernel that every layer calls: ``_levels`` ({level: net
+count} of signed items, for int magnitudes, canonical pairs or max-plus
+log-magnitudes) and ``_nary_ints`` (Ϝ over integers at one common scale).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, EmptyIndexSet, EmptyList, TooLarge
@@ -500,20 +504,32 @@ def xi(
     return plus - minus
 
 
-def _net_by_magnitude(vals: Iterable) -> dict:
-    """Signed occurrence balance per nonzero magnitude, keyed on the canonical
-    magnitude pair (|n|, d)."""
+def _levels(items: Iterable[tuple]) -> dict:
+    """Ϝ's tally: {level: net count} of ``(level, ±1)`` items, without the
+    levels that cancel; any ordered, hashable levels, and Ϝ's top is ``max``."""
     net: dict = {}
     get = net.get
-    for v in vals:
-        n = v.numerator
-        if n > 0:
-            key = (n, v.denominator)
-            net[key] = get(key, 0) + 1
-        elif n:
-            key = (-n, v.denominator)
-            net[key] = get(key, 0) - 1
-    return net
+    for level, sign in items:
+        net[level] = get(level, 0) + sign
+    return {level: c for level, c in net.items() if c}
+
+
+def _nary_ints(ints: Sequence[int]) -> int:
+    """Ϝ over integers at one common scale: one pass finds the top magnitude
+    and its signed count, which decides unless the top level cancels; only
+    then does ``_levels`` tally every magnitude."""
+    top = net = 0
+    for v in ints:
+        m = v if v >= 0 else -v
+        if m > top:
+            top, net = m, (1 if v > 0 else -1)
+        elif m == top:  # zeros count at level 0 until a nonzero resets it
+            net += 1 if v > 0 else -1
+    if top and not net:
+        tally = _levels([(v if v > 0 else -v, 1 if v > 0 else -1) for v in ints if v])
+        top = max(tally, default=0)
+        net = tally.get(top, 0)
+    return top if net > 0 else -top
 
 
 def residual_index_set(
@@ -522,14 +538,9 @@ def residual_index_set(
 ) -> frozenset:
     """Positions whose value group does not cancel: {j: ξ(x_j) ≠ 0} (1-based)."""
     vals, pos = _coerce_indexed(x, index_set)
-    net = _net_by_magnitude(vals[j - 1] for j in pos)
-    out = []
-    for j in pos:
-        v = vals[j - 1]
-        n = v.numerator
-        if n and net[(n if n > 0 else -n, v.denominator)] != 0:
-            out.append(j)
-    return frozenset(out)
+    signed = [(j, v.numerator, v.denominator) for j in pos if (v := vals[j - 1])]
+    net = _levels([((abs(n), d), 1 if n > 0 else -1) for _, n, d in signed])
+    return frozenset(j for j, n, d in signed if (abs(n), d) in net)
 
 
 def _nary(vals: Sequence[ScalarLike]) -> ScalarQ:
@@ -537,8 +548,8 @@ def _nary(vals: Sequence[ScalarLike]) -> ScalarQ:
 
     Magnitudes are compared as |n_a|·d_b against |n_b|·d_a over integers.
     One pass finds the top magnitude and its signed count; that decides the
-    result unless the top level cancels exactly, and only then does a
-    second pass tally every magnitude.
+    result unless the top level cancels exactly, and only then does
+    ``_nary_ints`` take the values at one common scale.
     """
     top = None
     top_n, top_m, top_d, top_net = 0, 0, 1, 0
@@ -562,18 +573,9 @@ def _nary(vals: Sequence[ScalarLike]) -> ScalarQ:
         return _from_pair(-top_n, top_d)
     if not top_m:
         return ZERO
-    return _nary_tally(vals)
-
-
-def _nary_tally(vals: Sequence[ScalarLike]) -> ScalarQ:
-    """Ϝ from the signed counts of every magnitude."""
-    top_n, top_d, top_net = 0, 1, 0
-    for (n, d), c in _net_by_magnitude(map(q, vals)).items():
-        if c and n * top_d > top_n * d:
-            top_n, top_d, top_net = n, d, c
-    if not top_net:
-        return ZERO
-    return _from_pair(top_n if top_net > 0 else -top_n, top_d)
+    pairs = [_pair(v) for v in vals]
+    f = lcm(*[d for _, d in pairs])
+    return q(_nary_ints([n * (f // d) for n, d in pairs]), f)
 
 
 def nary_boxplus(

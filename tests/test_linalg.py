@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -53,7 +54,7 @@ from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, PseudoFieldOps, _level_t
 from boxlim.lines import line_grid_probe
 from boxlim.metric import f_limit_check
 from boxlim.sampling import Sampler, det_gap_ok, gap_ok
-from boxlim.scalars import ScalarQ, _net_by_magnitude
+from boxlim.scalars import ScalarQ
 
 rationals = strategies.rationals(-6, 6, 6).map(q)
 vectors = partial(strategies.vectors, elements=rationals)
@@ -377,19 +378,28 @@ integer_matrices = st.integers(1, 5).flatmap(
 )
 
 
+def product_net(ints) -> Counter:
+    """The signed count of the nonzero permutation products per magnitude."""
+    net = Counter()
+    for p in signed_products(ints):
+        if p:
+            net[abs(p)] += 1 if p > 0 else -1
+    return net
+
+
 @settings(deadline=None)
 @given(integer_matrices)
 def test_level_tally_is_the_net_count_of_every_product_magnitude(ints):
-    net = _net_by_magnitude(signed_products(ints))
-    assert _level_tally(ints) == {m: c for (m, _), c in net.items() if c}
+    net = product_net(ints)
+    assert _level_tally(ints) == {m: c for m, c in net.items() if c}
 
 
 @settings(deadline=None)
 @given(integer_matrices, st.integers(0, 1100))
 def test_level_tally_above_a_floor_is_the_whole_tally_cut_at_the_floor(ints, floor):
     # entries within ±4 at n ≤ 5: every magnitude is at most 4**5 = 1024
-    net = _net_by_magnitude(signed_products(ints))
-    assert _level_tally(ints, floor) == {m: c for (m, _), c in net.items() if c and m >= floor}
+    net = product_net(ints)
+    assert _level_tally(ints, floor) == {m: c for m, c in net.items() if c and m >= floor}
 
 
 # Cancelled top levels decided by each floored pass: the first (⌊M/2⌋ + 1),
@@ -461,6 +471,34 @@ def test_det_paths_count_small_matrices(path, rows):
     before = DET_PATHS[path]
     assert det_infty(rows) == reference_det(rows)
     assert DET_PATHS[path] == before + 1
+
+
+def reference_gap_ok(values) -> bool:
+    """The gap rule on Fractions: the top surviving magnitude has net count
+    ±1, and the next surviving one is at most 3/4 of it."""
+    net = Counter()
+    for v in map(Fraction, values):
+        if v:
+            net[abs(v)] += 1 if v > 0 else -1
+    live = sorted((m for m, c in net.items() if c), reverse=True)
+    if not live:
+        return True
+    return net[live[0]] in (1, -1) and (len(live) == 1 or live[1] <= Fraction(3, 4) * live[0])
+
+
+@st.composite
+def gap_lists(draw):
+    """Lists with repeated values, cancelling pairs and mixed denominators."""
+    vals = draw(st.lists(strategies.rationals(-2, 2, 4), max_size=6))
+    if vals:
+        more = draw(st.lists(st.sampled_from(vals), max_size=4))
+        vals += [-v for v in more[::2]] + more[1::2]
+    return draw(st.permutations([draw(st.sampled_from((q, Fraction)))(v) for v in vals]))
+
+
+@given(gap_lists())
+def test_gap_ok_is_the_gap_rule_on_the_values(values):
+    assert gap_ok(values) == reference_gap_ok(values)
 
 
 @given(st.lists(vectors(3), min_size=3, max_size=3))

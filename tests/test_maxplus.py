@@ -22,6 +22,7 @@ from boxlim import (
     mp_otimes,
     mp_parse,
     msym,
+    nary_boxplus,
     psi_exp,
     psi_ln,
     q,
@@ -82,6 +83,18 @@ def test_nary_net_sign_per_level():
     assert mp_nary(zs) == msym(1, 3)
     cancel = [msym(1, 2), msym(-1, 2), msym(1, 1)]
     assert mp_nary(cancel) == msym(1, 1)
+
+
+@given(st.lists(st.tuples(st.sampled_from((1, 0, -1)), st.integers(-4, 4)),
+                min_size=1, max_size=8))
+def test_mp_nary_is_the_limit_sum_of_the_images(pairs):
+    # MSym(s, l) with integer l maps to the rational s·2^l, which keeps the
+    # order of magnitudes and the signs, so Ϝ commutes with the map
+    def image(z):
+        return z.sign * q(2) ** int(z.logmag)
+
+    zs = [msym(s, l) if s else MZERO for s, l in pairs]
+    assert image(mp_nary(zs)) == nary_boxplus([image(z) for z in zs])
 
 
 @given(nonzero_elements, nonzero_elements)

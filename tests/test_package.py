@@ -292,6 +292,28 @@ def test_the_certificate_searches_run_on_integer_rows():
     assert _calls(co_contains, {"_vecs"}) == []
 
 
+def test_every_layer_tallies_with_the_one_kernel():
+    # Ϝ's tally is scalars._levels and scalars._nary_ints: the certificate
+    # check, the max-plus mirror, the gap filter and the residual set call
+    # them rather than keep a tally of their own
+    kernel = {"_levels", "_nary_ints"}
+    found = {}
+    for module, names in (("_certify", {"matches"}), ("maxplus", {"mp_nary"}),
+                          ("sampling", {"gap_ok"}),
+                          ("scalars", {"residual_index_set", "_net_by_magnitude"})):
+        tree = ast.parse((SRC / "boxlim" / f"{module}.py").read_text(encoding="utf-8"))
+        found.update(
+            (f.name, f) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in names
+        )
+    assert "_net_by_magnitude" not in found
+    for name in ("matches", "mp_nary", "gap_ok", "residual_index_set"):
+        assert _calls(found[name], kernel), name
+    # no loop of its own in mp_nary, and no carrier per level in gap_ok
+    assert not any(isinstance(n, ast.For) for n in ast.walk(found["mp_nary"]))
+    assert _calls(found["gap_ok"], {"q", "_carrier"}) == []
+
+
 # a module named gmpy2 whose mpq is fractions.Fraction: the package takes its
 # gmpy2 branch, with a carrier that is not QFraction
 _STAND_IN = (

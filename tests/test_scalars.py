@@ -5,6 +5,7 @@ import numbers
 import operator
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,7 @@ from boxlim import (
     upper_form,
 )
 from boxlim.errors import EmptyIndexSet, EmptyList, TooLarge
-from boxlim.scalars import QFraction, ScalarQ, residual_index_set, xi
+from boxlim.scalars import QFraction, ScalarQ, _levels, _nary_ints, residual_index_set, xi
 
 rationals = strategies.rationals(-8, 8, 8).map(q)
 value_lists = st.lists(rationals, min_size=1, max_size=6)
@@ -439,3 +440,15 @@ def test_nary_matches_a_reference_tally_on_tie_heavy_lists(vals):
     # small integers make the top level cancel often (the second-pass path)
     assert nary_boxplus(vals) == _reference_nary(vals)
     assert nary_boxplus(vals, range(1, len(vals) + 1)) == _reference_nary(vals)
+
+
+@given(st.lists(st.integers(-6, 6), max_size=8))
+def test_the_tally_kernel_matches_a_counter_reference(ints):
+    # ints in -6..6 make cancelled top levels common; the reference counts
+    # the positive and the negative entries of each magnitude apart
+    plus = Counter(v for v in ints if v > 0)
+    minus = Counter(-v for v in ints if v < 0)
+    live = {m: plus[m] - minus[m] for m in plus | minus if plus[m] != minus[m]}
+    assert _levels((abs(v), 1 if v > 0 else -1) for v in ints if v) == live
+    top = max(live, default=0)
+    assert _nary_ints(ints) == (top if live.get(top, 0) > 0 else -top)

@@ -13,9 +13,8 @@ ratio is the only value left for it; if they disagree, or one of them has no
 ratio on that side, no value is.
 
 Each search reads x, y and z once, into integer rows at one common scale
-(``linalg._common_rows``; the line searches through ``lines._search_rows``,
-which rejects x = y before it reads z), builds its tables once, and then
-works on positions in its candidate list and on int masks:
+(``linalg._common_rows``, or ``lines._search_rows``, which rejects x = y
+first), builds its tables once, and then works on positions and int masks:
 
 - **Candidate pairs.**  Candidates are canonical (numerator, denominator)
   int pairs (:func:`ratio`), ordered by cross-multiplication (``by_value``);

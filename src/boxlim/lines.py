@@ -135,9 +135,8 @@ def _pair(x, y, *rest) -> list[Vec]:
 
 
 def _search_rows(x, y, z) -> list[list[int]]:
-    """x, y and z as integer rows at one common scale.  x and y are read
-    once, as pair rows, and must be two distinct points (canonical pairs are
-    equal exactly when the values are), which is checked before z is read."""
+    """x, y and z as integer rows at one common scale; x = y (equal
+    canonical pairs) raises before z is read."""
     rows = _pair_rows((x, y), True)
     if rows[0] == rows[1]:
         raise DegeneratePair("two distinct points are required")

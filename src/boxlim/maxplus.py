@@ -135,10 +135,8 @@ def mp_nary(zs: Sequence[MSym]) -> MSym:
     if not zs:
         raise EmptyList("n-ary sum needs at least one element")
     net = _levels([(z.logmag, z.sign) for z in zs if z.sign])
-    if not net:
-        return MZERO
-    top = max(net)
-    return MSym(1 if net[top] > 0 else -1, top)
+    top = max(net, default=None)
+    return MZERO if top is None else MSym(1 if net[top] > 0 else -1, top)
 
 
 def mp_abs(z: MSym) -> MSym:

@@ -19,7 +19,7 @@ import random
 from typing import Callable, Sequence
 
 from .linalg import Mat, Vec, _integer_rows, _level_tally
-from .scalars import ScalarQ, _levels, q
+from .scalars import ScalarQ, _levels, _pair, q
 
 __all__ = [
     "GAP_RATIO",
@@ -38,16 +38,21 @@ def gap_ok(values: Sequence[ScalarQ]) -> bool:
     """Oracle-friendly n-ary sums: fully cancelled levels are exact at every
     p, so only surviving magnitudes matter — the top must survive with net
     count ±1 and dominate the next surviving magnitude by the gap ratio."""
-    (ints,), _ = _integer_rows((values,))
-    return _levels_gap_ok(_levels([(abs(v), 1 if v > 0 else -1) for v in ints if v]))
+    return _levels_gap_ok(_levels([((n, d), 1) if n > 0 else ((-n, d), -1)
+                                   for n, d in map(_pair, values) if n]))
 
 
 def _levels_gap_ok(net: dict) -> bool:
-    """The rule of ``gap_ok`` on a {magnitude: net count} tally without its
-    cancelled levels.  Scaling every magnitude by one positive factor keeps
-    the verdict."""
-    top, second = (sorted(net, reverse=True) + [0, 0])[:2]
-    return not top or (net[top] in (1, -1) and second <= GAP_RATIO * top)
+    """The rule of ``gap_ok`` on a {(|n|, d): net count} tally without its
+    cancelled levels, comparing two canonical pairs at a time."""
+    top = second = (0, 1)
+    for n, d in net:
+        if n * top[1] > top[0] * d:
+            top, second = (n, d), top
+        elif n * second[1] > second[0] * d:
+            second = n, d
+    return not top[0] or (net[top] in (1, -1) and GAP_RATIO.denominator * second[0] * top[1]
+                          <= GAP_RATIO.numerator * top[0] * second[1])
 
 
 def norm_gap_ok(x: Sequence[ScalarQ]) -> bool:
@@ -68,14 +73,14 @@ def dist_gap_ok(x: Sequence[ScalarQ], y: Sequence[ScalarQ]) -> bool:
         if lo != 0 and lo > GAP_RATIO * hi:
             return False
         tops.append(hi)
-    return _levels_gap_ok(_levels([(hi, 1) for hi in tops]))
+    return _levels_gap_ok(_levels([(_pair(hi), 1) for hi in tops]))
 
 
 def det_gap_ok(m: Mat) -> bool:
     """Gap condition on the signed permutation products, tallied over the
     row-scaled integer matrix by the determinant's subset DP."""
     ints, _ = _integer_rows(m)
-    return _levels_gap_ok(_level_tally(ints))
+    return _levels_gap_ok({(k, 1): c for k, c in _level_tally(ints).items()})
 
 
 def trig_gap_ok(x: Vec, y: Vec) -> bool:

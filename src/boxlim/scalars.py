@@ -19,8 +19,8 @@ canonical pair (``_pair``), compares magnitudes as |n_a|·d_b against
 its pair (``_from_pair``), so the same code serves every carrier.
 
 Ϝ's tally is one kernel that every layer calls: ``_levels`` ({level: net
-count} of signed items, for int magnitudes, canonical pairs or max-plus
-log-magnitudes) and ``_nary_ints`` (Ϝ over integers at one common scale).
+count} of signed items: int magnitudes, canonical pairs or log-magnitudes)
+and ``_nary_ints`` (Ϝ over integers at one common scale).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, EmptyIndexSet, EmptyList, TooLarge
@@ -508,10 +508,12 @@ def _levels(items: Iterable[tuple]) -> dict:
     """Ϝ's tally: {level: net count} of ``(level, ±1)`` items, without the
     levels that cancel; any ordered, hashable levels, and Ϝ's top is ``max``."""
     net: dict = {}
-    get = net.get
     for level, sign in items:
-        net[level] = get(level, 0) + sign
-    return {level: c for level, c in net.items() if c}
+        if c := net.get(level, 0) + sign:
+            net[level] = c
+        else:  # the level was there with count −sign
+            del net[level]
+    return net
 
 
 def _nary_ints(ints: Sequence[int]) -> int:
@@ -526,7 +528,7 @@ def _nary_ints(ints: Sequence[int]) -> int:
         elif m == top:  # zeros count at level 0 until a nonzero resets it
             net += 1 if v > 0 else -1
     if top and not net:
-        tally = _levels([(v if v > 0 else -v, 1 if v > 0 else -1) for v in ints if v])
+        tally = _levels([(v, 1) if v > 0 else (-v, -1) for v in ints if v])
         top = max(tally, default=0)
         net = tally.get(top, 0)
     return top if net > 0 else -top
@@ -538,9 +540,10 @@ def residual_index_set(
 ) -> frozenset:
     """Positions whose value group does not cancel: {j: ξ(x_j) ≠ 0} (1-based)."""
     vals, pos = _coerce_indexed(x, index_set)
-    signed = [(j, v.numerator, v.denominator) for j in pos if (v := vals[j - 1])]
-    net = _levels([((abs(n), d), 1 if n > 0 else -1) for _, n, d in signed])
-    return frozenset(j for j, n, d in signed if (abs(n), d) in net)
+    keyed = {j: ((n, v.denominator), 1) if n > 0 else ((-n, v.denominator), -1)
+             for j in pos if (n := (v := vals[j - 1]).numerator)}
+    net = _levels(keyed.values())
+    return frozenset(j for j, (level, _) in keyed.items() if level in net)
 
 
 def _nary(vals: Sequence[ScalarLike]) -> ScalarQ:
@@ -549,7 +552,7 @@ def _nary(vals: Sequence[ScalarLike]) -> ScalarQ:
     Magnitudes are compared as |n_a|·d_b against |n_b|·d_a over integers.
     One pass finds the top magnitude and its signed count; that decides the
     result unless the top level cancels exactly, and only then does
-    ``_nary_ints`` take the values at one common scale.
+    ``_levels`` tally the canonical pairs (never one common scale).
     """
     top = None
     top_n, top_m, top_d, top_net = 0, 0, 1, 0
@@ -573,9 +576,12 @@ def _nary(vals: Sequence[ScalarLike]) -> ScalarQ:
         return _from_pair(-top_n, top_d)
     if not top_m:
         return ZERO
-    pairs = [_pair(v) for v in vals]
-    f = lcm(*[d for _, d in pairs])
-    return q(_nary_ints([n * (f // d) for n, d in pairs]), f)
+    net = _levels([((n, d), 1) if n > 0 else ((-n, d), -1) for n, d in map(_pair, vals) if n])
+    top_n, top_d = 0, 1
+    for n, d in net:
+        if n * top_d > top_n * d:
+            top_n, top_d = n, d
+    return _from_pair(top_n if net[top_n, top_d] > 0 else -top_n, top_d) if net else ZERO
 
 
 def nary_boxplus(

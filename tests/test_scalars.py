@@ -5,6 +5,7 @@ import numbers
 import operator
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from boxlim import (
     upper_form,
 )
 from boxlim.errors import EmptyIndexSet, EmptyList, TooLarge
+from boxlim.sampling import gap_ok
 from boxlim.scalars import QFraction, ScalarQ, _levels, _nary_ints, residual_index_set, xi
 
 rationals = strategies.rationals(-8, 8, 8).map(q)
@@ -452,3 +454,28 @@ def test_the_tally_kernel_matches_a_counter_reference(ints):
     assert _levels((abs(v), 1 if v > 0 else -1) for v in ints if v) == live
     top = max(live, default=0)
     assert _nary_ints(ints) == (top if live.get(top, 0) > 0 else -top)
+
+
+def _primes(n: int) -> list[int]:
+    primes, k = [], 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_a_cancelled_top_over_coprime_denominators_keeps_operands_small():
+    # 1 and -1 cancel the top, and the 3 000 reciprocal primes share no
+    # factor: their common scale is about 36 kbit, so taking every value at
+    # it costs some 16 MB, where comparing two pairs at a time stays under 1
+    vals = [q(1), q(-1)] + [q(1, p) for p in _primes(3000)]
+    tracemalloc.start()
+    try:
+        assert nary_boxplus(vals) == q(1, 2)
+        assert residual_index_set(vals) == frozenset(range(3, 3003))
+        assert gap_ok(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

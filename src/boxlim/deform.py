@@ -6,15 +6,18 @@ module evaluates the finite-p side: power sums are computed exactly, over
 the integers left when each vector is scaled by the lcm of its
 denominators, and only the final odd root is inexact: the integer quotient
 is rounded once to a binary float at a working precision that grows with
-p, and its root is rounded once more, correctly, by an integer Newton
-kernel (``_nthroot``); mpmath only holds the result.  Exact cancellations
-therefore stay exactly zero at every p.  The deformed cosine
-and sine keep that promise too: their ratio of power sums is formed
-exactly, so each takes one root, and an exact ±1 or 0 comes out exact.
+p (``_quotient``, one divmod), and its root is rounded once more,
+correctly, by an integer Newton kernel (``_nthroot``).  Both run on plain
+ints from the power sum to the raw result; mpmath only holds it
+(``mp.make_mpf``).  Exact cancellations therefore stay exactly zero at
+every p.  The deformed cosine and sine keep that promise too: their ratio
+of power sums is formed exactly, so each takes one root, and an exact ±1
+or 0 comes out exact.
 Vector and matrix inputs are read in place; only integer rows are built
 (``linalg._integer_rows``), never a carrier per entry.
 
 Every root is one rounding of an integer quotient to the working precision
+(round-to-nearest, ties to even, the float mpmath's ``from_rational`` gives)
 and one correctly rounded (round-to-nearest) root of that float at the same
 precision, with the sign set exactly; no mpmath context is entered, so a
 result has the same bits whatever the caller's ``mp.prec``.  The
@@ -30,11 +33,12 @@ and ``DEFAULT_TOL``.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_neg, round_nearest, to_rational
+from mpmath.libmp import MPZ, fzero, to_rational
 
 from ._record import Record, setfield
 from .errors import (
@@ -79,31 +83,50 @@ def _power(p: int) -> tuple[int, int]:
     """The exponent 2p+1 and the working precision for p.
 
     Raises ValueError unless p is an int ≥ 0, and TooLarge above MAX_P.
+    A plain int in range passes on one test.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise ValueError(f"p must be a nonnegative integer, got {p!r}")
-    if p > MAX_P:
-        raise TooLarge(f"p limited to p <= {MAX_P}, got {p}")
+    if not (type(p) is int and 0 <= p <= MAX_P):
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise ValueError(f"p must be a nonnegative integer, got {p!r}")
+        if p > MAX_P:
+            raise TooLarge(f"p limited to p <= {MAX_P}, got {p}")
     return 2 * p + 1, _min_precision(p)
 
 
 def _root(n: int, d: int, k: int, prec: int) -> mpf:
     """sign(n)·(|n|/d)^(1/k) for integers n and d > 0.
 
-    |n|/d is rounded once to nearest at prec, and ``_nthroot`` roots that
-    float, correctly rounded at prec; the sign is set exactly.  No mpmath
+    |n|/d is rounded once to nearest at prec (``_quotient``), and
+    ``_nthroot`` roots that float, correctly rounded at prec, with the sign
+    set exactly.  Both work on ints alone, up to ``mp.make_mpf``: no mpmath
     context is entered, so the caller's precision cannot touch the result.
     """
-    x = from_rational(abs(n), d, prec, round_nearest)
     if not n:
-        return mp.make_mpf(x)
-    r = _nthroot(x[1], x[2], k, prec)
-    return mp.make_mpf(mpf_neg(r) if n < 0 else r)
+        return mp.make_mpf(fzero)
+    man, exp = _quotient(abs(n), d, prec)
+    return mp.make_mpf(_nthroot(man, exp, k, prec, 1 if n < 0 else 0))
 
 
-def _nthroot(man: int, exp: int, k: int, prec: int) -> tuple:
+def _quotient(n: int, d: int, prec: int) -> tuple[int, int]:
+    """(man, exp) with man·2^exp = n/d rounded to nearest at prec bits, ties
+    to even, for integers n, d > 0: the value of ``from_rational(n, d, prec,
+    round_nearest)``, with man ≤ 2^prec not normalized.
+
+    One divmod gives q = ⌊n·2^s/d⌋ with prec + 1 or prec + 2 bits; the bits
+    of q below its top prec round it, with the remainder as sticky bit.
+    """
+    s = prec + 1 + d.bit_length() - n.bit_length()
+    q, r = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
+    cut = q.bit_length() - prec
+    man, low, half = q >> cut, q & ((1 << cut) - 1), 1 << cut - 1
+    if low > half or low == half and (r or man & 1):
+        man += 1
+    return man, cut - s
+
+
+def _nthroot(man: int, exp: int, k: int, prec: int, sign: int = 0) -> tuple:
     """The k-th root of man·2^exp > 0, rounded to nearest at prec bits, as a
-    raw mpf.
+    raw normalized mpf with sign bit ``sign``.
 
     With g = ⌊(t − 1)/k⌋ for t = exp + bit_length(man), the root lies in
     [2^g, 2^(g+1)), and y = root / 2^g is the root of z = man·2^(exp − kg)
@@ -113,8 +136,9 @@ def _nthroot(man: int, exp: int, k: int, prec: int) -> tuple:
     doubled, and only if that is as close does ``_above`` decide: man·2^exp
     against the k-th power of the midpoint (2q + 1)·2^(g − prec).  No root
     of a prec-bit float is a midpoint for k ≥ 2, so no tie arises.  The
-    schedule of ``_fixed_root`` ends for k < 2^20; the oracle's k is at most
-    2(2·MAX_P + 1).
+    rounded mantissa (at most 2^prec) loses its trailing zeros in one step.
+    The schedule of ``_fixed_root`` ends for k < 2^20; the oracle's k is at
+    most 2(2·MAX_P + 1).
     """
     g = (exp + man.bit_length() - 1) // k
     e = exp - k * g
@@ -123,9 +147,14 @@ def _nthroot(man: int, exp: int, k: int, prec: int) -> tuple:
         r = _fixed_root(man, e, k, prec + guard)
         low = r & ((1 << guard) - 1)
         if abs(low - (1 << guard - 1)) > 1 << guard // 2:
-            return from_man_exp((r >> guard) + (low >> guard - 1), g + 1 - prec)
-    q = r >> guard
-    return from_man_exp(q + _above(man, exp, 2 * q + 1, k, k * (g - prec)), g + 1 - prec)
+            m = (r >> guard) + (low >> guard - 1)
+            break
+    else:
+        q = r >> guard
+        m = q + _above(man, exp, 2 * q + 1, k, k * (g - prec))
+    zeros = (m & -m).bit_length() - 1
+    m >>= zeros
+    return sign, MPZ(m), g + 1 - prec + zeros, m.bit_length()
 
 
 def _above(man: int, exp: int, m: int, k: int, c: int) -> bool:
@@ -161,27 +190,42 @@ def _above(man: int, exp: int, m: int, k: int, c: int) -> bool:
         w *= 2
 
 
-def _fixed_root(man: int, e: int, k: int, w: int) -> int:
-    """z^(1/k)·2^(w−1) for z = man·2^e in [1, 2^k), to within a few units.
+@functools.lru_cache(maxsize=4 * (MAX_P + 1))
+def _schedule(k: int, w: int) -> tuple[int, tuple[int, ...], str]:
+    """``_fixed_root``'s plan for k and w: the precision of its float seed,
+    the precisions of the Newton steps after it, and the bits of k − 1 below
+    its leading one.
 
-    Newton's step r ← ((k − 1)r + z / r^(k−1)) / k on integers with f = w − 1
-    fractional bits; r^(k−1) is taken by square-and-multiply, each product
-    truncated to f fractional bits.  A step near the root loses about
-    log2(k) bits of the doubling, so the schedule is built down from w as
-    w_prev = ⌊w/2⌋ + bit_length(k) + 4 until a 53-bit float seed covers it.
+    A step near the root loses about log2(k) bits of the doubling, so the
+    schedule is built down from w as w_prev = ⌊w/2⌋ + bit_length(k) + 4
+    until a 53-bit float seed covers it (or is w itself, if w is that
+    small).  The plan depends on (k, w) alone: the oracle's k is 2p+1 or
+    2(2p+1) and its w is prec + G or prec + 2G for p ≤ MAX_P, so the cache
+    holds every plan the oracle can ask for.
     """
     steps = [w]
     while steps[-1] > 48:
         steps.append(steps[-1] // 2 + k.bit_length() + 4)
-    # the seed 2^(log2(z)/k), from the top 53 bits of man, at the last
-    # precision of the schedule (or at w, if that is the only one)
+    seed = steps.pop() if len(steps) > 1 else w
+    return seed, tuple(reversed(steps)), bin(k - 1)[3:]
+
+
+def _fixed_root(man: int, e: int, k: int, w: int) -> int:
+    """z^(1/k)·2^(w−1) for z = man·2^e in [1, 2^k), to within a few units.
+
+    Newton's step r ← ((k − 1)r + z / r^(k−1)) / k on integers with f = w − 1
+    fractional bits, along the precisions of ``_schedule(k, w)``;
+    r^(k−1) is taken by square-and-multiply, each product truncated to f
+    fractional bits.
+    """
+    w, steps, chain = _schedule(k, w)
+    # the seed 2^(log2(z)/k), from the top 53 bits of man, at the first
+    # precision of the schedule
     bits = man.bit_length()
     top = man >> bits - 53 if bits > 53 else man << 53 - bits
     y = 2.0 ** ((bits + e + math.log2(top * 2.0**-53)) / k)
-    w = steps.pop() if len(steps) > 1 else w
     r = int(math.ldexp(y, w - 1))
-    chain = bin(k - 1)[3:]  # the bits of k − 1 below its leading one
-    for v in reversed(steps):
+    for v in steps:
         r <<= v - w
         w, f = v, v - 1
         z = man << e + f if e + f >= 0 else man >> -(e + f)

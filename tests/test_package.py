@@ -269,6 +269,17 @@ def test_the_finite_p_layer_reads_its_inputs_in_place():
     assert _calls(tree, {"vec", "_vecs", "mat"}) == []
 
 
+def test_the_finite_p_root_runs_on_ints_up_to_the_result():
+    # _root rounds the quotient (_quotient) and _nthroot builds the raw mpf
+    # on ints alone: no mpmath libmp call between the power sum and make_mpf
+    tree = ast.parse((SRC / "boxlim" / "deform.py").read_text(encoding="utf-8"))
+    names = {"_root", "_quotient", "_nthroot"}
+    found = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in names}
+    for name, f in found.items():
+        assert _calls(f, {"from_rational", "mpf_div", "from_man_exp", "mpf_neg"}) == [], name
+    assert set(found) == names
+
+
 def test_the_certificate_searches_run_on_integer_rows():
     # _certify works on integer rows and candidate pairs: it builds no
     # carrier and reads no carrier's parts, except the four carriers of a

@@ -14,7 +14,11 @@ ratio on that side, no value is.
 
 Each search reads x, y and z once, into integer rows at one common scale
 (``linalg._common_rows``, or ``lines._search_rows``, which rejects x = y
-first), builds its tables once, and then works on positions and int masks:
+first), builds its tables once, and then works on positions and int masks.
+The max-plus mirror runs the hull search on int levels instead
+(``maxplus._on_levels``): it passes its own quotient ``ratio`` and product
+``mul`` of row values, since Ϝ, the order and the signs read levels as they
+are.
 
 - **Candidate pairs.**  Candidates are canonical (numerator, denominator)
   int pairs (:func:`ratio`), ordered by cross-multiplication (``by_value``);
@@ -42,14 +46,14 @@ first), builds its tables once, and then works on positions and int masks:
   A quadruple that passes is checked coordinate by coordinate with
   ``scalars._nary_ints``, the Ϝ that every layer shares.
 
-The hull search, stage 3 of the line search and the grid probe's shape A
-enumerate quadruples through :meth:`Certifier.first_bounded`: t and s come
+The hull search and stage 3 of the line search enumerate quadruples
+through :meth:`Certifier.first_bounded`: t and s come
 from the positions the caller names, r runs over the bounded prefix up to its
 first entry above t, and w over the prefix up to its first entry above s.
 Read in the list's own order, that prefix rule gives r ≤ t and w ≤ s on an
 ascending list; on the line search's (|v|, v) order it stops at the first
-entry whose value exceeds the bound.  The shape stages of the line search and
-the grid probe use :meth:`Certifier.first_of`.  Both ask
+entry whose value exceeds the bound.  The shape stages of the line search
+use :meth:`Certifier.first_of`.  Both ask
 :meth:`Certifier.fill`, memoized per covered mask and side, for the slot they
 fill last and check only what survives, so they skip only quadruples that
 provably fail and return the same first hit as the unpruned enumeration.
@@ -64,8 +68,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from functools import cmp_to_key
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .scalars import _from_pair, _nary_ints
@@ -80,13 +85,6 @@ FREE = None
 def ratio(n: int, d: int) -> tuple:
     """The canonical pair of n/d for ints n and d ≠ 0: equal rationals, equal
     pairs."""
-    m = n | d
-    if not m & 1:
-        # shift off a common power of two (the max-plus embedding's powers of
-        # two have up to 400 000 bits, and a gcd would divide them)
-        s = (m & -m).bit_length() - 1
-        n >>= s
-        d >>= s
     g = gcd(n, d)
     if d < 0:
         g = -g
@@ -100,20 +98,23 @@ by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 class Certifier:
     """The tables of one search for z against x, y, as integer rows at one
     common scale, over the candidate pairs ``keys``, whose first ``bounded``
-    entries (all of them by default) are the values a bounded slot may take."""
+    entries (all of them by default) are the values a bounded slot may take;
+    ``ratio`` and ``mul`` are the quotient and product of row values."""
 
     __slots__ = (
         "keys", "bounded", "one", "neg", "_need", "_xmask", "_ymask", "_force",
         "_fills", "_stop", "_rows", "_xprod", "_yprod", "_big", "_zs", "_zabs",
-        "_bits",
+        "_bits", "_mul",
     )
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
-                 keys: Sequence[tuple], bounded: int | None = None):
+                 keys: Sequence[tuple], bounded: int | None = None,
+                 ratio=ratio, mul=mul):
         self.keys = keys
         self.bounded = len(keys) if bounded is None else bounded
+        self._mul = mul
         at = {k: p for p, k in enumerate(keys)}
-        self.one = at.get((1, 1))
+        self.one = at.get(ratio(1, 1))
         self.neg = [at.get((-n, d)) for n, d in keys]
 
         need = 0
@@ -189,7 +190,7 @@ class Certifier:
             self._scale()
         n, d = self.keys[k]
         v = n * (self._big // d)
-        row = [v * a for a in self._rows[0 if on_x else 1]]
+        row = list(map(self._mul, repeat(v), self._rows[0 if on_x else 1]))
         over = 0
         for bit, p, m in zip(self._bits, row, self._zabs):
             if p > m or -p > m:

@@ -38,20 +38,6 @@ MAX_P = 2048
 # capped lower (0.6 s at p = 256, 26-28 s at p = 2048 on the same Xeon).
 MAX_FIGURE_P = 256
 
-# The transported hull test embeds log-magnitude l as 2^(l·D), D the lcm of
-# every denominator, so its cost grows with the largest |l·D|: a 2-D
-# non-member took 9 s at 159 568 bits, and the slowest found at this cap
-# took 61 s, on the same Xeon.
-MAX_EMBED_BITS = 200_000
-
-# line_grid_probe enumerates quadruples of its grid values in [-1, 1], so its
-# work grows with about the fourth power of their count, and it tries every
-# larger grid value in a cancelling pair.  A non-member with z = 0 took 2.3 s
-# on the default grid (step 1/32: 65 values in [-1, 1]; bound 8: 513 values in
-# all) and 0.19 s at step 1/16, on the same Xeon.
-MAX_GRID_UNIT = 65
-MAX_GRID = 513
-
 
 class LimitAlgebraError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -81,9 +67,7 @@ class DimensionMismatch(LimitAlgebraError):
 
 class TooLarge(LimitAlgebraError):
     """Input exceeds the supported size: determinants stop at n = 8, every p
-    at MAX_P, the p of a hull or line figure at MAX_FIGURE_P, the max-plus
-    hull embedding at exponents of MAX_EMBED_BITS, the line grid probe at
-    MAX_GRID_UNIT grid values in [-1, 1] and MAX_GRID in all, and a decimal
+    at MAX_P, the p of a hull or line figure at MAX_FIGURE_P, and a decimal
     literal's exponent at Python's int/str digit limit.  The CLI also caps
     hull samples and refuses to print a result with more digits than that
     limit."""

@@ -16,6 +16,7 @@ that provably fail are skipped.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from ._certify import SEARCH_STAGES, Certifier, by_value, ratio
@@ -82,12 +83,14 @@ def _coord_feasible(zi: int, xi: int, yi: int) -> bool:
     return False
 
 
-def _hull_candidates(xs: list[int], ys: list[int], zs: list[int]) -> list:
+def _hull_candidates(xs: list[int], ys: list[int], zs: list[int],
+                     ratio=ratio, mul=mul) -> list:
     """Coefficient breakpoints of the integer rows, as ascending canonical
     pairs: {0,1}, the |z|/|x| and |z|/|y| ratios, one round of magnitude-tie
-    solutions t|x_i| = s|y_i| anchored in the base set; each at most 1."""
+    solutions t|x_i| = s|y_i| anchored in the base set; each at most 1.
+    ``ratio`` and ``mul`` are the quotient and product of row values."""
     xs, ys, zs = ([abs(v) for v in row] for row in (xs, ys, zs))
-    cand = {(0, 1), (1, 1)}
+    cand = {(0, 1), ratio(1, 1)}
     for z, a in zip(zs + zs, xs + ys):
         if a and z <= a:
             cand.add(ratio(z, a))
@@ -96,7 +99,7 @@ def _hull_candidates(xs: list[int], ys: list[int], zs: list[int]) -> list:
     for cn, cd in list(cand):
         if cn:
             for a, b in ties:
-                for n, d in ((cn * a, cd * b), (cn * b, cd * a)):
+                for n, d in ((mul(cn, a), cd * b), (mul(cn, b), cd * a)):
                     if n <= d:
                         cand.add(ratio(n, d))
     return sorted(cand, key=by_value)
@@ -113,11 +116,18 @@ def co_contains(
     ``_certify``).
     """
     rows, _ = _common_rows(x, y, z)
+    return _hull_search(rows, ratio, mul)
+
+
+def _hull_search(rows: list[list[int]], ratio, mul) -> bool:
+    """Hull membership of the row z against the rows x, y; ``ratio`` and
+    ``mul`` are the quotient (a canonical pair) and the product of row
+    values, which is all the search needs beyond their order and signs."""
     if not all(_coord_feasible(zi, xi, yi) for xi, yi, zi in zip(*rows)):
         SEARCH_STAGES["hull:infeasible"] += 1
         return False
 
-    core = Certifier(*rows, _hull_candidates(*rows))
+    core = Certifier(*rows, _hull_candidates(*rows, ratio, mul), ratio=ratio, mul=mul)
     # the candidates ascend and end with 1, so max = 1 means t or s at last
     last = core.one
     if core.first_bounded((last,), range(last + 1)) is not None:

@@ -11,12 +11,13 @@ characterizing membership, and both generators satisfy it by construction.
 
 General nD membership has no known closed decision procedure; the
 certificate search enumerates a finite breakpoint candidate set in stages
-(exact arithmetic, deterministic order), and NotFound is advisory — backed
-by a structural grid probe over the coefficient box.
+(exact arithmetic, deterministic order), and NotFound is advisory; the
+test suite checks it against an exhaustive grid probe over the coefficient
+box (``tests/grid_probe.py``).
 
-Both the search and the grid probe enumerate through ``_certify``, which
-skips only quadruples that provably fail, so every certificate is the one
-the plain enumeration would find first, and NotFound remains advisory.
+The search enumerates through ``_certify``, which skips only quadruples that
+provably fail, so every certificate is the one the plain enumeration would
+find first.
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ from typing import ClassVar, Sequence
 from ._certify import FREE, SEARCH_STAGES, Certifier, by_value, ratio
 from ._record import Record, setfield
 from .errors import (
-    MAX_GRID,
-    MAX_GRID_UNIT,
     DegenerateConfiguration,
     DegeneratePair,
     DimensionMismatch,
     InvalidCoefficients,
     NotParallel,
-    TooLarge,
 )
 from .linalg import Vec, _common_scale, _pair_rows, _vecs, det_infty, vec
 from .scalars import (
@@ -45,7 +43,6 @@ from .scalars import (
     _nary,
     boxminus,
     lower_form,
-    q,
     upper_form,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "line2d_form",
     "line_contains_2d",
     "line_contains_nd",
-    "line_grid_probe",
     "half_lines",
     "parallel_ratio",
     "parallel_normal_form",
@@ -253,7 +249,8 @@ def line_contains_nd(
     cancellation families (1, c, −c, 0) and (c, 0, 1, −c); one-slot-one plus
     a cancelling pair and a bounded slot; all-bounded quadruples.  A returned
     certificate is exact and final; NotFound is advisory (the candidate set
-    is conjecturally complete), cross-checkable with line_grid_probe.
+    is conjecturally complete), and the test suite cross-checks it against a
+    grid probe.
     """
     xs, ys, zs = _search_rows(x, y, z)
 
@@ -293,72 +290,6 @@ def line_contains_nd(
         if quad is not None:
             return member("line:bounded", quad)
     SEARCH_STAGES["line:notfound"] += 1
-    return LineMembership(False, None)
-
-
-def line_grid_probe(
-    x: Sequence[ScalarLike],
-    y: Sequence[ScalarLike],
-    z: Sequence[ScalarLike],
-    step: ScalarLike = q(1, 32),
-    bound: ScalarLike = 8,
-) -> LineMembership:
-    """Exhaustive certificate search over a coefficient grid (advisory oracle).
-
-    Sound and complete over the grid: a quadruple with limit sum 1 either has
-    all entries in [−1, 1] with the +1s outnumbering the −1s, or contains an
-    exactly cancelling pair (c, −c) with |c| > 1 next to a residual pair
-    (1, v) with v ≠ −1 — only those shapes are enumerated, in exact
-    arithmetic, so no grid point is missed.  The grid, the multiples of step
-    in [−bound, bound], holds at most ``MAX_GRID_UNIT`` values in [−1, 1] and
-    ``MAX_GRID`` in all; a larger one raises ``TooLarge`` before any of it is
-    built.
-    """
-    rows = _search_rows(x, y, z)
-    step = _carrier(step)
-    bound = _carrier(bound)
-    if step <= 0 or bound < 1:
-        raise ValueError("need step > 0 and bound >= 1")
-    if step.numerator != 1:
-        raise ValueError("step must divide 1")
-    k_unit = step.denominator
-    k_bound = bound.numerator * k_unit // bound.denominator
-    if 2 * k_unit + 1 > MAX_GRID_UNIT or 2 * k_bound + 1 > MAX_GRID:
-        raise TooLarge(
-            f"grid probe limited to {MAX_GRID_UNIT} values in [-1, 1] and {MAX_GRID}"
-            f" in all, got {2 * k_unit + 1} and {2 * k_bound + 1}"
-        )
-
-    # the values i·step = i/k_unit in [-1, 1] ascending, then each pair c, -c
-    # beyond magnitude 1
-    grid = [ratio(i, k_unit) for i in range(-k_unit, k_unit + 1)]
-    for i in range(k_unit + 1, k_bound + 1):
-        grid += (ratio(i, k_unit), ratio(-i, k_unit))
-    core = Certifier(*rows, grid, 2 * k_unit + 1)
-    one = core.one
-
-    # shape A: everything within [-1, 1], each side an unordered pair with
-    # r <= t and w <= s; the +1s must outnumber the -1s
-    every = range(2 * k_unit + 1)
-    quad = core.first_bounded(every, every, sum_one=True)
-    if quad is not None:
-        return LineMembership(True, quad)
-
-    # shape B: cancelling pair beyond magnitude 1 plus residual (1, v)
-    for c in range(2 * k_unit + 1, len(grid), 2):
-        m = c + 1
-        quad = core.first_of(
-            (
-                (c, m, one, FREE),
-                (one, FREE, c, m),
-                (one, c, m, FREE),
-                (one, m, c, FREE),
-                (FREE, c, one, m),
-                (FREE, m, one, c),
-            ),
-        )
-        if quad is not None:
-            return LineMembership(True, quad)
     return LineMembership(False, None)
 
 

@@ -15,13 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import Record, setfield
-from .errors import (
-    MAX_EMBED_BITS,
-    DimensionMismatch,
-    EmptyList,
-    InvalidCombination,
-    TooLarge,
-)
+from .errors import DimensionMismatch, EmptyList, InvalidCombination
 from .linalg import PseudoFieldOps, SymmetricSpaceOps
 from .scalars import ZERO, ScalarLike, _carrier, _levels, q
 
@@ -186,18 +180,35 @@ def mp_dist_std(zs: Sequence[MSym], ws: Sequence[MSym]) -> float:
 # convexity mirror
 
 
-def _embed(values: Sequence[MSym]) -> list[int]:
-    """Exact order/product-preserving embedding MSym(s, l) ↦ the int s·2^(e − lo),
-    with e = l·D for D the lcm of the denominators and lo the least e; raises
-    ``TooLarge`` before any power is built if some |l·D| > ``MAX_EMBED_BITS``."""
+def _on_levels(values: Sequence[MSym]) -> tuple:
+    """The signed int levels of values, with their quotient and product.
+
+    MSym(s, l) ↦ s·(N + l·D) and 0 ↦ 0, with D the lcm of the denominators
+    and N = 5R + 1 for R the largest |l·D|.  A level's magnitude orders like
+    the value's, so Ϝ and every comparison read levels as they are; the
+    quotient subtracts magnitudes and the product adds them, each around N,
+    and returns a canonical pair (level, 1).  The hull search forms nothing
+    smaller than a tie candidate (down to N − 4R) times a coordinate (N − R),
+    so every level it meets stays positive.
+    """
     d = math.lcm(*[int(z.logmag.denominator) for z in values if z.sign])
     # zero has log-magnitude 0, so its exponent is 0 as well
     exps = [int(z.logmag.numerator) * (d // int(z.logmag.denominator)) for z in values]
-    top = max(map(abs, exps), default=0)
-    if top > MAX_EMBED_BITS:
-        raise TooLarge(f"hull embedding exponent limited to {MAX_EMBED_BITS}, got {top}")
-    lo = min(exps, default=0)
-    return [z.sign << (e - lo) for z, e in zip(values, exps)]
+    big = 5 * max(map(abs, exps), default=0) + 1
+
+    def ratio(a: int, b: int) -> tuple:
+        if not a:
+            return (0, 1)
+        m = abs(a) - abs(b) + big
+        return (m if (a < 0) == (b < 0) else -m, 1)
+
+    def mul(a: int, b: int) -> int:
+        if not (a and b):
+            return 0
+        m = abs(a) + abs(b) - big
+        return m if (a < 0) == (b < 0) else -m
+
+    return [z.sign * (big + e) for z, e in zip(values, exps)], ratio, mul
 
 
 def mp_hull_point(
@@ -234,20 +245,20 @@ def mp_hull_contains(
 ) -> bool:
     """Membership in the transported two-point hull.
 
-    Decided by ``co_contains`` on the exact embedding into the integers
-    (``_embed``): the hull search only manipulates products, ratios and
-    magnitude comparisons of instance values, all of which the embedding
-    preserves, and any certificate it returns lies in the embedded subgroup.
-    Raises ``TooLarge`` when an exponent l·D would exceed ``MAX_EMBED_BITS``.
+    Decided by the hull search of ``co_contains`` on int levels
+    (``_on_levels``): the search reads instance values only through their
+    signs, the order of their magnitudes, quotients and products, and the
+    levels carry all four exactly.  Its cost does not grow with the size of
+    the log-magnitudes.
     """
-    from .hull import co_contains
+    from .hull import _hull_search
 
     xs, ys, zs = tuple(x), tuple(y), tuple(z)
     if not (len(xs) == len(ys) == len(zs)):
         raise DimensionMismatch("equal dimensions required")
-    emb = _embed(xs + ys + zs)
+    levels, ratio, mul = _on_levels(xs + ys + zs)
     n = len(xs)
-    return co_contains(emb[:n], emb[n : 2 * n], emb[2 * n :])
+    return _hull_search([levels[:n], levels[n : 2 * n], levels[2 * n :]], ratio, mul)
 
 
 # ---------------------------------------------------------------------------

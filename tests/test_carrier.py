@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import strategies
+from grid_probe import line_grid_probe
 from boxlim import (
     AngleParam,
     alpha,
@@ -60,7 +61,6 @@ from boxlim.deform import (
 )
 from boxlim._certify import SEARCH_STAGES
 from boxlim.errors import DegeneratePair, DimensionMismatch
-from boxlim.lines import line_grid_probe
 from boxlim.maxplus import mp_hull_contains
 from boxlim.scalars import ScalarQ
 

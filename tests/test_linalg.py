@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import strategies
+from grid_probe import line_grid_probe
 from boxlim import (
     boxplus,
     check_pseudo_field_axioms,
@@ -51,7 +52,6 @@ from boxlim import (
 from boxlim.deform import p_matvec
 from boxlim.errors import DegeneratePair, DimensionMismatch
 from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, PseudoFieldOps, _level_tally
-from boxlim.lines import line_grid_probe
 from boxlim.metric import f_limit_check
 from boxlim.sampling import Sampler, det_gap_ok, gap_ok
 from boxlim.scalars import ScalarQ

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import strategies
+from grid_probe import line_grid_probe
 from strategies import TIES, fine_triples
 from boxlim import (
     half_lines,
@@ -32,7 +33,7 @@ from boxlim.errors import (
 )
 from boxlim._certify import SEARCH_STAGES
 from boxlim.linalg import _common_rows
-from boxlim.lines import _line_candidates, line_grid_probe
+from boxlim.lines import _line_candidates
 from boxlim.scalars import nary_boxplus
 
 X3, Y3 = vec("3,-2,1"), vec("1,-1,1")

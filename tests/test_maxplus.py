@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from boxlim import (
     boxplus,
     check_pseudo_field_axioms,
     check_symmetric_space_axioms,
+    co_contains,
     maxplus_vector_space,
     mp_boxplus,
     mp_dist,
@@ -27,9 +30,11 @@ from boxlim import (
     psi_ln,
     q,
 )
-from boxlim.errors import MAX_EMBED_BITS, DimensionMismatch, TooLarge
+from boxlim.errors import DimensionMismatch
+from boxlim.hull import _hull_candidates
 from boxlim.maxplus import (
     MONE,
+    _on_levels,
     mp_abs,
     mp_abs_le,
     mp_boxminus,
@@ -255,26 +260,112 @@ def test_transported_hull_points_are_members(instance):
     assert mp_hull_contains(x, y, mp_hull_point(x, y, coeffs))
 
 
+def _timed(*args) -> bool:
+    """mp_hull_contains of args; fails if it takes 0.1 s or more."""
+    start = time.perf_counter()
+    found = mp_hull_contains(*args)
+    assert time.perf_counter() - start < 0.1
+    return found
+
+
 def test_transported_hull_membership_with_huge_log_magnitudes():
-    # the embedding maps log-magnitude 100000/3 to 2^200000; the search must
-    # still decide both a member and a non-member
+    # log-magnitude 100000/3: the search must still decide a member and a
+    # non-member, and in milliseconds
     big = q(100000, 3)
     x = (msym(1, big), msym(1, q(1, 2)), msym(-1, 0))
     y = (msym(-1, 2), msym(1, big), msym(1, -1))
-    assert mp_hull_contains(x, y, x)
-    assert not mp_hull_contains(x, y, (msym(1, 1), msym(1, q(1, 3)), msym(-1, -1)))
+    assert _timed(x, y, x)
+    assert not _timed(x, y, (msym(1, 1), msym(1, q(1, 3)), msym(-1, -1)))
 
 
-def test_transported_hull_embedding_is_capped():
-    y = (msym(-1, 2), msym(1, -1))
-    at_cap = (msym(1, MAX_EMBED_BITS), msym(1, 1))
-    assert mp_hull_contains(at_cap, y, at_cap)
-    over_cap = (msym(1, MAX_EMBED_BITS + 1), msym(1, 1))
-    with pytest.raises(TooLarge):
-        mp_hull_contains(over_cap, y, over_cap)
-    # denominators 997 and 991 make D = 988027, past the cap for every l ≥ 1;
-    # the search is refused before any power of 2 is built
-    far = (msym(1, q(7, 997 * 991)), msym(1, q(5, 2)))
-    with pytest.raises(TooLarge):
-        mp_hull_contains(far, (msym(-1, q(3, 991)), msym(1, q(1, 3))),
-                         (msym(1, q(1, 5)), msym(-1, q(2, 7))))
+def _log_map(v, scale, shift):
+    """v with every log-magnitude l replaced by scale·l + shift."""
+    return tuple(msym(z.sign, scale * z.logmag + shift) if z.sign else MZERO for z in v)
+
+
+def test_transported_hull_is_invariant_under_log_magnitude_maps():
+    # l -> scale·l + shift with scale > 0 multiplies every point by e^shift and
+    # applies a semiring automorphism, so it maps the hull onto the hull of
+    # the images; large log-magnitudes and denominators must not cost more
+    x = (msym(1, 3), msym(1, 1), msym(-1, 1))
+    y = (msym(-1, 2), msym(1, -1), msym(1, 1))
+    zs = [
+        x, y,
+        mp_hull_point(x, y, (msym(1, -1), MZERO, MONE, MZERO)),
+        mp_hull_point(x, y, (MONE, MZERO, msym(1, -1), msym(1, -1))),
+        mp_hull_point(x, y, (MONE, MZERO, MONE, MZERO)),
+        (msym(1, 4), MZERO, MZERO),
+        (msym(-1, 2), msym(1, 1), MZERO),
+        (msym(1, 2), msym(1, -1), msym(1, 1)),
+    ]
+    answers = [mp_hull_contains(x, y, z) for z in zs]
+    assert set(answers) == {True, False}
+    maps = (
+        (q(1), q(199_998)),           # l = 200 001
+        (q(1, 991), q(1000, 997)),    # denominators 997·991
+        (q(10**9, 3), q(0)),          # l = 10^9
+    )
+    for scale, shift in maps:
+        xs, ys = _log_map(x, scale, shift), _log_map(y, scale, shift)
+        for z, found in zip(zs, answers):
+            assert _timed(xs, ys, _log_map(z, scale, shift)) == found, (scale, shift, z)
+
+
+_halves = st.builds(q, st.integers(-8, 8), st.sampled_from((1, 2)))
+# one coordinate in seven is zero (sign 0)
+_half_coords = st.builds(msym, st.sampled_from((0, 1, 1, 1, -1, -1, -1)), _halves)
+
+
+def _image(v) -> tuple:
+    """MSym(s, l) as the rational s·2^(2l): exact on half-integer l, and it
+    keeps signs, the order of magnitudes, products and quotients."""
+    return tuple(z.sign * Fraction(2) ** int(2 * z.logmag) for z in v)
+
+
+@st.composite
+def _mirror_triples(draw):
+    """x, y in dimension n ≤ 4 with half of the coordinates ties (y_i = −x_i)
+    and z a hull point, a perturbed hull point or a random point."""
+    n = draw(st.integers(1, 4))
+    x = tuple(draw(_half_coords) for _ in range(n))
+    y = tuple(
+        mp_neg(a) if a.sign and draw(st.booleans()) else draw(_half_coords) for a in x
+    )
+    kind = draw(st.sampled_from(("member", "member", "perturbed", "random")))
+    if kind == "random":
+        return x, y, tuple(draw(_half_coords) for _ in range(n))
+    weights = st.one_of(
+        st.just(MZERO), st.builds(msym, st.just(1), _halves.filter(lambda l: l <= 0))
+    )
+    coeffs = [draw(weights) for _ in range(4)]
+    coeffs[draw(st.integers(0, 3))] = MONE
+    z = list(mp_hull_point(x, y, coeffs))
+    if kind == "perturbed":
+        z[draw(st.integers(0, n - 1))] = draw(_half_coords)
+    return x, y, tuple(z)
+
+
+def _least_product_level(x, y, z) -> int:
+    """The least level of a hull candidate times a coordinate of x or y (1
+    when x and y are zero)."""
+    levels, ratio, mul = _on_levels(x + y + z)
+    n = len(x)
+    rows = [levels[:n], levels[n : 2 * n], levels[2 * n :]]
+    cand = [v for v, _ in _hull_candidates(*rows, ratio, mul) if v]
+    assert min(cand) > 0
+    return min((mul(v, abs(a)) for v in cand for a in rows[0] + rows[1] if a), default=1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_mirror_triples())
+def test_transported_hull_equals_the_hull_of_the_exact_image(triple):
+    x, y, z = triple
+    assert mp_hull_contains(x, y, z) == co_contains(*map(_image, triple))
+    assert _least_product_level(x, y, z) > 0
+
+
+def test_the_level_offset_is_tight():
+    # R = 1: the ratio z/y is e^-2 (level N − 2R); its tie with x/y gives
+    # e^-4 (N − 4R), and that times x = e^-1 is level N − 5R = 1
+    x, y = (msym(1, -1),), (msym(1, 1),)
+    assert _least_product_level(x, y, x) == 1

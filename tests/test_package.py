@@ -5,6 +5,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -237,6 +238,29 @@ def test_every_public_name_is_read_outside_the_tests():
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     read.update(a.name.split(".")[-1] for a in node.names)
     assert sorted(set(boxlim.__all__) - read) == []
+
+
+def test_every_cap_is_read_by_the_package_and_named_by_too_large():
+    # a MAX_* constant in errors.py caps an entry point: another module reads
+    # it, the TooLarge docstring names it, and that docstring names no cap
+    # that is gone
+    from boxlim import errors
+
+    caps = {name for name in vars(errors) if name.startswith("MAX_")}
+    read = set()
+    for path in sorted((SRC / "boxlim").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    assert caps
+    assert sorted(caps - read) == []
+    assert set(re.findall(r"\bMAX_[A-Z_]+", errors.TooLarge.__doc__)) == caps
 
 
 def test_only_the_scalar_kernel_reads_the_private_fraction_slots():

@@ -16,10 +16,10 @@ import json
 import random
 from collections import Counter
 
+from grid_probe import line_grid_probe
 from boxlim import co_contains, co_point, line_contains_nd, line_point, q
 from boxlim._certify import SEARCH_STAGES
 from boxlim.errors import InvalidCoefficients
-from boxlim.lines import line_grid_probe
 
 VALUES = tuple(q(v) for v in ("0", "0", "1", "-1", "2", "-2", "1/2", "-1/2",
                               "3", "-3", "1/3", "-2/3", "3/2", "-4"))

@@ -9,8 +9,11 @@ finite-p deformation in :mod:`boxlim.deform` whose convergence the oracle
 certifies numerically.
 
 ``import boxlim`` loads no submodule: each public name and each submodule is
-imported on first access (PEP 562), so mpmath loads only with the finite-p
-layer (``deform``, ``pythagoras_check``, the suites and the figures).
+imported on first access (PEP 562).  mpmath loads only when a public
+``mpmath.mpf`` is built (a ``p_*`` or sampler of ``deform``,
+``pythagoras_check``, the figures, the suites that evaluate mpfs), never
+with a module, so the CLI oracle, which runs deform's raw kernels, never
+loads it.
 """
 
 import importlib

@@ -44,8 +44,9 @@ from .scalars import (
 )
 
 # Only the modules above load with the parser; each handler imports its own
-# layer, so that mpmath (through deform) loads only for the subcommands that
-# evaluate at finite p.
+# layer.  mpmath loads only where a call builds an mpf: `trig --op
+# pythagoras`, the figures and the suites that evaluate mpfs.  The oracle
+# runs deform's raw kernels and builds none.
 
 __all__ = ["main"]
 
@@ -453,31 +454,32 @@ def _cmd_maxplus(args):
 
 
 def _cmd_oracle(args):
-    from .deform import converge, p_cos, p_det, p_dist, p_inner, p_norm, p_sin, p_sum
+    # the raw kernels of the p_* and converge's error loop: no mpf is built
+    from .deform import _converge, _p_cos, _p_det, _p_dist, _p_inner, _p_norm, _p_sin, _p_sum
     from .metric import dist_boxplus
     from .trig import cos_infty, sin_infty
 
     op = args.op
     if op == "sum":
         values = vec(*_need(args, "oracle --op sum", "values"))
-        evaluator, limit = (lambda p: p_sum(values, p)), nary_boxplus(values)
+        evaluator, limit = (lambda p: _p_sum(values, p)), nary_boxplus(values)
     elif op == "norm":
         x = vec(*_need(args, "oracle --op norm", "x"))
-        evaluator, limit = (lambda p: p_norm(x, p)), norm_infty(x)
+        evaluator, limit = (lambda p: _p_norm(x, p)), norm_infty(x)
     elif op == "det":
         [rows] = _need(args, "oracle --op det", "matrix")
         m = mat(rows.split(";"))
-        evaluator, limit = (lambda p: p_det(m, p)), det_infty(m)
+        evaluator, limit = (lambda p: _p_det(m, p)), det_infty(m)
     else:
         x, y = (vec(v) for v in _need(args, f"oracle --op {op}", "x", "y"))
         p_fn, lim_fn = {
-            "inner": (p_inner, inner_infty),
-            "dist": (p_dist, dist_boxplus),
-            "cos": (p_cos, cos_infty),
-            "sin": (p_sin, sin_infty),
+            "inner": (_p_inner, inner_infty),
+            "dist": (_p_dist, dist_boxplus),
+            "cos": (_p_cos, cos_infty),
+            "sin": (_p_sin, sin_infty),
         }[op]
         evaluator, limit = (lambda p: p_fn(x, y, p)), lim_fn(x, y)
-    report = converge(evaluator, limit, p_grid=args.p_grid, tol=args.tol).as_dict()
+    report = _converge(evaluator, limit, args.p_grid, args.tol).as_dict()
     # an error too large for a float is inf, which JSON does not have
     report["error"] = [e if math.isfinite(e) else None for e in report["error"]]
     return report

@@ -8,13 +8,20 @@ denominators, and only the final odd root is inexact: the integer quotient
 is rounded once to a binary float at a working precision that grows with
 p (``_quotient``, one divmod), and its root is rounded once more,
 correctly, by an integer Newton kernel (``_nthroot``).  Both run on plain
-ints from the power sum to the raw result; mpmath only holds it
-(``mp.make_mpf``).  Exact cancellations therefore stay exactly zero at
-every p.  The deformed cosine and sine keep that promise too: their ratio
-of power sums is formed exactly, so each takes one root, and an exact ±1
-or 0 comes out exact.
+ints from the power sum to the raw result, the tuple (sign, man, exp, bc)
+of an mpmath float with an int mantissa.  Exact cancellations therefore
+stay exactly zero at every p.  The deformed cosine and sine keep that
+promise too: their ratio of power sums is formed exactly, so each takes one
+root, and an exact ±1 or 0 comes out exact.
 Vector and matrix inputs are read in place; only integer rows are built
 (``linalg._integer_rows``), never a carrier per entry.
+
+Each public ``p_*`` and sampler is a wrapper over a private kernel with the
+same arguments that returns raw values; the wrapper builds the
+``mpmath.mpf`` (``_mpf``).  mpmath is not imported with this module: it
+loads when the first public mpf is built, or when ``converge`` meets a
+value that is not an mpf.  The CLI oracle runs the kernels through the
+same error loop as ``converge`` (``_converge``), so it never loads mpmath.
 
 Every root is one rounding of an integer quotient to the working precision
 (round-to-nearest, ties to even, the float mpmath's ``from_rational`` gives)
@@ -36,9 +43,6 @@ from __future__ import annotations
 import functools
 import math
 from typing import Callable, Sequence
-
-from mpmath import mp, mpf
-from mpmath.libmp import MPZ, fzero, to_rational
 
 from ._record import Record, setfield
 from .errors import (
@@ -93,18 +97,40 @@ def _power(p: int) -> tuple[int, int]:
     return 2 * p + 1, _min_precision(p)
 
 
-def _root(n: int, d: int, k: int, prec: int) -> mpf:
-    """sign(n)·(|n|/d)^(1/k) for integers n and d > 0.
+# a raw mpmath float (sign, man, exp, bc): the value (−1)^sign·man·2^exp
+Raw = tuple[int, int, int, int]
+
+
+@functools.cache
+def _mpmath() -> tuple:
+    """mpmath's context, its mpf type and its mantissa type, imported on the
+    first call."""
+    from mpmath import mp, mpf
+    from mpmath.libmp import MPZ
+
+    return mp, mpf, MPZ
+
+
+def _mpf(raw: Raw):
+    """The ``mpmath.mpf`` of a raw value, its mantissa converted to mpmath's
+    own int type (gmpy2's mpz under that backend)."""
+    mp, _, mpz = _mpmath()
+    sign, man, exp, bc = raw
+    return mp.make_mpf((sign, mpz(man), exp, bc))
+
+
+def _root(n: int, d: int, k: int, prec: int) -> Raw:
+    """sign(n)·(|n|/d)^(1/k) for integers n and d > 0, as a raw value.
 
     |n|/d is rounded once to nearest at prec (``_quotient``), and
     ``_nthroot`` roots that float, correctly rounded at prec, with the sign
-    set exactly.  Both work on ints alone, up to ``mp.make_mpf``: no mpmath
-    context is entered, so the caller's precision cannot touch the result.
+    set exactly.  Both work on ints alone and enter no mpmath context, so
+    the caller's precision cannot touch the result.
     """
     if not n:
-        return mp.make_mpf(fzero)
+        return 0, 0, 0, 0
     man, exp = _quotient(abs(n), d, prec)
-    return mp.make_mpf(_nthroot(man, exp, k, prec, 1 if n < 0 else 0))
+    return _nthroot(man, exp, k, prec, 1 if n < 0 else 0)
 
 
 def _quotient(n: int, d: int, prec: int) -> tuple[int, int]:
@@ -124,9 +150,9 @@ def _quotient(n: int, d: int, prec: int) -> tuple[int, int]:
     return man, cut - s
 
 
-def _nthroot(man: int, exp: int, k: int, prec: int, sign: int = 0) -> tuple:
+def _nthroot(man: int, exp: int, k: int, prec: int, sign: int = 0) -> Raw:
     """The k-th root of man·2^exp > 0, rounded to nearest at prec bits, as a
-    raw normalized mpf with sign bit ``sign``.
+    normalized raw value with sign bit ``sign``.
 
     With g = ⌊(t − 1)/k⌋ for t = exp + bit_length(man), the root lies in
     [2^g, 2^(g+1)), and y = root / 2^g is the root of z = man·2^(exp − kg)
@@ -154,7 +180,7 @@ def _nthroot(man: int, exp: int, k: int, prec: int, sign: int = 0) -> tuple:
         m = q + _above(man, exp, 2 * q + 1, k, k * (g - prec))
     zeros = (m & -m).bit_length() - 1
     m >>= zeros
-    return sign, MPZ(m), g + 1 - prec + zeros, m.bit_length()
+    return sign, m, g + 1 - prec + zeros, m.bit_length()
 
 
 def _above(man: int, exp: int, m: int, k: int, c: int) -> bool:
@@ -258,20 +284,33 @@ def _settings(p_grid: Sequence[int] | None, tol) -> tuple[tuple[int, ...], float
 def _param(v) -> ScalarQ:
     """A sampling parameter read exactly: a float or an mpf is the binary
     rational it stores, anything else goes through q; ±inf and nan raise
-    ValueError."""
-    if isinstance(v, mpf):
-        if not mp.isfinite(v):
-            raise ValueError(f"no exact rational from {v}")
-        return q(*to_rational(v._mpf_))
-    return _as_exact(v)
+    ValueError.
+
+    An mpf (any value with mpmath's ``_mpf_`` tuple) is read from that
+    tuple on ints: man·2^exp with the sign applied, where man = 0 with
+    exp ≠ 0 marks ±inf and nan.
+    """
+    raw = getattr(v, "_mpf_", None)
+    if raw is None:
+        return _as_exact(v)
+    sign, man, exp, _ = raw
+    if not man and exp:
+        raise ValueError(f"no exact rational from {v}")
+    man = -int(man) if sign else int(man)
+    return q(man << exp) if exp >= 0 else q(man, 1 << -exp)
 
 
 # ---------------------------------------------------------------------------
-# deformed scalar/vector operations
+# deformed scalar/vector operations: each public function builds the mpf of
+# its raw kernel's value
 
 
-def p_sum(values: Sequence[ScalarLike], p: int) -> mpf:
+def p_sum(values: Sequence[ScalarLike], p: int):
     """(Σ x_i^(2p+1))^(1/(2p+1)) — the deformed indexed sum, converging to Ϝ."""
+    return _mpf(_p_sum(values, p))
+
+
+def _p_sum(values: Sequence[ScalarLike], p: int) -> Raw:
     k, prec = _power(p)
     (ints,), (f,) = _integer_rows((values,))
     if not ints:
@@ -287,8 +326,12 @@ def exact_power_sum_is_zero(values: Sequence[ScalarLike], p: int) -> bool:
     return sum(a**k for a in ints) == 0
 
 
-def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
+def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int):
     """(Σ (x_i y_i)^(2p+1))^(1/(2p+1)), converging to the limit inner product."""
+    return _mpf(_p_inner(x, y, p))
+
+
+def _p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> Raw:
     k, prec = _power(p)
     (a, b), (fa, fb) = _integer_rows((x, y), same_dim=True)
     if not a:
@@ -296,20 +339,28 @@ def p_inner(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     return _inner_root(a, b, fa * fb, k, prec)
 
 
-def _inner_root(a: list[int], b: list[int], f: int, k: int, prec: int) -> mpf:
+def _inner_root(a: list[int], b: list[int], f: int, k: int, prec: int) -> Raw:
     """The deformed inner product of a/f_a and b/f_b, with f = f_a·f_b."""
     return _root(sum((s * t) ** k for s, t in zip(a, b)), f**k, k, prec)
 
 
-def p_norm(x: Sequence[ScalarLike], p: int) -> mpf:
+def p_norm(x: Sequence[ScalarLike], p: int):
     """(Σ |x_i|^(2(2p+1)))^(1/(2(2p+1))), converging to the Chebyshev norm."""
+    return _mpf(_p_norm(x, p))
+
+
+def _p_norm(x: Sequence[ScalarLike], p: int) -> Raw:
     k, prec = _power(p)
     (ints,), (f,) = _integer_rows((x,))
     return _root(sum(a ** (2 * k) for a in ints), f ** (2 * k), 2 * k, prec)
 
 
-def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
+def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int):
     """(Σ |x_i^(2p+1) − y_i^(2p+1)|²)^(1/(2(2p+1))), converging to the limit distance."""
+    return _mpf(_p_dist(x, y, p))
+
+
+def _p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> Raw:
     k, prec = _power(p)
     # one common scale f, so that x_i^k − y_i^k = (a_i^k − b_i^k) / f^k
     (a, b), f = _common_rows(x, y)
@@ -317,13 +368,17 @@ def p_dist(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     return _root(total, f ** (2 * k), 2 * k, prec)
 
 
-def p_det(A: Sequence[Sequence[ScalarLike]], p: int) -> mpf:
+def p_det(A: Sequence[Sequence[ScalarLike]], p: int):
     """Signed odd root of the exact determinant of the entry powers.
 
     Each row of the powered matrix is scaled to integers by its
     denominators' lcm to the power 2p+1, so the determinant is one integer
     Bareiss elimination, O(n³), divided back by the scales.
     """
+    return _mpf(_p_det(A, p))
+
+
+def _p_det(A: Sequence[Sequence[ScalarLike]], p: int) -> Raw:
     k, prec = _power(p)
     ints, factors = _integer_rows(A)
     n = len(ints)
@@ -337,6 +392,12 @@ def p_matvec(
     A: Sequence[Sequence[ScalarLike]], x: Sequence[ScalarLike], p: int
 ) -> tuple:
     """Coordinatewise deformed sum of row products (matrix action at finite p)."""
+    return tuple(map(_mpf, _p_matvec(A, x, p)))
+
+
+def _p_matvec(
+    A: Sequence[Sequence[ScalarLike]], x: Sequence[ScalarLike], p: int
+) -> tuple[Raw, ...]:
     k, prec = _power(p)
     # x and each row are read once; each row's dimension must be x's
     (b, *rows), (fb, *factors) = _integer_rows((x, *A), same_dim=True)
@@ -345,8 +406,12 @@ def p_matvec(
     return tuple(_inner_root(a, b, fa * fb, k, prec) for a, fa in zip(rows, factors))
 
 
-def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
+def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int):
     """Deformed cosine ⟨x,y⟩_p / (‖x‖_p ‖y‖_p), from one root of an exact ratio."""
+    return _mpf(_p_cos(x, y, p))
+
+
+def _p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> Raw:
     k, prec = _power(p)
     (a, b), _ = _integer_rows((x, y), same_dim=True)
     if not any(a) or not any(b):
@@ -354,9 +419,13 @@ def p_cos(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     return _ratio_root(sum((s * t) ** k for s, t in zip(a, b)), a, b, k, prec)
 
 
-def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
+def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int):
     """Deformed sine: 2×2 deformed determinant over the norm product (dim 2),
     from one root of an exact ratio."""
+    return _mpf(_p_sin(x, y, p))
+
+
+def _p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> Raw:
     k, prec = _power(p)
     (a, b), _ = _integer_rows((x, y), same_dim=True)
     if len(a) != 2:
@@ -366,7 +435,7 @@ def p_sin(x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int) -> mpf:
     return _ratio_root((a[0] * b[1]) ** k - (b[0] * a[1]) ** k, a, b, k, prec)
 
 
-def _ratio_root(s: int, a: list[int], b: list[int], k: int, prec: int) -> mpf:
+def _ratio_root(s: int, a: list[int], b: list[int], k: int, prec: int) -> Raw:
     """sign(s)·(s² / (N_a N_b))^(1/(2k)) with N_v = Σ v_i^(2k), k = 2p+1.
 
     a and b are x and y scaled to integers by f_x and f_y, and s is the power
@@ -390,6 +459,12 @@ def co_p_sample(
     Coordinates are φ_p^{-1}(t^(2p+1) φ_p(x_i) + (1 − t^(2p+1)) φ_p(y_i)).
     t is a rational, int, string, float or mpf, read exactly.
     """
+    return tuple(map(_mpf, _co_p_sample(x, y, p, t)))
+
+
+def _co_p_sample(
+    x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int, t
+) -> tuple[Raw, ...]:
     t = _param(t)
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
@@ -401,10 +476,16 @@ def line_p_sample(
 ) -> tuple:
     """Point of the deformed line through x, y with coefficients (s, 1 ⊟_p s),
     for s a rational, int, string, float or mpf, read exactly."""
+    return tuple(map(_mpf, _line_p_sample(x, y, p, s)))
+
+
+def _line_p_sample(
+    x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int, s
+) -> tuple[Raw, ...]:
     return _p_sample(x, y, *_power(p), _param(s), "line")
 
 
-def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple:
+def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple[Raw, ...]:
     # φ_p^{-1}(s^k x_i^k + (1 − s^k) y_i^k) per coordinate, k = 2p+1: with
     # s = n/d and one common scale f taking x, y to integers a, b, the root
     # of (n^k a_i^k + (d^k − n^k) b_i^k) / (d^k f^k)
@@ -472,6 +553,25 @@ def converge(
     that is not an int ≥ 0 or a tol that is not > 0, and TooLarge if a p
     exceeds MAX_P.
     """
+    mp, mpf, _ = _mpmath()
+
+    def raw(p: int) -> Raw:
+        val = evaluator(p)
+        if type(val) is not mpf:
+            with mp.workprec(_min_precision(p) + 64):
+                val = mpf(val)
+        return val._mpf_
+
+    return _converge(raw, limit, p_grid, tol)
+
+
+def _converge(
+    evaluator: Callable[[int], Raw],
+    limit: ScalarLike,
+    p_grid: Sequence[int] | None,
+    tol: float | None,
+) -> ConvergenceReport:
+    """``converge`` for an evaluator of raw values, such as a kernel."""
     grid, tol = _settings(p_grid, tol)
     lim = q(limit)
     n, d = int(lim.numerator), int(lim.denominator)
@@ -479,13 +579,11 @@ def converge(
     errors = []
     ranked = []  # the errors with rounding noise counted as 0
     for p in grid:
-        val = evaluator(p)
-        if type(val) is not mpf:
-            with mp.workprec(_min_precision(p) + 64):
-                val = mpf(val)
-        sign, man, exp, _ = val._mpf_
-        if not man and exp:  # ±inf or nan
-            errors.append(abs(float(val)))
+        sign, man, exp, bc = evaluator(p)
+        if not man and exp:  # ±inf or nan, which only an mpf can hold
+            from mpmath.libmp import to_float
+
+            errors.append(abs(to_float((sign, man, exp, bc))))
             ranked.append(errors[-1])
             continue
         # |val − n/d| = num / den, with den = d·2^max(0, −exp)

@@ -18,8 +18,6 @@ from typing import Callable
 
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from ._record import Record, setfield
 from .cplane import (
     cconj,
@@ -592,6 +590,9 @@ def check_square_trig(
 
     def nonzero_vec2():
         return s.reject(lambda: s.vector(2), lambda v: any(v))
+
+    # the only mpf arithmetic of the suites: keep mpmath off their import
+    from mpmath import mp, mpf
 
     worst = 0.0
     for _ in range(pairs):

@@ -127,7 +127,7 @@ def pythagoras_check(
     # the only finite-p code here: keep mpmath off the import of trig
     from mpmath import workprec
 
-    from .deform import _power, _root, _settings
+    from .deform import _mpf, _power, _root, _settings
 
     p_grid, tol = _settings(p_grid, tol)
     xv, yv, zv = _vecs(x, y, z)
@@ -145,8 +145,8 @@ def pythagoras_check(
         s_xy = sum((s - t) ** 2 for s, t in zip(ak, bk))
         s_xz = sum((s - t) ** 2 for s, t in zip(ak, ck))
         s_yz = sum((s - t) ** 2 for s, t in zip(bk, ck))
-        left = _root(s_xy, f ** (2 * k), 2 * k, prec)
-        right = _root(s_xz + s_yz, f ** (2 * k), 2 * k, prec)
+        left = _mpf(_root(s_xy, f ** (2 * k), 2 * k, prec))
+        right = _mpf(_root(s_xz + s_yz, f ** (2 * k), 2 * k, prec))
         with workprec(prec):
             if abs(left - right) > tol:
                 return False

@@ -1,7 +1,10 @@
 """Finite-p deformations and the convergence oracle."""
 
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import math
 import random
 import time
@@ -11,16 +14,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_nthroot, round_nearest
+from mpmath.libmp import (
+    MPZ,
+    from_man_exp,
+    from_rational,
+    mpf_neg,
+    mpf_nthroot,
+    round_nearest,
+    to_rational,
+)
 
 import strategies
 from boxlim import (
     DEFAULT_P_GRID,
     co_p_sample,
     converge,
+    cos_infty,
     det_infty,
     dist_boxplus,
     exact_power_sum_is_zero,
+    inner_infty,
     line_p_sample,
     nary_boxplus,
     norm_infty,
@@ -36,6 +49,7 @@ from boxlim import (
     vec,
 )
 from boxlim import deform
+from boxlim.cli import main as cli_main
 from boxlim.deform import MAX_P, _min_precision, p_matvec
 from boxlim.errors import DegeneratePair, TooLarge
 from boxlim.sampling import Sampler
@@ -432,8 +446,8 @@ def test_root_equals_mpmath_where_mpmath_takes_newton():
             n = rng.getrandbits(rng.randint(1, 12 * k)) + 1
             d = rng.getrandbits(rng.randint(1, 12 * k)) + 1
             x = from_rational(n, d, prec, round_nearest)
-            assert deform._root(n, d, k, prec)._mpf_ == mpf_nthroot(x, k, prec, round_nearest)
-            assert deform._root(-n, d, k, prec)._mpf_ == mpf_neg(mpf_nthroot(x, k, prec, round_nearest))
+            assert deform._root(n, d, k, prec) == mpf_nthroot(x, k, prec, round_nearest)
+            assert deform._root(-n, d, k, prec) == mpf_neg(mpf_nthroot(x, k, prec, round_nearest))
 
 
 @mpmath_1_3_0
@@ -445,7 +459,7 @@ def test_root_at_the_p_cap_equals_mpmath_in_well_under_a_second():
     start = time.perf_counter()
     got = deform._root(n, d, k, prec)
     assert time.perf_counter() - start < 1.0  # tens of milliseconds
-    assert got._mpf_ == mpf_nthroot(from_rational(n, d, prec, round_nearest), k, prec, round_nearest)
+    assert got == mpf_nthroot(from_rational(n, d, prec, round_nearest), k, prec, round_nearest)
 
 
 def test_a_root_next_to_a_midpoint_at_the_p_cap_is_the_nearest_in_well_under_a_second():
@@ -519,10 +533,10 @@ def test_a_root_that_mpmath_misrounds_is_the_nearest(case):
 def test_root_of_zero_and_p_zero():
     # zero is the raw zero; k = 1 is p = 0: the root is the once-rounded
     # quotient itself, negated exactly for n < 0
-    assert deform._root(0, 7, 3, 112)._mpf_ == (0, 0, 0, 0)
+    assert deform._root(0, 7, 3, 112) == (0, 0, 0, 0)
     for n, d in ((1, 3), (-10**40, 7), (5, 1), (-7, 4)):
-        assert deform._root(n, d, 1, 80)._mpf_ == from_rational(n, d, 80, round_nearest)
-    assert deform._root(-7, 4, 1, 2)._mpf_ == (1, 1, 1, 1)  # −7/4 rounds to −2
+        assert deform._root(n, d, 1, 80) == from_rational(n, d, 80, round_nearest)
+    assert deform._root(-7, 4, 1, 2) == (1, 1, 1, 1)  # −7/4 rounds to −2
 
 
 def _assert_quotient_rounds_like_mpmath(n: int, d: int, prec: int) -> None:
@@ -578,8 +592,8 @@ def test_a_quotient_that_carries_to_the_next_binade(n, d, prec):
     man, exp = deform._quotient(n, d, prec)
     assert man == 1 << prec
     _assert_quotient_rounds_like_mpmath(n, d, prec)
-    assert deform._root(n, d, 1, prec)._mpf_ == (0, 1, prec + exp, 1)
-    assert deform._root(-n, d, 1, prec)._mpf_ == (1, 1, prec + exp, 1)
+    assert deform._root(n, d, 1, prec) == (0, 1, prec + exp, 1)
+    assert deform._root(-n, d, 1, prec) == (1, 1, prec + exp, 1)
 
 
 def _rounded(v: Fraction) -> mpf:
@@ -839,3 +853,104 @@ def test_deformed_samples_are_finite_precision_stable():
     with mp.workprec(_min_precision(8)):
         z = co_p_sample(x, y, 8, q(1, 3))
     assert all(abs(c) < 4 for c in z)
+
+
+def test_a_parameter_is_read_from_its_mpf_tuple_like_to_rational():
+    # _param reads an mpf's man·2^exp on ints; seeded mpfs of both signs,
+    # wide mantissas and exponents on both sides of 0, and exact zero
+    rng = random.Random(32)
+    values = [mpf(0), mpf(1), mpf(-0.5), mp.make_mpf(from_man_exp(3**100, -160))]
+    for _ in range(300):
+        man = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300))
+        values.append(mp.make_mpf(from_man_exp(man, rng.randint(-400, 400))))
+    for v in values:
+        got = deform._param(v)
+        assert got == q(*to_rational(v._mpf_))
+        assert type(got) is type(q(1))
+
+
+@pytest.mark.parametrize("bad", [mpf("inf"), mpf("-inf"), mpf("nan")])
+def test_a_non_finite_mpf_parameter_raises_from_its_tuple(bad):
+    with pytest.raises(ValueError, match="no exact rational"):
+        deform._param(bad)
+
+
+def _wrapped_kernels(rng: random.Random, p: int) -> list:
+    # every public finite-p function with the raw kernel it wraps, on one
+    # seeded input each
+    x, y, z = _draws(rng, 3), _draws(rng, 3), _draws(rng, 3)
+    x[0], y[1] = 1, 1  # nonzero and distinct vectors
+    t, s = Fraction(rng.randrange(13), 12), Fraction(rng.randrange(-24, 25), 12)
+    return [
+        (p_sum, deform._p_sum, (x, p)),
+        (p_inner, deform._p_inner, (x, y, p)),
+        (p_norm, deform._p_norm, (x, p)),
+        (p_dist, deform._p_dist, (x, y, p)),
+        (p_det, deform._p_det, ([x, y, z], p)),
+        (p_matvec, deform._p_matvec, ([x, y, z], y, p)),
+        (p_cos, deform._p_cos, (x, y, p)),
+        (p_sin, deform._p_sin, (x[:2], y[:2], p)),
+        (p_sin, deform._p_sin, ((8, -4), (2, 4), p)),  # exactly 0
+        (co_p_sample, deform._co_p_sample, (x, y, p, t)),
+        (line_p_sample, deform._line_p_sample, (x, y, p, s)),
+    ]
+
+
+@pytest.mark.parametrize("p", [0, 1, 8, 64])
+def test_each_public_value_is_the_mpf_of_its_raw_kernel(p):
+    rng = random.Random(3200 + p)
+    for public, kernel, args in _wrapped_kernels(rng, p):
+        got, raw = public(*args), kernel(*args)
+        values, raws = (got, raw) if isinstance(got, tuple) else ((got,), (raw,))
+        assert len(values) == len(raws)
+        for v, (sign, man, exp, bits) in zip(values, raws):
+            assert type(v) is mpf, public.__name__
+            assert type(man) is int
+            assert type(v._mpf_[1]) is MPZ
+            assert v._mpf_ == (sign, MPZ(man), exp, bits), public.__name__
+
+
+def _cli_report(argv: list, grid: str) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli_main(["oracle", *argv, "--p-grid", grid]) == 0
+    return json.loads(buf.getvalue())
+
+
+def _csv(v) -> str:
+    return ",".join(str(c) for c in v)
+
+
+def test_the_cli_oracle_reports_what_converge_reports():
+    # the CLI runs the raw kernels through converge's error loop; its report
+    # equals converge's on the public p_* at every p = 1..128, an error
+    # too large for a float printed as null
+    rng = random.Random(3201)
+    grid = tuple(range(1, 129))
+    cases = [
+        (["--op", "sin", "--x", "8,-4", "--y", "2,4"],
+         lambda p: p_sin((8, -4), (2, 4), p), sin_infty((8, -4), (2, 4))),
+    ]
+    for _ in range(2):
+        x, y = _draws(rng, 3), _draws(rng, 3)
+        x[0], y[1] = 1, 1
+        m = [x, y, _draws(rng, 3)]
+        cases += [
+            (["--op", "sum", "--values", _csv(x)], lambda p, x=x: p_sum(x, p), nary_boxplus(x)),
+            (["--op", "inner", "--x", _csv(x), "--y", _csv(y)],
+             lambda p, x=x, y=y: p_inner(x, y, p), inner_infty(x, y)),
+            (["--op", "norm", "--x", _csv(x)], lambda p, x=x: p_norm(x, p), norm_infty(x)),
+            (["--op", "dist", "--x", _csv(x), "--y", _csv(y)],
+             lambda p, x=x, y=y: p_dist(x, y, p), dist_boxplus(x, y)),
+            (["--op", "det", "--matrix", ";".join(map(_csv, m))],
+             lambda p, m=m: p_det(m, p), det_infty(m)),
+            (["--op", "cos", "--x", _csv(x), "--y", _csv(y)],
+             lambda p, x=x, y=y: p_cos(x, y, p), cos_infty(x, y)),
+            (["--op", "sin", "--x", _csv(x[:2]), "--y", _csv(y[:2])],
+             lambda p, x=x[:2], y=y[:2]: p_sin(x, y, p), sin_infty(x[:2], y[:2])),
+        ]
+    for argv, evaluator, limit in cases:
+        want = converge(evaluator, limit, p_grid=grid).as_dict()
+        want["error"] = [e if math.isfinite(e) else None for e in want["error"]]
+        assert _cli_report(argv, _csv(grid)) == want, argv
+    assert _cli_report(cases[0][0], _csv(grid))["error"] == [0.0] * len(grid)

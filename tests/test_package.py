@@ -129,11 +129,48 @@ def test_exact_subcommands_load_no_finite_p_module(argv):
     assert json.loads(_python(_PROBE, json.dumps(argv))) == [0, []]
 
 
-def test_the_oracle_loads_deform():
-    code, loaded = json.loads(_python(
-        _PROBE, json.dumps(["oracle", "--op", "sum", "--values", "3,-2,1"])))
+@pytest.mark.parametrize("argv", [
+    ["--op", "sum", "--values", "3,-2,1"],
+    ["--op", "inner", "--x", "3,1", "--y", "1,-2"],
+    ["--op", "norm", "--x", "3,-2,1"],
+    ["--op", "dist", "--x", "3,1", "--y", "1,-2"],
+    ["--op", "det", "--matrix", "3,1;1,-2"],
+    ["--op", "cos", "--x", "3,1", "--y", "1,-2"],
+    ["--op", "sin", "--x", "8,-4", "--y", "2,4"],
+], ids=lambda argv: argv[1])
+def test_every_oracle_op_loads_deform_but_no_mpmath(argv):
+    # the oracle runs deform's raw kernels through converge's error loop and
+    # builds no mpf
+    code, loaded = json.loads(_python(_PROBE, json.dumps(["oracle", *argv])))
     assert code == 0
-    assert "boxlim.deform" in loaded and "mpmath" in loaded
+    assert loaded == ["boxlim.deform"]
+
+
+def test_a_suite_without_mpf_arithmetic_loads_no_mpmath():
+    code, loaded = json.loads(_python(_PROBE, json.dumps(["suite", "scalar-laws", "--quick"])))
+    assert code == 0
+    assert "mpmath" not in loaded
+
+
+def test_deform_imports_mpmath_only_inside_functions():
+    # mpmath loads when a public mpf is built (deform._mpf) or converge
+    # meets a value that is not an mpf, never with the module
+    tree = ast.parse((SRC / "boxlim" / "deform.py").read_text(encoding="utf-8"))
+    inner = {
+        id(n)
+        for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+    }
+    imported = [
+        name
+        for n in ast.walk(tree) if id(n) not in inner
+        for name in (
+            [a.name for a in n.names] if isinstance(n, ast.Import)
+            else [n.module or ""] if isinstance(n, ast.ImportFrom) else []
+        )
+    ]
+    assert "functools" in imported  # the scan reads the module's imports
+    assert [m for m in imported if m.split(".")[0] == "mpmath"] == []
 
 
 def test_every_module_level_import_is_used():
@@ -294,8 +331,8 @@ def test_the_finite_p_layer_reads_its_inputs_in_place():
 
 
 def test_the_finite_p_root_runs_on_ints_up_to_the_result():
-    # _root rounds the quotient (_quotient) and _nthroot builds the raw mpf
-    # on ints alone: no mpmath libmp call between the power sum and make_mpf
+    # _root rounds the quotient (_quotient) and _nthroot builds the raw value
+    # on ints alone: no mpmath libmp call between the power sum and the result
     tree = ast.parse((SRC / "boxlim" / "deform.py").read_text(encoding="utf-8"))
     names = {"_root", "_quotient", "_nthroot"}
     found = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in names}

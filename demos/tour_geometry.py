@@ -13,6 +13,7 @@ from boxlim import (
     ball_describe,
     co_contains,
     co_orthant,
+    co_p_sample,
     co_point,
     converge,
     dist_boxplus,
@@ -20,14 +21,22 @@ from boxlim import (
     half_lines,
     line2d_form,
     line_contains_nd,
+    line_p_sample,
     line_point,
     lower_form,
     p_dist,
     parallel_normal_form,
     q,
+    scale,
     upper_form,
     vec,
+    vec_boxplus,
 )
+
+
+def _floats(point) -> str:
+    return "(" + ", ".join(f"{float(c):.6f}" for c in point) + ")"
+
 
 
 def main() -> None:
@@ -51,6 +60,9 @@ def main() -> None:
     print("\n== two-point hull ==")
     mid = co_point(x, y, HullCombination(q(1, 2), q(0), q(1), q(0)))
     print(f"  hull point at (t,r,s,w) = (1/2,0,1,0): {tuple(str(c) for c in mid)}")
+    for p in (2, 8, 32):
+        print(f"    deformed hull at t = 1/2, p = {p:>2}: "
+              f"{_floats(co_p_sample(x, y, p, q(1, 2)))}")
     for probe in ("3,0", "3/2,-2", "4,0", "0,0"):
         member = co_contains(x, y, vec(probe))
         print(f"  ({probe}) in hull? {member}")
@@ -70,6 +82,11 @@ def main() -> None:
         lo, hi = lower_form(form.coeffs, zz), upper_form(form.coeffs, zz)
         ok = lo <= form.constant <= hi
         print(f"  z = ({probe:>5}): {lo} <= {form.constant} <= {hi}  ->  {ok}")
+    on_line = vec_boxplus(scale(q(-1, 2), x), y)
+    print(f"  line point with coefficients (-1/2, 1): {tuple(str(c) for c in on_line)}")
+    for p in (2, 8, 32):
+        print(f"    deformed line at s = -1/2, p = {p:>2}: "
+              f"{_floats(line_p_sample(x, y, p, q(-1, 2)))}")
 
     print("\n== certificate family in dimension 3 ==")
     x3, y3 = vec("3,-2,1"), vec("1,-1,1")

@@ -9,11 +9,10 @@ finite-p deformation in :mod:`boxlim.deform` whose convergence the oracle
 certifies numerically.
 
 ``import boxlim`` loads no submodule: each public name and each submodule is
-imported on first access (PEP 562).  mpmath loads only when a public
-``mpmath.mpf`` is built (a ``p_*`` or sampler of ``deform``,
-``pythagoras_check``, the figures, the suites that evaluate mpfs), never
-with a module, so the CLI oracle, which runs deform's raw kernels, never
-loads it.
+imported on first access (PEP 562).  Inside the package every finite-p
+value stays a raw integer tuple, so mpmath loads only when a public
+``mpmath.mpf`` is built: by a ``p_*`` or sampler of ``deform``, by
+``converge``, or by the square-trig suite's check of ``p_cos``/``p_sin``.
 """
 
 import importlib

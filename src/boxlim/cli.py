@@ -44,9 +44,8 @@ from .scalars import (
 )
 
 # Only the modules above load with the parser; each handler imports its own
-# layer.  mpmath loads only where a call builds an mpf: `trig --op
-# pythagoras`, the figures and the suites that evaluate mpfs.  The oracle
-# runs deform's raw kernels and builds none.
+# layer.  No handler builds an mpf, so mpmath loads only with the square-trig
+# suite.
 
 __all__ = ["main"]
 
@@ -55,14 +54,15 @@ __all__ = ["main"]
 # p at MAX_P.
 MAX_HULL_SAMPLES = 8192
 
-# The option choices, without importing suites or svgfig; a test pins them
-# to suites.SUITES and svgfig.FIGURES.
+# The option choices, without importing suites, svgfig or deform; a test
+# pins them to suites.SUITES, svgfig.FIGURES and deform._ORACLE.
 SUITE_NAMES = (
     "worked-values", "scalar-laws", "convergence", "exact-cancellation",
     "ultrametric", "pythagoras", "square-trig", "complex-product", "lines",
     "maxplus-bridge",
 )
 FIGURE_NAMES = ("hull", "ball", "line", "unit-square", "pcos")
+_ORACLE_OPS = ("sum", "inner", "norm", "dist", "det", "cos", "sin")
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +455,16 @@ def _cmd_maxplus(args):
 
 def _cmd_oracle(args):
     # the raw kernels of the p_* and converge's error loop: no mpf is built
-    from .deform import _converge, _p_cos, _p_det, _p_dist, _p_inner, _p_norm, _p_sin, _p_sum
-    from .metric import dist_boxplus
-    from .trig import cos_infty, sin_infty
+    from .deform import _ORACLE, _converge
 
     op = args.op
-    if op == "sum":
-        values = vec(*_need(args, "oracle --op sum", "values"))
-        evaluator, limit = (lambda p: _p_sum(values, p)), nary_boxplus(values)
-    elif op == "norm":
-        x = vec(*_need(args, "oracle --op norm", "x"))
-        evaluator, limit = (lambda p: _p_norm(x, p)), norm_infty(x)
-    elif op == "det":
-        [rows] = _need(args, "oracle --op det", "matrix")
-        m = mat(rows.split(";"))
-        evaluator, limit = (lambda p: _p_det(m, p)), det_infty(m)
-    else:
-        x, y = (vec(v) for v in _need(args, f"oracle --op {op}", "x", "y"))
-        p_fn, lim_fn = {
-            "inner": (_p_inner, inner_infty),
-            "dist": (_p_dist, dist_boxplus),
-            "cos": (_p_cos, cos_infty),
-            "sin": (_p_sin, sin_infty),
-        }[op]
-        evaluator, limit = (lambda p: p_fn(x, y, p)), lim_fn(x, y)
-    report = _converge(evaluator, limit, args.p_grid, args.tol).as_dict()
+    names = {"sum": ("values",), "norm": ("x",), "det": ("matrix",)}.get(op, ("x", "y"))
+    texts = _need(args, f"oracle --op {op}", *names)
+    inputs = tuple(mat(t.split(";")) if op == "det" else vec(t) for t in texts)
+    kernel, limit = _ORACLE[op]
+    report = _converge(
+        lambda p: kernel(*inputs, p), limit(*inputs), args.p_grid, args.tol
+    ).as_dict()
     # an error too large for a float is inf, which JSON does not have
     report["error"] = [e if math.isfinite(e) else None for e in report["error"]]
     return report
@@ -654,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_maxplus)
 
     sp = sub.add_parser("oracle", help="finite-p convergence report")
-    sp.add_argument("--op", required=True,
-                    choices=("sum", "inner", "norm", "dist", "det", "cos", "sin"))
+    sp.add_argument("--op", required=True, choices=_ORACLE_OPS)
     sp.add_argument("--values", metavar="CSV")
     sp.add_argument("--x", metavar="CSV")
     sp.add_argument("--y", metavar="CSV")

@@ -18,10 +18,10 @@ Vector and matrix inputs are read in place; only integer rows are built
 
 Each public ``p_*`` and sampler is a wrapper over a private kernel with the
 same arguments that returns raw values; the wrapper builds the
-``mpmath.mpf`` (``_mpf``).  mpmath is not imported with this module: it
-loads when the first public mpf is built, or when ``converge`` meets a
-value that is not an mpf.  The CLI oracle runs the kernels through the
-same error loop as ``converge`` (``_converge``), so it never loads mpmath.
+``mpmath.mpf`` (``_mpf``), and mpmath loads with the first public mpf or
+``converge`` call, never with this module.  Inside the package values stay
+raw: ``_ORACLE`` pairs each oracle kernel with its limit for ``converge``'s
+error loop (``_converge``), and ``_float`` reads a raw value as a float.
 
 Every root is one rounding of an integer quotient to the working precision
 (round-to-nearest, ties to even, the float mpmath's ``from_rational`` gives)
@@ -53,8 +53,10 @@ from .errors import (
     TooLarge,
     ZeroVector,
 )
-from .linalg import _bareiss, _common_rows, _integer_rows
-from .scalars import ScalarLike, ScalarQ, _as_exact, q
+from .linalg import _bareiss, _common_rows, _integer_rows, det_infty, inner_infty, norm_infty
+from .metric import dist_boxplus
+from .scalars import ScalarLike, ScalarQ, _as_exact, nary_boxplus, q
+from .trig import cos_infty, sin_infty
 
 __all__ = [
     "ConvergenceReport",
@@ -117,6 +119,17 @@ def _mpf(raw: Raw):
     mp, _, mpz = _mpmath()
     sign, man, exp, bc = raw
     return mp.make_mpf((sign, mpz(man), exp, bc))
+
+
+def _float(raw: Raw) -> float:
+    """The double nearest a raw value (ties to even), ±inf beyond the double
+    range: ``float`` of its mpf, in the normal range."""
+    sign, man, exp, _ = raw
+    try:
+        v = man / (1 << -exp) if exp < 0 else float(man << exp)
+    except OverflowError:
+        v = math.inf
+    return -v if sign else v
 
 
 def _root(n: int, d: int, k: int, prec: int) -> Raw:
@@ -268,7 +281,7 @@ def _settings(p_grid: Sequence[int] | None, tol) -> tuple[tuple[int, ...], float
     """The p-grid and tol of a finite-p check, None meaning the default.
 
     Every entry goes through ``_power`` before any evaluation; ValueError
-    also for an empty grid or a tol not > 0 (nan included).
+    also for an empty grid or a tol not > 0 (nan included) or infinite.
     """
     grid = tuple(DEFAULT_P_GRID if p_grid is None else p_grid)
     if not grid:
@@ -278,6 +291,8 @@ def _settings(p_grid: Sequence[int] | None, tol) -> tuple[tuple[int, ...], float
     tol = DEFAULT_TOL if tol is None else float(tol)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
     return grid, tol
 
 
@@ -503,6 +518,18 @@ def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple[Raw, ...]
 # convergence harness
 
 
+# the oracle's op -> (kernel, limit), called as kernel(*inputs, p), limit(*inputs)
+_ORACLE = {
+    "sum": (_p_sum, nary_boxplus),
+    "inner": (_p_inner, inner_infty),
+    "norm": (_p_norm, norm_infty),
+    "dist": (_p_dist, dist_boxplus),
+    "det": (_p_det, det_infty),
+    "cos": (_p_cos, cos_infty),
+    "sin": (_p_sin, sin_infty),
+}
+
+
 class ConvergenceReport(Record):
     """Errors of a finite-p evaluator against its claimed limit along a p-grid."""
 
@@ -550,8 +577,8 @@ def converge(
     0: it is rounding noise of a finite-p value that equals the limit.  The
     comparison is exact, over the integers.
     Before the first evaluation, raises ValueError for an empty grid, a p
-    that is not an int ≥ 0 or a tol that is not > 0, and TooLarge if a p
-    exceeds MAX_P.
+    that is not an int ≥ 0 or a tol that is not finite and > 0, and
+    TooLarge if a p exceeds MAX_P.
     """
     mp, mpf, _ = _mpmath()
 

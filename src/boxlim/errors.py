@@ -35,7 +35,7 @@ __all__ = [
 MAX_P = 2048
 
 # An SVG figure of a hull or line evaluates 512 deformed samples, so its p is
-# capped lower (0.6 s at p = 256, 26-28 s at p = 2048 on the same Xeon).
+# capped lower (0.7-1.1 s at p = 256, 35-37 s at p = 2048 on the same Xeon).
 MAX_FIGURE_P = 256
 
 

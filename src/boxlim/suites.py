@@ -30,17 +30,14 @@ from .cplane import (
 )
 from .deform import (
     DEFAULT_TOL,
+    _ORACLE,
+    _converge,
+    _float,
+    _line_p_sample,
     _min_precision,
-    converge,
     exact_power_sum_is_zero,
-    line_p_sample,
     p_cos,
-    p_det,
-    p_dist,
-    p_inner,
-    p_norm,
     p_sin,
-    p_sum,
 )
 from .errors import DegenerateConfiguration
 from .hull import HullCombination, co_point
@@ -48,8 +45,6 @@ from .linalg import (
     check_pseudo_field_axioms,
     check_symmetric_space_axioms,
     det_infty,
-    inner_infty,
-    norm_infty,
 )
 from .lines import (
     line2d_form,
@@ -88,13 +83,11 @@ from .trig import (
     AngleParam,
     alpha,
     alpha_inv,
-    cos_infty,
     inner3_limit,
     orthogonal_pairing,
     pcos,
     psin,
     pythagoras_check,
-    sin_infty,
 )
 
 __all__ = [
@@ -335,29 +328,25 @@ def check_convergence(
     def draws():
         rng = s.rng
         for _ in range(per_op):
-            vals = s.gap_tuple(rng.randint(3, 6))
-            yield "sum", (lambda p, v=vals: p_sum(v, p)), nary_boxplus(vals)
+            yield "sum", (s.gap_tuple(rng.randint(3, 6)),)
         for _ in range(per_op):
-            x, y = s.gap_inner_pair(rng.randint(2, 5))
-            yield "inner", (lambda p, a=x, b=y: p_inner(a, b, p)), inner_infty(x, y)
+            yield "inner", s.gap_inner_pair(rng.randint(2, 5))
         for _ in range(per_op):
-            x = s.gap_norm_vector(rng.randint(2, 5))
-            yield "norm", (lambda p, a=x: p_norm(a, p)), norm_infty(x)
+            yield "norm", (s.gap_norm_vector(rng.randint(2, 5)),)
         for _ in range(per_op):
-            x, y = s.gap_dist_pair(rng.randint(2, 5))
-            yield "dist", (lambda p, a=x, b=y: p_dist(a, b, p)), dist_boxplus(x, y)
+            yield "dist", s.gap_dist_pair(rng.randint(2, 5))
         for _ in range(per_op):
-            m = s.gap_det_matrix(3)
-            yield "det", (lambda p, a=m: p_det(a, p)), det_infty(m)
+            yield "det", (s.gap_det_matrix(3),)
         for _ in range(per_op):
-            x, y = s.gap_trig_pair()
-            yield "cos", (lambda p, a=x, b=y: p_cos(a, b, p)), cos_infty(x, y)
-            yield "sin", (lambda p, a=x, b=y: p_sin(a, b, p)), sin_infty(x, y)
+            pair = s.gap_trig_pair()
+            yield "cos", pair
+            yield "sin", pair
 
     total = 0
-    for op, evaluator, limit in draws():
+    for op, inputs in draws():
         total += 1
-        report = converge(evaluator, limit)
+        kernel, limit = _ORACLE[op]
+        report = _converge(lambda p: kernel(*inputs, p), limit(*inputs), None, None)
         worst = max(worst, report.final_error)
         if not report.converged:
             problems.append(f"{op} sample with final error {report.final_error:.3g}")
@@ -484,8 +473,8 @@ def check_pythagoras(
     problems: list[str], s: Sampler, samples: int = 1000
 ) -> tuple[int, str]:
     """Constructed limit right angles at the origin satisfy the exact
-    hypotenuse identity and the deformed squared identity within
-    ``DEFAULT_TOL`` at p = 1, 2, 4, 8, 16.
+    hypotenuse identity and the deformed squared identity, exactly on
+    integer power sums, at p = 1, 2, 4, 8, 16.
 
     Half the triples pair coordinates into cancelling products; the other
     half are planar Euclidean right angles (y a scaled rotation of x).
@@ -752,8 +741,7 @@ def check_lines(
         if not _line_sample_ok(x, y, coeff, form):
             continue
         checked += 1
-        zp = line_p_sample(x, y, _LINE_P, coeff)
-        zq = tuple(q(Fraction(float(v))) for v in zp)
+        zq = tuple(q(Fraction(_float(v))) for v in _line_p_sample(x, y, _LINE_P, coeff))
         low, up = lower_form(form.coeffs, zq), upper_form(form.coeffs, zq)
         c = form.constant
         if not (low <= c + _LINE_SLACK and c <= up + _LINE_SLACK):

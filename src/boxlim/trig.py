@@ -117,19 +117,20 @@ def pythagoras_check(
     """Pythagorean identity for a limit right angle at z.
 
     Exact part: d(x, y) = max(d(x, z), d(y, z)) in the limit ultrametric.
-    Deformed part: at each p, the squared deformed distances satisfy the
-    p-deformed addition identity — equivalently the exact power sums obey
-    S_xy = S_xz + S_yz, checked through signed roots within tol.  The grid
-    and tol default to deform's DEFAULT_P_GRID and DEFAULT_TOL.  Before any
-    work, raises ValueError for an empty grid, a p that is not an int ≥ 0 or
-    a tol that is not > 0, and TooLarge if a p of the grid exceeds MAX_P.
+    Deformed part: at each p, with k = 2p+1, S_xy = S_xz + S_yz for the
+    squared deformed distances S_uv = Σ (u_i^k − v_i^k)², compared exactly
+    on integer rows.  It holds at every p: S_xy − S_xz − S_yz = −2 Σ m^k
+    over the multiset m of ``inner3_limit``, whose Ϝ = 0 cancels every
+    magnitude level, so each odd power sum of it is 0.  No root is taken:
+    tol only passes deform's gate with the grid (defaults DEFAULT_P_GRID
+    and DEFAULT_TOL), which before any work raises ValueError for an empty
+    grid, a p that is not an int ≥ 0 or a tol that is not finite and > 0,
+    and TooLarge if a p exceeds MAX_P.
     """
-    # the only finite-p code here: keep mpmath off the import of trig
-    from mpmath import workprec
+    # not at module level: deform imports this module for its limits
+    from .deform import _settings
 
-    from .deform import _mpf, _power, _root, _settings
-
-    p_grid, tol = _settings(p_grid, tol)
+    p_grid, _ = _settings(p_grid, tol)
     xv, yv, zv = _vecs(x, y, z)
     if not is_f_right_angled(xv, yv, zv):
         raise NotRightAngled("no limit right angle at z")
@@ -137,19 +138,16 @@ def pythagoras_check(
     rhs = max(dist_boxplus(xv, zv), dist_boxplus(yv, zv))
     if lhs != rhs:
         return False
-    # one common scale f: every power sum below is an integer over f^(2k)
-    (a, b, c), f = _common_rows(xv, yv, zv)
+    # one common scale f, which cancels: each S_uv is an integer over f^(2k)
+    (a, b, c), _ = _common_rows(xv, yv, zv)
     for p in p_grid:
-        k, prec = _power(p)
+        k = 2 * p + 1
         ak, bk, ck = [v**k for v in a], [v**k for v in b], [v**k for v in c]
         s_xy = sum((s - t) ** 2 for s, t in zip(ak, bk))
         s_xz = sum((s - t) ** 2 for s, t in zip(ak, ck))
         s_yz = sum((s - t) ** 2 for s, t in zip(bk, ck))
-        left = _mpf(_root(s_xy, f ** (2 * k), 2 * k, prec))
-        right = _mpf(_root(s_xz + s_yz, f ** (2 * k), 2 * k, prec))
-        with workprec(prec):
-            if abs(left - right) > tol:
-                return False
+        if s_xy != s_xz + s_yz:
+            return False
     return True
 
 

@@ -249,7 +249,9 @@ _ORACLE = ("oracle", "--op", "sum", "--values", "3,-2,1")
 
 
 @pytest.mark.parametrize("command", [_PYTHAGORAS, _ORACLE])
-@pytest.mark.parametrize("setting", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0")])
+@pytest.mark.parametrize(
+    "setting", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf")]
+)
 def test_bad_oracle_settings_exit_one_with_json(capsys, command, setting):
     code, out, err = run(capsys, *command, *setting)
     assert code == 1

@@ -124,6 +124,7 @@ def test_converge_checks_the_whole_grid_before_evaluating():
         {"p_grid": (1, 4, -1)},
         {"p_grid": (1.5, 4)},
         {"p_grid": ("2",)},
+        {"tol": math.inf},
     ],
 )
 def test_converge_rejects_bad_settings_before_evaluating(settings):
@@ -245,6 +246,45 @@ def test_the_finite_p_values_keep_their_bits():
             sign, man, exp, bits = v._mpf_
             digest.update(f"{sign} {int(man)} {exp} {bits};".encode())
     assert digest.hexdigest() == FINITE_P_DIGEST
+
+
+def test_the_oracle_table_pairs_each_kernel_with_its_public_op_and_limit():
+    # a kernel is called as kernel(*inputs, p) and gives the raw tuple of its
+    # public p_*; its limit is called as limit(*inputs)
+    public = {
+        "sum": (p_sum, nary_boxplus), "inner": (p_inner, inner_infty),
+        "norm": (p_norm, norm_infty), "dist": (p_dist, dist_boxplus),
+        "det": (p_det, det_infty), "cos": (p_cos, cos_infty), "sin": (p_sin, sin_infty),
+    }
+    x, y = (3, q(-2, 3), 1), (q(1, 2), 4, -2)
+    inputs = {
+        "sum": (x,), "inner": (x, y), "norm": (x,), "dist": (x, y),
+        "det": ((x, y, (2, 0, 1)),), "cos": (x, y), "sin": (x[:2], y[:2]),
+    }
+    assert list(deform._ORACLE) == list(public)
+    for op, (kernel, limit) in deform._ORACLE.items():
+        p_fn, limit_fn = public[op]
+        assert limit is limit_fn, op
+        for p in (0, 1, 5):
+            assert kernel(*inputs[op], p) == p_fn(*inputs[op], p)._mpf_, (op, p)
+
+
+def test_float_of_a_raw_value_is_float_of_its_mpf():
+    # the nearest double, ties to even, and ±inf beyond the double range
+    rng = random.Random(33)
+    raws = [(0, 0, 0, 0)]
+    for _ in range(300):
+        k, p = rng.choice((3, 5, 18)), rng.randint(0, 40)
+        n = rng.randint(-(10**60), 10**60) or 1
+        raws.append(deform._root(n, rng.randint(1, 10**50), k, _min_precision(p)))
+    for sign, man in itertools.product((0, 1), ((1 << 53) + 1, (1 << 53) + 3, 3)):
+        for exp in (-1074, -60, 0, 40, 970, 2000):
+            raws.append((sign, man, exp, man.bit_length()))
+    for raw in raws:
+        value = deform._float(raw)
+        if abs(value) >= 2.0**-1022 or value == 0 and not raw[1]:
+            assert value == float(deform._mpf(raw)), raw
+    assert deform._float((1, 3, 2000, 2)) == -math.inf
 
 
 # ROADMAP item 15: the tail rule rejects these two converging checks, from

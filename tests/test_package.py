@@ -95,11 +95,13 @@ def test_bare_import_loads_no_submodule_and_no_mpmath():
 
 
 def test_cli_choices_match_the_registries():
+    from boxlim.deform import _ORACLE
     from boxlim.suites import SUITES
     from boxlim.svgfig import FIGURES
 
     assert cli.SUITE_NAMES == tuple(SUITES)
     assert cli.FIGURE_NAMES == tuple(FIGURES)
+    assert cli._ORACLE_OPS == tuple(_ORACLE)
 
 
 # Run one subcommand in a fresh interpreter; print its exit code and which of
@@ -152,25 +154,53 @@ def test_a_suite_without_mpf_arithmetic_loads_no_mpmath():
     assert "mpmath" not in loaded
 
 
-def test_deform_imports_mpmath_only_inside_functions():
-    # mpmath loads when a public mpf is built (deform._mpf) or converge
-    # meets a value that is not an mpf, never with the module
-    tree = ast.parse((SRC / "boxlim" / "deform.py").read_text(encoding="utf-8"))
-    inner = {
-        id(n)
-        for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-        for n in ast.walk(f)
+@pytest.mark.parametrize("argv", [
+    ["trig", "--op", "pythagoras", "--x", "2,0", "--y", "0,-3", "--z", "0,0"],
+    ["plot", "--figure", "hull", "--x", "3,1", "--y", "1,-2"],
+    ["plot", "--figure", "line", "--x", "3,1", "--y", "1,-2"],
+    ["suite", "pythagoras", "--quick"],
+    ["suite", "convergence", "--quick"],
+    ["suite", "lines", "--quick"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_the_finite_p_consumers_read_raw_values_and_load_no_mpmath(argv):
+    # the Pythagoras check compares integer power sums, and the figures, the
+    # oracle suite and the lines suite read deform's raw kernels
+    code, loaded = json.loads(_python(_PROBE, json.dumps(argv)))
+    assert code == 0
+    assert "boxlim.deform" in loaded
+    assert "mpmath" not in loaded
+
+
+def _importers(module: str) -> set:
+    """(module, enclosing function or None) for each import of ``module``
+    in the package."""
+    found = set()
+    for path in sorted((SRC / "boxlim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {
+            id(n): f.name
+            for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            for n in ast.walk(f) if n is not f
+        }
+        for n in ast.walk(tree):
+            names = (
+                [a.name for a in n.names] if isinstance(n, ast.Import)
+                else [n.module or ""] if isinstance(n, ast.ImportFrom) else []
+            )
+            if any(name.split(".")[0] == module for name in names):
+                found.add((path.stem, enclosing.get(id(n))))
+    return found
+
+
+def test_only_deform_the_square_trig_check_and_the_carrier_hook_import_mpmath():
+    # outside deform no module builds an mpf, except the square-trig check of
+    # the public p_cos/p_sin; mpmath.mpf(x) calls the carrier's _mpmath_
+    assert _importers("mpmath") == {
+        ("deform", "_mpmath"),
+        ("deform", "_converge"),
+        ("suites", "check_square_trig"),
+        ("scalars", "_mpmath_"),
     }
-    imported = [
-        name
-        for n in ast.walk(tree) if id(n) not in inner
-        for name in (
-            [a.name for a in n.names] if isinstance(n, ast.Import)
-            else [n.module or ""] if isinstance(n, ast.ImportFrom) else []
-        )
-    ]
-    assert "functools" in imported  # the scan reads the module's imports
-    assert [m for m in imported if m.split(".")[0] == "mpmath"] == []
 
 
 def test_every_module_level_import_is_used():

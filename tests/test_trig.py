@@ -1,5 +1,6 @@
 """Square trigonometry: pcos/psin, angle parameters, limit angles, Pythagoras."""
 
+import itertools
 import math
 
 import pytest
@@ -187,6 +188,32 @@ def test_pythagoras_with_paired_cancellation():
     assert pythagoras_check(x, y, (0, 0, 0), p_grid=(1, 2, 4), tol=1e-6)
 
 
+def test_the_deformed_pythagoras_identity_is_exact_on_every_small_right_angle():
+    # every triple of points of {0, ±1/2, ±1}²: at a limit right angle at z
+    # the integer power sums S_uv = Σ (u_i^k − v_i^k)² of the doubled points
+    # add exactly, S_xy = S_xz + S_yz, at every p; and pythagoras_check,
+    # which compares them, holds there
+    grid = (0, 1, 2, 8)
+    points = list(itertools.product(range(-2, 3), repeat=2))
+    vertices = set()  # the z of each right angle with x ≠ z ≠ y
+    for a, b, c in itertools.product(points, repeat=3):
+        x, y, z = ([q(v, 2) for v in u] for u in (a, b, c))
+        if not is_f_right_angled(x, y, z):
+            continue
+        if a != c != b:
+            vertices.add(c)
+        for p in grid:
+            k = 2 * p + 1
+
+            def s(u, v):
+                return sum((i**k - j**k) ** 2 for i, j in zip(u, v))
+
+            assert s(a, b) == s(a, c) + s(b, c), (a, b, c, p)
+        assert pythagoras_check(x, y, z, p_grid=grid), (a, b, c)
+    # a right angle with two proper legs at every z, not only at the origin
+    assert vertices == set(points)
+
+
 def test_pythagoras_rejects_oblique_triples():
     with pytest.raises(NotRightAngled):
         pythagoras_check((2, 0), (1, 1), (0, 0))
@@ -202,6 +229,7 @@ def test_pythagoras_rejects_oblique_triples():
         ({"p_grid": ()}, ValueError),
         ({"p_grid": (1, MAX_P + 1)}, TooLarge),
         ({"p_grid": (1, -1)}, ValueError),
+        ({"tol": math.inf}, ValueError),
     ],
 )
 def test_pythagoras_checks_its_settings_before_any_work(settings, error):

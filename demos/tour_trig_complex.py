@@ -52,7 +52,7 @@ def main() -> None:
 
     print("\n== right angles and the hypotenuse ==")
     a, b, c = vec("2,0"), vec("0,-3"), vec("0,0")
-    ok = pythagoras_check(a, b, c, p_grid=(1, 2, 4, 8), tol=q(1, 100))
+    ok = pythagoras_check(a, b, c, p_grid=(1, 2, 4, 8))
     print(f"  legs at {tuple(map(int, a))} and {tuple(map(int, b))}, corner {tuple(map(int, c))}")
     print(f"  exact hypotenuse identity + deformed identity hold: {ok}")
 

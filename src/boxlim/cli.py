@@ -381,7 +381,7 @@ def _cmd_trig(args):
     x, y, z = (vec(v) for v in _need(args, f"trig --op {args.op}", "x", "y", "z"))
     if args.op == "inner3":
         return inner3_limit(x, y, z)
-    return {"pythagoras": pythagoras_check(x, y, z, p_grid=args.p_grid, tol=args.tol)}
+    return {"pythagoras": pythagoras_check(x, y, z, p_grid=args.p_grid)}
 
 
 def _cmd_complex(args):
@@ -612,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", metavar="CSV")
     sp.add_argument("--p-grid", type=_p_grid, dest="p_grid", metavar="CSV",
                     help=f"deformation levels, each at most {MAX_P}")
-    sp.add_argument("--tol", type=float)
     _add_common(sp, formats=("json", "csv"))
     sp.set_defaults(handler=_cmd_trig)
 

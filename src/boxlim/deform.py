@@ -18,10 +18,10 @@ Vector and matrix inputs are read in place; only integer rows are built
 
 Each public ``p_*`` and sampler is a wrapper over a private kernel with the
 same arguments that returns raw values; the wrapper builds the
-``mpmath.mpf`` (``_mpf``), and mpmath loads with the first public mpf or
-``converge`` call, never with this module.  Inside the package values stay
-raw: ``_ORACLE`` pairs each oracle kernel with its limit for ``converge``'s
-error loop (``_converge``), and ``_float`` reads a raw value as a float.
+``mpmath.mpf`` (``_mpf``), and mpmath loads with the first public mpf,
+never with this module.  Inside the package values stay raw: ``_ORACLE``
+pairs each oracle kernel with its limit for ``converge``'s error loop
+(``_converge``), and ``_float`` reads a raw value as a float.
 
 Every root is one rounding of an integer quotient to the working precision
 (round-to-nearest, ties to even, the float mpmath's ``from_rational`` gives)
@@ -568,8 +568,10 @@ def converge(
     Each error is exact: an mpf is the binary rational man·2^exp, so
     |value − limit| is one integer quotient, rounded once to the nearest
     float (inf beyond float range; an inf or nan value gives an inf or nan
-    error).  A value that is not an mpf is first converted with ``mpf`` at
-    64 bits above the working precision for its p.
+    error).  Any other value is read exactly, as ``q`` reads it (a float is
+    the binary rational it stores), and rounded once to nearest at 64 bits
+    above the working precision for its p, on ints, as every root rounds
+    its quotient (``_quotient``): the same under every carrier.
 
     converged ⇔ the final error is ≤ tol *and* the last three errors are
     non-increasing (early-p oscillation near magnitude ties is expected).
@@ -580,14 +582,18 @@ def converge(
     that is not an int ≥ 0 or a tol that is not finite and > 0, and
     TooLarge if a p exceeds MAX_P.
     """
-    mp, mpf, _ = _mpmath()
 
     def raw(p: int) -> Raw:
         val = evaluator(p)
-        if type(val) is not mpf:
-            with mp.workprec(_min_precision(p) + 64):
-                val = mpf(val)
-        return val._mpf_
+        r = getattr(val, "_mpf_", None)
+        if r is not None:
+            return r
+        if isinstance(val, float) and not math.isfinite(val):
+            mp = _mpmath()[0]
+            return (mp.nan if val != val else mp.inf if val > 0 else mp.ninf)._mpf_
+        v = _as_exact(val)
+        # the first root of a rounded quotient is exact: n/d rounded once
+        return _root(int(v.numerator), int(v.denominator), 1, _min_precision(p) + 64)
 
     return _converge(raw, limit, p_grid, tol)
 

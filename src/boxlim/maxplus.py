@@ -11,13 +11,12 @@ dequantization helpers, since e^a is irrational.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from ._record import Record, setfield
 from .errors import DimensionMismatch, EmptyList, InvalidCombination
 from .linalg import PseudoFieldOps, SymmetricSpaceOps
-from .scalars import ZERO, ScalarLike, _carrier, _levels, q
+from .scalars import ZERO, ScalarLike, _as_exact, _carrier, _levels, q
 
 __all__ = [
     "MSym",
@@ -168,7 +167,7 @@ def psi_ln(v: ScalarLike) -> MSym:
     fv = float(v) if isinstance(v, float) else float(q(v))
     if fv == 0.0:
         return MZERO
-    return MSym(1 if fv > 0 else -1, q(Fraction(math.log(abs(fv)))))
+    return MSym(1 if fv > 0 else -1, _as_exact(math.log(abs(fv))))
 
 
 def mp_dist_std(zs: Sequence[MSym], ws: Sequence[MSym]) -> float:

@@ -95,8 +95,8 @@ class QFraction(Fraction):
     ``QFraction``.  Everything else is Fraction's own: ``hash`` (equal to
     ``int``'s and ``Fraction``'s), the ``p/q`` string, ``float``/``int``/
     ``floor``, and membership of ``numbers.Rational``.  Other operand types
-    fall back to Fraction's operators.  ``_mpmath_`` lets ``mpmath.mpf``
-    take it directly.
+    fall back to Fraction's operators.  It has no mpmath conversion hook:
+    ``deform.converge`` rounds a rational itself, as under any carrier.
     """
 
     __slots__ = ()
@@ -285,13 +285,6 @@ class QFraction(Fraction):
                 return _make(a._numerator ** b, a._denominator ** b)
             return _div(1, 1, a._numerator ** -b, a._denominator ** -b)
         return _lift(Fraction.__pow__(a, b))
-
-    def _mpmath_(self, prec: int, rounding: str):
-        """mpmath's conversion hook: ``mpmath.mpf(x)`` rounds n/d once, exactly."""
-        from mpmath import mp
-        from mpmath.libmp import from_rational
-
-        return mp.make_mpf(from_rational(self._numerator, self._denominator, prec, rounding))
 
 
 try:  # gmpy2's rationals are exact and considerably faster

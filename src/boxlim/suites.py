@@ -16,8 +16,6 @@ import inspect
 from time import perf_counter
 from typing import Callable
 
-from fractions import Fraction
-
 from ._record import Record, setfield
 from .cplane import (
     cconj,
@@ -70,6 +68,7 @@ from .sampling import GAP_RATIO, Sampler
 from .scalars import (
     ONE,
     ZERO,
+    _as_exact,
     boxminus,
     boxplus,
     lower_form,
@@ -526,7 +525,7 @@ def check_pythagoras(
 
     return samples, (
         f"{samples} right-angled triples, exact hypotenuse and "
-        f"deformed identity <= {DEFAULT_TOL:g} at p <= {max(_PYTHAGORAS_P_GRID)}"
+        f"deformed identity exact at p <= {max(_PYTHAGORAS_P_GRID)}"
     )
 
 
@@ -689,7 +688,7 @@ def _line_sample_ok(x, y, coeff, form) -> bool:
 
 
 _LINE_P = 32
-_LINE_SLACK = q(Fraction(1e-4))  # the binary double nearest 10^-4, read exactly
+_LINE_SLACK = _as_exact(1e-4)  # the binary double nearest 10^-4, read exactly
 
 
 @_suite("lines", seed=1209,
@@ -741,7 +740,7 @@ def check_lines(
         if not _line_sample_ok(x, y, coeff, form):
             continue
         checked += 1
-        zq = tuple(q(Fraction(_float(v))) for v in _line_p_sample(x, y, _LINE_P, coeff))
+        zq = tuple(_as_exact(_float(v)) for v in _line_p_sample(x, y, _LINE_P, coeff))
         low, up = lower_form(form.coeffs, zq), upper_form(form.coeffs, zq)
         c = form.constant
         if not (low <= c + _LINE_SLACK and c <= up + _LINE_SLACK):
@@ -804,8 +803,8 @@ def check_maxplus_bridge(
         z, w = mrand(), mrand()
         zs, ws = (z, mrand()), (w, mrand())
         ez, ew = psi_exp(z), psi_exp(w)
-        xz = (q(Fraction(ez)), q(Fraction(psi_exp(zs[1]))))
-        xw = (q(Fraction(ew)), q(Fraction(psi_exp(ws[1]))))
+        xz = (_as_exact(ez), _as_exact(psi_exp(zs[1])))
+        xw = (_as_exact(ew), _as_exact(psi_exp(ws[1])))
         err = abs(psi_exp(mp_boxplus(z, w)) - float(boxplus(xz[0], xw[0])))
         err = max(err, abs(psi_exp(mp_otimes(z, w)) - ez * ew))
         err = max(err, abs(mp_dist_std(zs, ws) - float(dist_boxplus(xz, xw))))

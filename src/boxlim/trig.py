@@ -112,7 +112,6 @@ def pythagoras_check(
     y: Sequence[ScalarLike],
     z: Sequence[ScalarLike],
     p_grid: Sequence[int] | None = None,
-    tol: float | None = None,
 ) -> bool:
     """Pythagorean identity for a limit right angle at z.
 
@@ -121,16 +120,15 @@ def pythagoras_check(
     squared deformed distances S_uv = Σ (u_i^k − v_i^k)², compared exactly
     on integer rows.  It holds at every p: S_xy − S_xz − S_yz = −2 Σ m^k
     over the multiset m of ``inner3_limit``, whose Ϝ = 0 cancels every
-    magnitude level, so each odd power sum of it is 0.  No root is taken:
-    tol only passes deform's gate with the grid (defaults DEFAULT_P_GRID
-    and DEFAULT_TOL), which before any work raises ValueError for an empty
-    grid, a p that is not an int ≥ 0 or a tol that is not finite and > 0,
-    and TooLarge if a p exceeds MAX_P.
+    magnitude level, so each odd power sum of it is 0.  No root is taken,
+    so there is no tolerance.  The grid (default DEFAULT_P_GRID) passes
+    deform's gate, which before any work raises ValueError for an empty grid
+    or a p that is not an int ≥ 0, and TooLarge if a p exceeds MAX_P.
     """
     # not at module level: deform imports this module for its limits
     from .deform import _settings
 
-    p_grid, _ = _settings(p_grid, tol)
+    p_grid, _ = _settings(p_grid, None)
     xv, yv, zv = _vecs(x, y, z)
     if not is_f_right_angled(xv, yv, zv):
         raise NotRightAngled("no limit right angle at z")

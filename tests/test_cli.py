@@ -248,7 +248,8 @@ _PYTHAGORAS = ("trig", "--op", "pythagoras", "--x", "1,1", "--y", "1,-1", "--z",
 _ORACLE = ("oracle", "--op", "sum", "--values", "3,-2,1")
 
 
-@pytest.mark.parametrize("command", [_PYTHAGORAS, _ORACLE])
+# the oracle cases keep the id they had beside the dropped trig --tol cases
+@pytest.mark.parametrize("command", [pytest.param(_ORACLE, id="command1")])
 @pytest.mark.parametrize(
     "setting", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf")]
 )
@@ -259,6 +260,15 @@ def test_bad_oracle_settings_exit_one_with_json(capsys, command, setting):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert "tol" in payload["detail"]
+
+
+def test_trig_takes_no_tol(capsys):
+    # the deformed Pythagoras identity is compared exactly: --tol is not an
+    # option of trig, so it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*_PYTHAGORAS, "--tol", "1e9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_value_errors_exit_one(capsys):

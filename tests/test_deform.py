@@ -341,7 +341,7 @@ def test_converge_errors_are_the_exact_distance_rounded_once(values, limit):
     assert report.errors == tuple(float(abs(_fraction(v) - limit)) for v in vals)
 
 
-@pytest.mark.parametrize("value", [mpf("inf"), mpf("-inf")])
+@pytest.mark.parametrize("value", [mpf("inf"), mpf("-inf"), math.inf, -math.inf])
 def test_converge_reports_an_infinite_value_as_an_infinite_error(value):
     report = converge(lambda p: value, 3, p_grid=(1, 2, 4))
     assert report.errors == (math.inf,) * 3
@@ -349,9 +349,10 @@ def test_converge_reports_an_infinite_value_as_an_infinite_error(value):
 
 
 def test_converge_reports_nan_as_a_nan_error():
-    report = converge(lambda p: mpf("nan"), 3, p_grid=(1, 2, 4))
-    assert all(math.isnan(e) for e in report.errors)
-    assert not report.converged
+    for nan in (mpf("nan"), math.nan):
+        report = converge(lambda p: nan, 3, p_grid=(1, 2, 4))
+        assert all(math.isnan(e) for e in report.errors)
+        assert not report.converged
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -362,24 +363,52 @@ def test_converge_reports_an_error_beyond_float_range_as_inf(sign):
     assert not report.converged
 
 
+def _error_of_rounded(value: Fraction, limit, p: int) -> float:
+    # |value − limit| once value is rounded to nearest at 64 bits above the
+    # working precision for p, as from_rational rounds it
+    sign, man, exp, _ = from_rational(
+        value.numerator, value.denominator, _min_precision(p) + 64, round_nearest
+    )
+    return float(abs((-1) ** sign * man * Fraction(2) ** exp - limit))
+
+
 @pytest.mark.parametrize("value", [3, 2.5, q(1, 3), q(-7, 2)])
 def test_converge_takes_a_non_mpf_value_through_mpf(value):
-    # an int, float or carrier value is rounded by mpf at 64 bits above the
-    # working precision for its p, then measured exactly
+    # an int, float or carrier value is rounded as mpf rounds it, once to
+    # nearest at 64 bits above the working precision for its p, then
+    # measured exactly; the same under every carrier
     limit = q(1, 3)
     grid = (1, 8)
     report = converge(lambda p: value, limit, p_grid=grid)
-    want = []
-    for p in grid:
-        with mp.workprec(_min_precision(p) + 64):
-            want.append(float(abs(_fraction(mpf(value)) - limit)))
-    assert report.errors == tuple(want)
+    assert report.errors == tuple(_error_of_rounded(Fraction(value), limit, p) for p in grid)
 
 
-def test_converge_takes_no_plain_fraction_value():
-    # mpmath has no conversion for a plain Fraction
-    with pytest.raises(TypeError):
-        converge(lambda p: Fraction(1, 3), q(1, 3), p_grid=(1,))
+def test_converge_rounds_every_non_mpf_value_once_like_from_rational():
+    # an int, a float, a carrier, a plain Fraction and a decimal string are
+    # each read exactly, as q reads them (a float is the binary rational it
+    # stores), and rounded once: the errors of from_rational(n, d, prec + 64)
+    rng = random.Random(34)
+    grid = (1, 8, 64)
+    for _ in range(100):
+        n = rng.randrange(-(10**70), 10**70)
+        d = rng.randrange(1, 10**40)
+        f = math.ldexp(rng.random(), rng.randint(-300, 300)) * rng.choice((1, -1))
+        text = f"{rng.randrange(-(10**30), 10**30)}e{rng.randint(-60, 60)}"
+        limit = q(rng.randrange(-50, 50), rng.randrange(1, 12))
+        for value, exact in (
+            (n, Fraction(n)),
+            (f, Fraction(f)),
+            (q(n, d), Fraction(n, d)),
+            (Fraction(n, d), Fraction(n, d)),
+            (text, Fraction(text)),
+        ):
+            report = converge(lambda p: value, limit, p_grid=grid)
+            want = tuple(_error_of_rounded(exact, limit, p) for p in grid)
+            assert report.errors == want, (value, limit)
+    for zero in (0, 0.0, -0.0, "0", Fraction(0)):
+        assert converge(lambda p: zero, q(1, 3), p_grid=grid).errors == (1 / 3,) * 3
+    # a plain Fraction gives the carrier's report, under either carrier
+    assert converge(lambda p: Fraction(1, 3), q(1, 3)) == converge(lambda p: q(1, 3), q(1, 3))
 
 
 def test_p_sin_is_exact_where_the_ratio_is_one():
@@ -389,24 +418,6 @@ def test_p_sin_is_exact_where_the_ratio_is_one():
     for p in DEFAULT_P_GRID:
         assert p_sin(x, y, p) == 1
     assert converge(lambda p: p_sin(x, y, p), sin_infty(x, y)).errors == (0.0,) * 6
-
-
-def test_to_mpf_rounds_once():
-    rng = random.Random(8)
-    for p in (1, 8):
-        prec = _min_precision(p)
-        with mp.workprec(prec):
-            for _ in range(300):
-                n = rng.randrange(10**59, 10**61) * rng.choice((1, -1))
-                d = rng.randrange(1, 10**12)
-                v = q(n, d)
-                got = mpf(v)
-                want = from_rational(v.numerator, v.denominator, prec, round_nearest)
-                assert got._mpf_ == want
-                # and the result is within half an ulp of n/d
-                sign, man, exp, bits = got._mpf_
-                exact = (-1) ** sign * man * Fraction(2) ** exp
-                assert abs(exact - Fraction(n, d)) <= Fraction(2) ** (exp + bits - prec) / 2
 
 
 def _side(man: int, exp: int, a: int, b: int, k: int) -> int:

@@ -192,14 +192,14 @@ def _importers(module: str) -> set:
     return found
 
 
-def test_only_deform_the_square_trig_check_and_the_carrier_hook_import_mpmath():
+def test_only_deform_and_the_square_trig_check_import_mpmath():
     # outside deform no module builds an mpf, except the square-trig check of
-    # the public p_cos/p_sin; mpmath.mpf(x) calls the carrier's _mpmath_
+    # the public p_cos/p_sin; converge rounds a non-mpf value itself, so the
+    # carrier has no mpmath hook
     assert _importers("mpmath") == {
         ("deform", "_mpmath"),
         ("deform", "_converge"),
         ("suites", "check_square_trig"),
-        ("scalars", "_mpmath_"),
     }
 
 
@@ -434,11 +434,16 @@ def test_the_carrier_and_metric_tests_pass_under_a_stand_in_gmpy2():
     # the pair reader and _from_pair are carrier-generic: a result built by
     # QFraction's _make would fail the carrier type checks of test_carrier;
     # the search pins and the exact-check tests show that the searches'
-    # integer tables, read through _common_rows, are too
+    # integer tables, read through _common_rows, are too; and converge and
+    # the sampling parameters read a carrier value on ints, under any carrier
+    # (of test_deform only those tests run: -k keeps every test of the
+    # other files)
     done = subprocess.run(
         [sys.executable, "-c", _STAND_IN, "-q", "-p", "no:cacheprovider",
          str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py"),
-         str(TESTS / "test_search_pins.py"), str(TESTS / "test_certify.py")],
+         str(TESTS / "test_search_pins.py"), str(TESTS / "test_certify.py"),
+         str(TESTS / "test_deform.py"),
+         "-k", "not test_deform.py or converge or carrier or parameter"],
         capture_output=True, text=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )

@@ -10,7 +10,6 @@ from mpmath import mp, mpf
 import strategies
 from boxlim import (
     DEFAULT_P_GRID,
-    DEFAULT_TOL,
     AngleParam,
     alpha,
     alpha_inv,
@@ -168,16 +167,17 @@ def test_orthogonal_pairing_rejects_nonzero_inner():
 
 
 def test_pythagoras_on_a_right_triple():
-    assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2, 4, 8), tol=1e-6)
-    # tol may be an exact rational, like every other scalar input
-    assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2), tol=q(1, 100))
-    # but every p is an int
+    assert pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1, 2, 4, 8))
+    # every p is an int
     with pytest.raises(ValueError):
         pythagoras_check((2, 0), (0, -3), (0, 0), p_grid=(1.5, 2))
-    # no grid and no tol means the oracle's defaults
+    # no grid means the oracle's default grid
     assert pythagoras_check((2, 0), (0, -3), (0, 0)) == pythagoras_check(
-        (2, 0), (0, -3), (0, 0), p_grid=DEFAULT_P_GRID, tol=DEFAULT_TOL
+        (2, 0), (0, -3), (0, 0), p_grid=DEFAULT_P_GRID
     )
+    # the identity is exact, so there is no tolerance to pass
+    with pytest.raises(TypeError):
+        pythagoras_check((2, 0), (0, -3), (0, 0), tol=1e-6)
 
 
 def test_pythagoras_with_paired_cancellation():
@@ -185,7 +185,7 @@ def test_pythagoras_with_paired_cancellation():
     x = (q(3), q(2), q(0))
     y = (q(2), q(-3), q(5))
     assert inner3_limit(x, y, (0, 0, 0)) == 0
-    assert pythagoras_check(x, y, (0, 0, 0), p_grid=(1, 2, 4), tol=1e-6)
+    assert pythagoras_check(x, y, (0, 0, 0), p_grid=(1, 2, 4))
 
 
 def test_the_deformed_pythagoras_identity_is_exact_on_every_small_right_angle():
@@ -222,19 +222,20 @@ def test_pythagoras_rejects_oblique_triples():
 @pytest.mark.parametrize(
     "settings, error",
     [
-        ({"tol": float("nan")}, ValueError),
-        ({"tol": -1}, ValueError),
-        ({"tol": 0}, ValueError),
-        ({"tol": q(-1, 100)}, ValueError),
+        ({"p_grid": (1, 2.5)}, ValueError),
+        ({"p_grid": (True, 2)}, ValueError),
+        ({"p_grid": (1, "2")}, ValueError),
+        ({"p_grid": (1, 2.0)}, ValueError),
         ({"p_grid": ()}, ValueError),
         ({"p_grid": (1, MAX_P + 1)}, TooLarge),
         ({"p_grid": (1, -1)}, ValueError),
-        ({"tol": math.inf}, ValueError),
+        ({"p_grid": (1, None)}, ValueError),
     ],
 )
 def test_pythagoras_checks_its_settings_before_any_work(settings, error):
-    # the same gate as converge's; on an oblique triple it fires before the
-    # exact part could raise NotRightAngled
+    # the same grid gate as converge's: every p, a non-int p of any kind
+    # included, is checked before the first one is used; on an oblique triple
+    # it fires before the exact part could raise NotRightAngled
     with pytest.raises(error):
         pythagoras_check((2, 0), (0, -3), (0, 0), **settings)
     with pytest.raises(error):

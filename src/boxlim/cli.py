@@ -514,7 +514,10 @@ def _cmd_plot(args):
 
 
 def _p_grid(text: str) -> tuple[int, ...]:
-    grid = tuple(int(part) for part in text.split(","))
+    try:
+        grid = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        grid = ()
     if not grid or any(p < 0 for p in grid):
         raise argparse.ArgumentTypeError("p-grid must be nonnegative integers")
     return grid

@@ -44,7 +44,7 @@ import functools
 import math
 from typing import Callable, Sequence
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import (
     MAX_P,
     DegeneratePair,
@@ -534,20 +534,7 @@ class ConvergenceReport(Record):
     """Errors of a finite-p evaluator against its claimed limit along a p-grid."""
 
     __slots__ = ("p_grid", "errors", "converged", "final_error", "tol")
-
-    def __init__(
-        self,
-        p_grid: tuple[int, ...],
-        errors: tuple[float, ...],
-        converged: bool,
-        final_error: float,
-        tol: float = DEFAULT_TOL,
-    ):
-        setfield(self, "p_grid", p_grid)
-        setfield(self, "errors", errors)
-        setfield(self, "converged", converged)
-        setfield(self, "final_error", final_error)
-        setfield(self, "tol", tol)
+    _defaults = (DEFAULT_TOL,)
 
     def as_dict(self) -> dict:
         return {

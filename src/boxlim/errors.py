@@ -30,8 +30,11 @@ __all__ = [
 
 # Every p is capped: a finite-p evaluation takes an exact power x^(2p+1) and
 # a root at 64 + 16(2p+1) bits (one deformed operation on 3-vectors or a 3×3
-# matrix takes 0.04-0.08 s at p = 2048 and about 0.5 s at p = 8192 on a
-# 2-core Xeon, Python 3.11).
+# matrix whose entries have a few bits takes 0.04-0.08 s at p = 2048 and
+# about 0.5 s at p = 8192 on a 2-core Xeon, Python 3.11).  The cost grows
+# with the width of the entries, which the cap does not bound: p_sum of three
+# values with 1 000-bit numerators and denominators took 7.2 s at p = 2048
+# (ROADMAP item 20).
 MAX_P = 2048
 
 # An SVG figure of a hull or line evaluates 512 deformed samples, so its p is

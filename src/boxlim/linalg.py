@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import DimensionMismatch, EmptyList, TooLarge
 from .scalars import (
     ONE,
@@ -364,69 +364,24 @@ def _bareiss(rows: list[list[int]]) -> int:
 
 
 class PseudoFieldOps(Record):
-    """Operation bundle for a scalar carrier to be tested against the axioms."""
+    """Operation bundle for a scalar carrier to be tested against the axioms;
+    ``inv`` inverts a nonzero element."""
 
     __slots__ = ("name", "add", "mul", "neg", "inv", "zero", "one")
 
-    def __init__(
-        self,
-        name: str,
-        add: Callable,
-        mul: Callable,
-        neg: Callable,
-        inv: Callable,  # multiplicative inverse of a nonzero element
-        zero: object,
-        one: object,
-    ):
-        setfield(self, "name", name)
-        setfield(self, "add", add)
-        setfield(self, "mul", mul)
-        setfield(self, "neg", neg)
-        setfield(self, "inv", inv)
-        setfield(self, "zero", zero)
-        setfield(self, "one", one)
-
 
 class SymmetricSpaceOps(Record):
-    """Operation bundle for a vector carrier over a scalar PseudoFieldOps."""
+    """Operation bundle for a vector carrier over a scalar PseudoFieldOps;
+    ``act`` is the scalar action (λ, x) ↦ λ·x."""
 
     __slots__ = ("name", "field", "vadd", "vneg", "act", "vzero")
-
-    def __init__(
-        self,
-        name: str,
-        field: PseudoFieldOps,
-        vadd: Callable,
-        vneg: Callable,
-        act: Callable,  # scalar action (λ, x) -> λ·x
-        vzero: object,
-    ):
-        setfield(self, "name", name)
-        setfield(self, "field", field)
-        setfield(self, "vadd", vadd)
-        setfield(self, "vneg", vneg)
-        setfield(self, "act", act)
-        setfield(self, "vzero", vzero)
 
 
 class AxiomReport(Record):
     """Outcome of an axiom suite; carries the first counterexample if any."""
 
     __slots__ = ("name", "passed", "samples", "failed_axiom", "witness")
-
-    def __init__(
-        self,
-        name: str,
-        passed: bool,
-        samples: int,
-        failed_axiom: str | None = None,
-        witness: tuple | None = None,
-    ):
-        setfield(self, "name", name)
-        setfield(self, "passed", passed)
-        setfield(self, "samples", samples)
-        setfield(self, "failed_axiom", failed_axiom)
-        setfield(self, "witness", witness)
+    _defaults = (None, None)
 
     def __bool__(self) -> bool:
         return self.passed

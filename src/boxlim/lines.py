@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import ClassVar, Sequence
 
 from ._certify import FREE, SEARCH_STAGES, Certifier, by_value, ratio
-from ._record import Record, setfield
+from ._record import Record
 from .errors import (
     DegenerateConfiguration,
     DegeneratePair,
@@ -69,10 +69,6 @@ class LineForm(Record):
         "lower_form(coeffs, z) <= constant <= upper_form(coeffs, z)"
     )
 
-    def __init__(self, coeffs: Vec, constant: ScalarQ):
-        setfield(self, "coeffs", coeffs)
-        setfield(self, "constant", constant)
-
 
 class HalfLine(Record):
     """Points offset + t·direction for t ≥ t_min (supports are disjoint);
@@ -83,12 +79,8 @@ class HalfLine(Record):
     """
 
     __slots__ = ("offset", "direction", "sense")
+    _defaults = (1,)
     t_min: ClassVar[ScalarQ] = ONE
-
-    def __init__(self, offset: Vec, direction: Vec, sense: int = 1):
-        setfield(self, "offset", offset)
-        setfield(self, "direction", direction)
-        setfield(self, "sense", sense)
 
     def _param(self, t: ScalarLike) -> ScalarQ:
         t = _carrier(t)
@@ -112,10 +104,7 @@ class LineMembership(Record):
     """Outcome of the nD membership search; NotFound is advisory only."""
 
     __slots__ = ("found", "certificate")
-
-    def __init__(self, found: bool, certificate: tuple | None = None):
-        setfield(self, "found", found)
-        setfield(self, "certificate", certificate)
+    _defaults = (None,)
 
     def __bool__(self) -> bool:
         return self.found

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import DimensionMismatch, NegativeRadius
 from .scalars import ScalarLike, ScalarQ, ZERO, _Q, _as_exact, _carrier, _from_pair, _pair
-from .linalg import Vec, _vecs, vec
+from .linalg import _vecs, vec
 
 __all__ = [
     "Fixed",
@@ -68,33 +68,18 @@ class Fixed(Record):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: ScalarQ):
-        setfield(self, "value", value)
-
 
 class Free(Record):
     """Ball coordinate free within [−bound, bound]; bound equals the radius."""
 
     __slots__ = ("bound",)
 
-    def __init__(self, bound: ScalarQ):
-        setfield(self, "bound", bound)
-
 
 class BallDescriptor(Record):
-    """Exact coordinatewise description of a closed ball of d⊞."""
+    """Exact coordinatewise description of a closed ball of d⊞; ``coords``
+    holds one ``Fixed`` or ``Free`` per coordinate."""
 
     __slots__ = ("center", "radius", "coords")
-
-    def __init__(
-        self,
-        center: Vec,
-        radius: ScalarQ,
-        coords: tuple,  # per-coordinate Fixed(value) | Free(bound)
-    ):
-        setfield(self, "center", center)
-        setfield(self, "radius", radius)
-        setfield(self, "coords", coords)
 
 
 def ball_describe(x: Sequence[ScalarLike], alpha: ScalarLike) -> BallDescriptor:

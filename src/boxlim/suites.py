@@ -11,12 +11,10 @@ declared once, by :func:`_suite`, which registers it in ``SUITES``.
 
 from __future__ import annotations
 
-import functools
-import inspect
 from time import perf_counter
 from typing import Callable
 
-from ._record import Record, setfield
+from ._record import Record, compile_function
 from .cplane import (
     cconj,
     cmod_infty,
@@ -111,15 +109,6 @@ class CheckResult(Record):
 
     __slots__ = ("name", "passed", "samples", "detail", "elapsed")
 
-    def __init__(
-        self, name: str, passed: bool, samples: int, detail: str, elapsed: float
-    ):
-        setfield(self, "name", name)
-        setfield(self, "passed", passed)
-        setfield(self, "samples", samples)
-        setfield(self, "detail", detail)
-        setfield(self, "elapsed", elapsed)
-
     def __bool__(self) -> bool:
         return self.passed
 
@@ -164,33 +153,28 @@ def _suite(
 
     The body takes the problem list, a :class:`Sampler` on the seed if there
     is one, and its sizes; it appends a text per failed check and returns its
-    sample count and success detail.  The check takes the sizes, then ``seed``.
+    sample count and success detail.  The check is a plain function of the
+    body's sizes, with their defaults, then ``seed``.
     """
 
     def register(body: Callable[..., tuple[int, str]]) -> Callable[..., CheckResult]:
-        params = list(inspect.signature(body).parameters.values())
-        if seed is None:
-            params = params[1:]
-        else:
-            params = params[2:] + [inspect.Parameter(
-                "seed", inspect.Parameter.POSITIONAL_OR_KEYWORD, default=seed,
-                annotation=int,
-            )]
-        signature = inspect.Signature(params, return_annotation=CheckResult)
-
-        @functools.wraps(body)
-        def check(*args, **kwargs) -> CheckResult:
-            sizes = signature.bind(*args, **kwargs).arguments
+        def run(*args) -> CheckResult:
             t0 = perf_counter()
             problems: list[str] = []
-            if seed is None:
-                samples, ok_detail = body(problems, **sizes)
-            else:
-                sampler = Sampler(sizes.pop("seed", seed))
-                samples, ok_detail = body(problems, sampler, **sizes)
+            samples, ok_detail = body(problems, *args)
             return _finish(name, t0, samples, problems, ok_detail, budget)
 
-        check.__signature__ = signature
+        code = body.__code__
+        sizes = code.co_varnames[1 if seed is None else 2:code.co_argcount]
+        params, args, defaults = sizes, sizes, body.__defaults__ or ()
+        if seed is not None:
+            params, args = (*sizes, "seed"), ("Sampler(seed)", *sizes)
+            defaults = (*defaults, seed)
+        check = compile_function(
+            body.__name__, params, f"return run({', '.join(args)})",
+            {"__name__": __name__, "run": run, "Sampler": Sampler}, defaults,
+        )
+        check.__doc__ = body.__doc__
         check.seed = seed
         check.quick = quick or {}
         SUITES[name] = check

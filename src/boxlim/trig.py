@@ -66,10 +66,7 @@ class OrthogonalPartition(Record):
     leftover index whose product is 0."""
 
     __slots__ = ("pairs", "leftover")
-
-    def __init__(self, pairs: tuple, leftover: int | None = None):
-        setfield(self, "pairs", pairs)
-        setfield(self, "leftover", leftover)
+    _defaults = (None,)
 
 
 def orthogonal_pairing(

@@ -271,6 +271,15 @@ def test_trig_takes_no_tol(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["1,x", "", "1,,2"], ids=["word", "empty", "gap"])
+@pytest.mark.parametrize("command", [_ORACLE, _PYTHAGORAS], ids=["oracle", "trig"])
+def test_a_malformed_p_grid_is_a_usage_error(capsys, command, grid):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--p-grid", grid])
+    assert exc.value.code == 2
+    assert "p-grid must be nonnegative integers" in capsys.readouterr().err
+
+
 def test_value_errors_exit_one(capsys):
     code, _, err = run(capsys, "eval", "--nary", "not-a-number")
     assert code == 1

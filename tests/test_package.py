@@ -248,7 +248,7 @@ def test_the_cli_and_its_handler_modules_load_neither_dataclasses_nor_inspect():
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import boxlim.cli, boxlim.metric, boxlim.hull, boxlim.lines, boxlim.trig\n"
-        "import boxlim.cplane, boxlim.maxplus\n"
+        "import boxlim.cplane, boxlim.maxplus, boxlim.suites\n"
         "added = set(sys.modules) - before\n"
         "print(json.dumps(sorted(added & {'dataclasses', 'inspect'})))"
     ))

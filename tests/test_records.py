@@ -2,6 +2,7 @@
 the checks their constructors make."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -162,6 +163,64 @@ def test_keyword_construction_and_defaults():
     assert BoxComplex(im=2, re=1) == BoxComplex(1, 2)
     assert CheckResult(name="a", passed=False, samples=0, detail="", elapsed=0.0).line() \
         == "FAIL a:  [0.00s]"
+
+
+_ = inspect.Parameter.empty
+
+# each constructor's parameters, in order, with their defaults (_: none)
+CONSTRUCTORS = {
+    "BoxComplex": {"re": _, "im": _},
+    "ConvergenceReport": {
+        "p_grid": _, "errors": _, "converged": _, "final_error": _, "tol": 1e-6,
+    },
+    "HullCombination": {"t": _, "r": _, "s": _, "w": _},
+    "PseudoFieldOps": {
+        "name": _, "add": _, "mul": _, "neg": _, "inv": _, "zero": _, "one": _,
+    },
+    "SymmetricSpaceOps": {
+        "name": _, "field": _, "vadd": _, "vneg": _, "act": _, "vzero": _,
+    },
+    "AxiomReport": {
+        "name": _, "passed": _, "samples": _, "failed_axiom": None, "witness": None,
+    },
+    "LineForm": {"coeffs": _, "constant": _},
+    "HalfLine": {"offset": _, "direction": _, "sense": 1},
+    "LineMembership": {"found": _, "certificate": None},
+    "MSym": {"sign": _, "logmag": ZERO},
+    "Fixed": {"value": _},
+    "Free": {"bound": _},
+    "BallDescriptor": {"center": _, "radius": _, "coords": _},
+    "CheckResult": {"name": _, "passed": _, "samples": _, "detail": _, "elapsed": _},
+    "OrthogonalPartition": {"pairs": _, "leftover": None},
+    "AngleParam": {"theta": _},
+}
+
+
+def test_every_record_type_has_its_constructor_pinned():
+    assert set(CONSTRUCTORS) == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_each_constructor_keeps_its_parameters_in_order(name):
+    params = inspect.signature(type(EXAMPLES[name]())).parameters
+    assert list(params) == list(CONSTRUCTORS[name])
+    assert {k: p.default for k, p in params.items()} == CONSTRUCTORS[name]
+    assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_each_constructor_rejects_bad_arguments(name):
+    value = EXAMPLES[name]()
+    cls, fields, values = type(value), value.__slots__, value._values(value)
+    assert cls(*values) == value
+    with pytest.raises(TypeError, match="missing 1 required"):
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError, match="positional argument"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*values, bogus=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{fields[0]}'"):
+        cls(*values, **{fields[0]: values[0]})
 
 
 def test_constructors_convert_and_validate():

@@ -21,6 +21,10 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
+    "axioms": (
+        "AxiomReport", "check_pseudo_field_axioms", "check_symmetric_space_axioms",
+        "real_vector_space",
+    ),
     "cplane": (
         "BoxComplex", "cconj", "cinv", "cmod_infty", "cplus", "cplx", "ctimes",
         "from_polar", "on_unit_square", "polar",
@@ -39,9 +43,8 @@ _EXPORTS = {
         "dist_decomposition_check",
     ),
     "linalg": (
-        "AxiomReport", "check_pseudo_field_axioms", "check_symmetric_space_axioms",
-        "det_infty", "inner_infty", "mat", "nary_vec_boxplus", "norm_infty",
-        "real_vector_space", "scale", "vec", "vec_boxplus",
+        "det_infty", "inner_infty", "mat", "nary_vec_boxplus", "norm_infty", "scale",
+        "vec", "vec_boxplus",
     ),
     "lines": (
         "HalfLine", "LineForm", "LineMembership", "half_lines", "hyperplane_form",

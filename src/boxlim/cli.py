@@ -43,7 +43,8 @@ from .scalars import (
     smile_plus,
 )
 
-# Only the modules above load with the parser; each handler imports its own
+# Only the modules above load with the parser, and a call builds the parser
+# of its own subcommand alone (``build_parser``); each handler imports its own
 # layer.  No handler builds an mpf, so mpmath loads only with the square-trig
 # suite.
 
@@ -534,15 +535,7 @@ def _add_common(sp: argparse.ArgumentParser, formats=("json", "csv", "svg"),
                         help="read missing vector/matrix inputs from a JSON object")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="boxlim",
-        description="Exact limit algebra: idempotent sums, ultrametric "
-        "geometry, square trigonometry, and their finite-p oracles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eval", help="scalar limit operations")
+def _args_eval(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--nary", metavar="CSV", help="n-ary limit sum of a list")
     sp.add_argument("--boxplus", metavar="A,B", help="binary limit sum")
     sp.add_argument("--boxminus", metavar="A,B", help="limit difference")
@@ -551,27 +544,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inner", metavar="X;Y", help="limit inner product")
     sp.add_argument("--norm", metavar="CSV", help="limit norm")
     _add_common(sp, formats=("json", "csv"))
-    sp.set_defaults(handler=_cmd_eval)
 
-    sp = sub.add_parser("det", help="limit determinant")
+
+def _args_det(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--matrix", metavar="R1;R2;...", help="rows, comma-separated")
     _add_common(sp, formats=("json", "csv"))
-    sp.set_defaults(handler=_cmd_det)
 
-    sp = sub.add_parser("dist", help="limit ultrametric distance")
+
+def _args_dist(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x", metavar="CSV")
     sp.add_argument("--y", metavar="CSV")
     _add_common(sp, formats=("json", "csv"))
-    sp.set_defaults(handler=_cmd_dist)
 
-    sp = sub.add_parser("ball", help="closed-ball descriptor")
+
+def _args_ball(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--center", metavar="CSV")
     sp.add_argument("--radius", metavar="Q")
     sp.add_argument("--z", metavar="CSV", help="also test membership of z")
     _add_common(sp, formats=("json", "svg"))
-    sp.set_defaults(handler=_cmd_ball)
 
-    sp = sub.add_parser("hull", help="two-point hull: sample, test, draw")
+
+def _args_hull(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x", metavar="CSV")
     sp.add_argument("--y", metavar="CSV")
     sp.add_argument("--contains", metavar="CSV", help="test membership of a point")
@@ -582,9 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="deformation level for SVG (default %(default)s, at most "
                     f"{MAX_FIGURE_P})")
     _add_common(sp)
-    sp.set_defaults(handler=_cmd_hull)
 
-    sp = sub.add_parser("line", help="limit lines and hyperplanes")
+
+def _args_line(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("action",
                     choices=("equation", "contains", "parallel", "halflines",
                              "plot"))
@@ -600,9 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="deformation level for SVG (default %(default)s, at most "
                     f"{MAX_FIGURE_P})")
     _add_common(sp)
-    sp.set_defaults(handler=_cmd_line)
 
-    sp = sub.add_parser("trig", help="square trigonometry")
+
+def _args_trig(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pcos", metavar="THETA")
     sp.add_argument("--psin", metavar="THETA")
     sp.add_argument("--angle-of", metavar="CSV", dest="angle_of",
@@ -616,9 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-grid", type=_p_grid, dest="p_grid", metavar="CSV",
                     help=f"deformation levels, each at most {MAX_P}")
     _add_common(sp, formats=("json", "csv"))
-    sp.set_defaults(handler=_cmd_trig)
 
-    sp = sub.add_parser("complex", help="limit complex arithmetic")
+
+def _args_complex(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--times", metavar="A,B;C,D")
     sp.add_argument("--plus", metavar="A,B;C,D")
     sp.add_argument("--mod", metavar="A,B")
@@ -627,10 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--polar", metavar="A,B")
     sp.add_argument("--from-polar", metavar="M;THETA", dest="from_polar")
     _add_common(sp, formats=("json", "csv"))
-    sp.set_defaults(handler=_cmd_complex)
 
-    sp = sub.add_parser("maxplus", help="symmetrized max-plus arithmetic "
-                        "(literals: '-inf', '3/2', '3/2+ipi')")
+
+def _args_maxplus(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--add", metavar="Z,W")
     sp.add_argument("--mul", metavar="Z,W")
     sp.add_argument("--neg", metavar="Z")
@@ -638,9 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nary", metavar="Z1,Z2,...")
     sp.add_argument("--dist", metavar="Z1,Z2;W1,W2")
     _add_common(sp, formats=("json",))
-    sp.set_defaults(handler=_cmd_maxplus)
 
-    sp = sub.add_parser("oracle", help="finite-p convergence report")
+
+def _args_oracle(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--op", required=True, choices=_ORACLE_OPS)
     sp.add_argument("--values", metavar="CSV")
     sp.add_argument("--x", metavar="CSV")
@@ -650,17 +642,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"deformation levels, each at most {MAX_P}")
     sp.add_argument("--tol", type=float)
     _add_common(sp, formats=("json",))
-    sp.set_defaults(handler=_cmd_oracle)
 
-    sp = sub.add_parser("suite", help="verification suites")
+
+def _args_suite(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("name", choices=SUITE_NAMES + ("all",))
     sp.add_argument("--seed", type=int, help="override the sampling seed")
     sp.add_argument("--quick", action="store_true",
                     help="reduced sample sizes for a fast smoke run")
     _add_common(sp, formats=("text", "json"), inputs=False)
-    sp.set_defaults(handler=_cmd_suite)
 
-    sp = sub.add_parser("plot", help="render a figure as SVG")
+
+def _args_plot(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--figure", required=True, choices=FIGURE_NAMES)
     sp.add_argument("--x", metavar="CSV")
     sp.add_argument("--y", metavar="CSV")
@@ -673,8 +665,52 @@ def build_parser() -> argparse.ArgumentParser:
                     help="deformation level (default %(default)s, at most "
                     f"{MAX_FIGURE_P})")
     _add_common(sp, formats=("svg",))
-    sp.set_defaults(handler=_cmd_plot)
 
+
+# name -> (help, the function that adds its arguments, handler), in the
+# order that the help and the usage line list them
+_COMMANDS = {
+    "eval": ("scalar limit operations", _args_eval, _cmd_eval),
+    "det": ("limit determinant", _args_det, _cmd_det),
+    "dist": ("limit ultrametric distance", _args_dist, _cmd_dist),
+    "ball": ("closed-ball descriptor", _args_ball, _cmd_ball),
+    "hull": ("two-point hull: sample, test, draw", _args_hull, _cmd_hull),
+    "line": ("limit lines and hyperplanes", _args_line, _cmd_line),
+    "trig": ("square trigonometry", _args_trig, _cmd_trig),
+    "complex": ("limit complex arithmetic", _args_complex, _cmd_complex),
+    "maxplus": ("symmetrized max-plus arithmetic "
+                "(literals: '-inf', '3/2', '3/2+ipi')", _args_maxplus, _cmd_maxplus),
+    "oracle": ("finite-p convergence report", _args_oracle, _cmd_oracle),
+    "suite": ("verification suites", _args_suite, _cmd_suite),
+    "plot": ("render a figure as SVG", _args_plot, _cmd_plot),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone if it names one.
+
+    A subcommand's argv parses to the same namespace, and writes the same
+    help and errors, under either parser.  The parser of one subcommand
+    names the full choice list as its metavar, so the top-level usage line
+    that its errors print stays the same.  The full parser sets none: argparse
+    names the action by its metavar in the "required" and "invalid choice"
+    errors, which only the full parser writes.
+    """
+    chosen = [command] if command in _COMMANDS else list(_COMMANDS)
+    parser = argparse.ArgumentParser(
+        prog="boxlim",
+        description="Exact limit algebra: idempotent sums, ultrametric "
+        "geometry, square trigonometry, and their finite-p oracles.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None,
+    )
+    for name in chosen:
+        text, add_arguments, handler = _COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        add_arguments(sp)
+        sp.set_defaults(handler=handler)
     return parser
 
 
@@ -704,10 +740,9 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(
-        sys.argv[1:] if argv is None else argv
-    ))
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv else None)
+    args = parser.parse_args(argv)
     try:
         _apply_file(args)
         forms = _forms(args)

@@ -14,8 +14,8 @@ import math
 from typing import Sequence
 
 from ._record import Record, setfield
+from .axioms import PseudoFieldOps, SymmetricSpaceOps
 from .errors import DimensionMismatch, EmptyList, InvalidCombination
-from .linalg import PseudoFieldOps, SymmetricSpaceOps
 from .scalars import ZERO, ScalarLike, _as_exact, _carrier, _levels, q
 
 __all__ = [

@@ -15,6 +15,7 @@ from time import perf_counter
 from typing import Callable
 
 from ._record import Record, compile_function
+from .axioms import check_pseudo_field_axioms, check_symmetric_space_axioms
 from .cplane import (
     cconj,
     cmod_infty,
@@ -37,11 +38,7 @@ from .deform import (
 )
 from .errors import DegenerateConfiguration
 from .hull import HullCombination, co_point
-from .linalg import (
-    check_pseudo_field_axioms,
-    check_symmetric_space_axioms,
-    det_infty,
-)
+from .linalg import det_infty
 from .lines import (
     line2d_form,
     line_contains_2d,

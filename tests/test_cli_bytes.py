@@ -1,5 +1,6 @@
 """The CLI's bytes, pinned: one sha256 over (argv, exit status, stdout,
-stderr) for a corpus of invocations.
+stderr) for a corpus of invocations, and a second one over the help texts
+and usage errors.
 
 The corpus holds every ``boxlim …`` command in README.md, each handler
 branch in every format it prints, each missing-input error, one ``--out``
@@ -10,10 +11,13 @@ and rendering, smaller samples. A change to any byte the CLI writes for
 these invocations changes the digest.
 """
 
+import argparse
 import hashlib
 import json
 
-from boxlim.cli import main
+import pytest
+
+from boxlim.cli import _merge_negative_values, build_parser, main
 
 README = [
     ("eval", "--nary", "-3,-2,3,3,1,-3"),
@@ -167,3 +171,61 @@ def test_the_corpus_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         json.dumps({"x": ["3", "-2", "1"], "y": ["1", "-1", "1"]})
     )
     assert corpus_digest(capsys) == DIGEST
+
+
+# Every help text, and each kind of usage error: the ones argparse writes
+# while it picks the subcommand, the ones a subcommand's own parser writes,
+# and main's --format check, which prints the top-level usage line.
+COMMANDS = ("eval", "det", "dist", "ball", "hull", "line", "trig", "complex",
+            "maxplus", "oracle", "suite", "plot")
+USAGE = [
+    (),
+    ("--help",),
+    *((name, "--help") for name in COMMANDS),
+    ("nosuch",),
+    ("--",),
+    ("--", "det", "--matrix", "3,1;1,-2"),
+    ("det", "--matrix", "3,1;1,-2", "extra"),
+    ("det", "--matrix", "3,1;1,-2", "--format", "svg"),
+    ("hull", "--x", "3,1", "--y", "1,-2", "--contains", "3,0", "--format", "svg"),
+    ("line", "orthogonal"),
+    ("oracle", "--values", "3,1"),
+]
+
+# computed when each call began to build only its own subcommand's parser,
+# from the parser that built all twelve
+USAGE_DIGEST = "6f946de59480f64cb86158184eb36e6bc0ab2bb3a29460ed78d8347b59d2b792"
+
+
+def usage_digest(capsys) -> str:
+    h = hashlib.sha256()
+    for argv in USAGE:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        record = [list(argv), exc.value.code, *capsys.readouterr()]
+        h.update(json.dumps(record).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_the_help_and_usage_error_bytes_are_pinned(monkeypatch, capsys):
+    # argparse wraps its text at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_digest(capsys) == USAGE_DIGEST
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_subcommand_parser_built_alone_matches_the_full_build(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, alone = build_parser(), build_parser(name)
+    assert tuple(_subparsers(full)) == COMMANDS
+    assert list(_subparsers(alone)) == [name]
+    assert _subparsers(alone)[name].format_help() == _subparsers(full)[name].format_help()
+    assert alone.format_usage() == full.format_usage()
+    argv = _merge_negative_values(next(a for a in CORPUS if a[0] == name))
+    assert alone.parse_args(argv) == full.parse_args(argv)

@@ -49,9 +49,10 @@ from boxlim import (
     vec,
     vec_boxplus,
 )
+from boxlim.axioms import REAL_PSEUDO_FIELD, PseudoFieldOps
 from boxlim.deform import p_matvec
 from boxlim.errors import DegeneratePair, DimensionMismatch
-from boxlim.linalg import DET_PATHS, REAL_PSEUDO_FIELD, PseudoFieldOps, _level_tally
+from boxlim.linalg import DET_PATHS, _level_tally
 from boxlim.metric import f_limit_check
 from boxlim.sampling import Sampler, det_gap_ok, gap_ok
 from boxlim.scalars import ScalarQ

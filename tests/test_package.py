@@ -45,7 +45,7 @@ EAGER_ALL = set("""
 
 # the submodules that the eager `import boxlim` bound on the package
 EAGER_SUBMODULES = {
-    "_certify", "cplane", "deform", "errors", "hull", "linalg", "lines", "maxplus",
+    "_certify", "axioms", "cplane", "deform", "errors", "hull", "linalg", "lines", "maxplus",
     "metric", "sampling", "scalars", "suites", "svgfig", "trig",
 }
 
@@ -129,6 +129,21 @@ print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 ])
 def test_exact_subcommands_load_no_finite_p_module(argv):
     assert json.loads(_python(_PROBE, json.dumps(argv))) == [0, []]
+
+
+def test_a_scalar_call_makes_no_record_type():
+    # a record type compiles its constructor when its class is made, and no
+    # CLI path reads the axiom bundles
+    code, loaded = json.loads(_python(
+        "import contextlib, io, json, sys\n"
+        "from boxlim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['eval', '--boxplus', '3,1'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('boxlim'))]))"
+    ))
+    assert code == 0
+    assert "boxlim.linalg" in loaded
+    assert not {"boxlim.axioms", "boxlim._record"} & set(loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,15 +449,15 @@ def test_the_carrier_and_metric_tests_pass_under_a_stand_in_gmpy2():
     # the pair reader and _from_pair are carrier-generic: a result built by
     # QFraction's _make would fail the carrier type checks of test_carrier;
     # the search pins and the exact-check tests show that the searches'
-    # integer tables, read through _common_rows, are too; and converge and
-    # the sampling parameters read a carrier value on ints, under any carrier
-    # (of test_deform only those tests run: -k keeps every test of the
-    # other files)
+    # integer tables, read through _common_rows, are too; converge and the
+    # sampling parameters read a carrier value on ints, under any carrier;
+    # and the CLI writes the same bytes (of test_deform only those tests run:
+    # -k keeps every test of the other files)
     done = subprocess.run(
         [sys.executable, "-c", _STAND_IN, "-q", "-p", "no:cacheprovider",
          str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py"),
          str(TESTS / "test_search_pins.py"), str(TESTS / "test_certify.py"),
-         str(TESTS / "test_deform.py"),
+         str(TESTS / "test_deform.py"), str(TESTS / "test_cli_bytes.py"),
          "-k", "not test_deform.py or converge or carrier or parameter"],
         capture_output=True, text=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(SRC)),

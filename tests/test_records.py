@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 from boxlim._record import Record
+from boxlim.axioms import REAL_PSEUDO_FIELD, AxiomReport, SymmetricSpaceOps
 from boxlim.cplane import BoxComplex
 from boxlim.deform import ConvergenceReport
 from boxlim.errors import InvalidCombination
 from boxlim.hull import HullCombination
-from boxlim.linalg import REAL_PSEUDO_FIELD, AxiomReport, SymmetricSpaceOps
 from boxlim.lines import HalfLine, LineForm, LineMembership
 from boxlim.maxplus import MSym
 from boxlim.metric import BallDescriptor, Fixed, Free, ball_describe

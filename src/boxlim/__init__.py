@@ -11,8 +11,7 @@ certifies numerically.
 ``import boxlim`` loads no submodule: each public name and each submodule is
 imported on first access (PEP 562).  Inside the package every finite-p
 value stays a raw integer tuple, so mpmath loads only when a public
-``mpmath.mpf`` is built: by a ``p_*`` or sampler of ``deform``, or by the
-square-trig suite's check of ``p_cos``/``p_sin``.
+``mpmath.mpf`` is built, by a ``p_*`` or sampler of ``deform``.
 """
 
 import importlib

@@ -45,8 +45,7 @@ from .scalars import (
 
 # Only the modules above load with the parser, and a call builds the parser
 # of its own subcommand alone (``build_parser``); each handler imports its own
-# layer.  No handler builds an mpf, so mpmath loads only with the square-trig
-# suite.
+# layer.  No handler builds an mpf, so none loads mpmath.
 
 __all__ = ["main"]
 
@@ -456,16 +455,13 @@ def _cmd_maxplus(args):
 
 def _cmd_oracle(args):
     # the raw kernels of the p_* and converge's error loop: no mpf is built
-    from .deform import _ORACLE, _converge
+    from .deform import _oracle
 
     op = args.op
     names = {"sum": ("values",), "norm": ("x",), "det": ("matrix",)}.get(op, ("x", "y"))
     texts = _need(args, f"oracle --op {op}", *names)
     inputs = tuple(mat(t.split(";")) if op == "det" else vec(t) for t in texts)
-    kernel, limit = _ORACLE[op]
-    report = _converge(
-        lambda p: kernel(*inputs, p), limit(*inputs), args.p_grid, args.tol
-    ).as_dict()
+    report = _oracle(op, inputs, args.p_grid, args.tol).as_dict()
     # an error too large for a float is inf, which JSON does not have
     report["error"] = [e if math.isfinite(e) else None for e in report["error"]]
     return report

@@ -16,12 +16,14 @@ root, and an exact ±1 or 0 comes out exact.
 Vector and matrix inputs are read in place; only integer rows are built
 (``linalg._integer_rows``), never a carrier per entry.
 
-Each public ``p_*`` and sampler is a wrapper over a private kernel with the
-same arguments that returns raw values; the wrapper builds the
-``mpmath.mpf`` (``_mpf``), and mpmath loads with the first public mpf,
-never with this module.  Inside the package values stay raw: ``_ORACLE``
-pairs each oracle kernel with its limit for ``converge``'s error loop
-(``_converge``), and ``_float`` reads a raw value as a float.
+Each public ``p_*`` wraps a private kernel with the same arguments that
+returns raw values, and both samplers wrap ``_p_samples``, one raw point per
+parameter; the wrapper builds the ``mpmath.mpf`` (``_mpf``).  ``_mpmath`` is
+the package's one mpmath import, so mpmath loads with the first public mpf,
+never with this module.  Inside the package values stay raw: ``_oracle``
+runs an ``_ORACLE`` op, a kernel paired with its limit, through
+``converge``'s error loop (``_converge``), and ``_float`` reads a raw value
+as a float.
 
 Every root is one rounding of an integer quotient to the working precision
 (round-to-nearest, ties to even, the float mpmath's ``from_rational`` gives)
@@ -474,16 +476,7 @@ def co_p_sample(
     Coordinates are φ_p^{-1}(t^(2p+1) φ_p(x_i) + (1 − t^(2p+1)) φ_p(y_i)).
     t is a rational, int, string, float or mpf, read exactly.
     """
-    return tuple(map(_mpf, _co_p_sample(x, y, p, t)))
-
-
-def _co_p_sample(
-    x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int, t
-) -> tuple[Raw, ...]:
-    t = _param(t)
-    if not 0 <= t <= 1:
-        raise ValueError("t must lie in [0, 1]")
-    return _p_sample(x, y, *_power(p), t, "hull")
+    return tuple(map(_mpf, _p_samples(x, y, p, (t,), "hull")[0]))
 
 
 def line_p_sample(
@@ -491,27 +484,31 @@ def line_p_sample(
 ) -> tuple:
     """Point of the deformed line through x, y with coefficients (s, 1 ⊟_p s),
     for s a rational, int, string, float or mpf, read exactly."""
-    return tuple(map(_mpf, _line_p_sample(x, y, p, s)))
+    return tuple(map(_mpf, _p_samples(x, y, p, (s,), "line")[0]))
 
 
-def _line_p_sample(
-    x: Sequence[ScalarLike], y: Sequence[ScalarLike], p: int, s
-) -> tuple[Raw, ...]:
-    return _p_sample(x, y, *_power(p), _param(s), "line")
+def _p_samples(x, y, p: int, params, what: str) -> list[tuple[Raw, ...]]:
+    """The raw points with coefficients (s, 1 ⊟_p s), one per s in params,
+    on the deformed hull (``what`` = "hull", each s in [0, 1]) or line.
 
-
-def _p_sample(x, y, k: int, prec: int, s: ScalarQ, what: str) -> tuple[Raw, ...]:
-    # φ_p^{-1}(s^k x_i^k + (1 − s^k) y_i^k) per coordinate, k = 2p+1: with
-    # s = n/d and one common scale f taking x, y to integers a, b, the root
-    # of (n^k a_i^k + (d^k − n^k) b_i^k) / (d^k f^k)
+    The parameters are read first, then p, then x and y, each once.
+    """
+    params = [_param(s) for s in params]
+    if what == "hull" and not all(0 <= t <= 1 for t in params):
+        raise ValueError("t must lie in [0, 1]")
+    k, prec = _power(p)
+    # φ_p^{-1}(s^k x_i^k + (1 − s^k) y_i^k) per coordinate: with s = n/d and
+    # one common scale f taking x, y to integers a, b, the root of
+    # (n^k a_i^k + (d^k − n^k) b_i^k) / (d^k f^k)
     (a, b), f = _common_rows(x, y)
     if a == b:
         raise DegeneratePair(f"{what} sampling needs two distinct points")
-    nk, dk = s.numerator**k, s.denominator**k
-    return tuple(
-        _root(nk * u**k + (dk - nk) * v**k, dk * f**k, k, prec)
-        for u, v in zip(a, b)
-    )
+    powers = [(u**k, v**k) for u, v in zip(a, b)]
+    fk = f**k
+    return [
+        tuple(_root(nk * u + (dk - nk) * v, dk * fk, k, prec) for u, v in powers)
+        for nk, dk in [(s.numerator**k, s.denominator**k) for s in params]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +567,13 @@ def converge(
     TooLarge if a p exceeds MAX_P.
     """
 
-    def raw(p: int) -> Raw:
+    def raw(p: int) -> Raw | float:
         val = evaluator(p)
         r = getattr(val, "_mpf_", None)
-        if r is not None:
+        if r is not None and (r[1] or not r[2]):
             return r
-        if isinstance(val, float) and not math.isfinite(val):
-            mp = _mpmath()[0]
-            return (mp.nan if val != val else mp.inf if val > 0 else mp.ninf)._mpf_
+        if r is not None or isinstance(val, float) and not math.isfinite(val):
+            return float(val)  # ±inf or nan (man = 0 with exp ≠ 0 in an mpf)
         v = _as_exact(val)
         # the first root of a rounded quotient is exact: n/d rounded once
         return _root(int(v.numerator), int(v.denominator), 1, _min_precision(p) + 64)
@@ -585,13 +581,23 @@ def converge(
     return _converge(raw, limit, p_grid, tol)
 
 
+def _oracle(
+    op: str, inputs: tuple, p_grid: Sequence[int] | None, tol: float | None
+) -> ConvergenceReport:
+    """The report of one ``_ORACLE`` op on its inputs: the limit is taken
+    first, then the settings are checked, then the kernel runs."""
+    kernel, limit = _ORACLE[op]
+    return _converge(lambda p: kernel(*inputs, p), limit(*inputs), p_grid, tol)
+
+
 def _converge(
-    evaluator: Callable[[int], Raw],
+    evaluator: Callable[[int], Raw | float],
     limit: ScalarLike,
     p_grid: Sequence[int] | None,
     tol: float | None,
 ) -> ConvergenceReport:
-    """``converge`` for an evaluator of raw values, such as a kernel."""
+    """``converge`` for an evaluator of raw values, such as a kernel, or of
+    ±inf and nan as floats."""
     grid, tol = _settings(p_grid, tol)
     lim = q(limit)
     n, d = int(lim.numerator), int(lim.denominator)
@@ -599,13 +605,12 @@ def _converge(
     errors = []
     ranked = []  # the errors with rounding noise counted as 0
     for p in grid:
-        sign, man, exp, bc = evaluator(p)
-        if not man and exp:  # ±inf or nan, which only an mpf can hold
-            from mpmath.libmp import to_float
-
-            errors.append(abs(to_float((sign, man, exp, bc))))
+        val = evaluator(p)
+        if isinstance(val, float):  # ±inf or nan, from converge's reader
+            errors.append(abs(val))
             ranked.append(errors[-1])
             continue
+        sign, man, exp, _ = val
         # |val − n/d| = num / den, with den = d·2^max(0, −exp)
         man = -man if sign else man
         if exp >= 0:

@@ -27,14 +27,12 @@ from .cplane import (
 )
 from .deform import (
     DEFAULT_TOL,
-    _ORACLE,
-    _converge,
     _float,
-    _line_p_sample,
-    _min_precision,
+    _oracle,
+    _p_cos,
+    _p_samples,
+    _p_sin,
     exact_power_sum_is_zero,
-    p_cos,
-    p_sin,
 )
 from .errors import DegenerateConfiguration
 from .hull import HullCombination, co_point
@@ -325,8 +323,7 @@ def check_convergence(
     total = 0
     for op, inputs in draws():
         total += 1
-        kernel, limit = _ORACLE[op]
-        report = _converge(lambda p: kernel(*inputs, p), limit(*inputs), None, None)
+        report = _oracle(op, inputs, None, None)
         worst = max(worst, report.final_error)
         if not report.converged:
             problems.append(f"{op} sample with final error {report.final_error:.3g}")
@@ -515,7 +512,7 @@ def check_pythagoras(
 
 
 _SQUARE_TRIG_P_GRID = (1, 2, 4, 8)
-_SQUARE_TRIG_TOL = 1e-9
+_SQUARE_TRIG_TOL = _as_exact(1e-9)  # the binary double nearest 10^-9, read exactly
 
 
 @_suite("square-trig", seed=1207,
@@ -560,19 +557,18 @@ def check_square_trig(
     def nonzero_vec2():
         return s.reject(lambda: s.vector(2), lambda v: any(v))
 
-    # the only mpf arithmetic of the suites: keep mpmath off their import
-    from mpmath import mp, mpf
-
-    worst = 0.0
+    worst = ZERO
     for _ in range(pairs):
         x, y = nonzero_vec2(), nonzero_vec2()
         for p in _SQUARE_TRIG_P_GRID:
-            k = 2 * p + 1
-            with mp.workprec(_min_precision(p)):
-                c = p_cos(x, y, p)
-                sn = p_sin(x, y, p)
-                r = (c ** (2 * k) + sn ** (2 * k)) ** (mpf(1) / k)
-                err = float(abs(r - 1))
+            n = 2 * (2 * p + 1)
+            _, mc, ec, _ = _p_cos(x, y, p)
+            _, ms, es, _ = _p_sin(x, y, p)
+            # E = cos_p^n + sin_p^n − 1 = num / 2^shift on the raw values,
+            # exactly; it bounds the error of the (2p+1)-th root of 1 + E
+            shift = -min(n * ec, n * es, 0)
+            num = (mc**n << n * ec + shift) + (ms**n << n * es + shift) - (1 << shift)
+            err = q(abs(num), 1 << shift)
             worst = max(worst, err)
             if err > _SQUARE_TRIG_TOL:
                 problems.append(f"deformed circle identity at ({x},{y}), p={p}")
@@ -580,7 +576,7 @@ def check_square_trig(
 
     return theta_samples + roundtrips + pairs, (
         f"{theta_samples} boundary identities, {roundtrips} round-trips, "
-        f"deformed circle within {worst:.3g} <= {_SQUARE_TRIG_TOL:g}"
+        f"deformed circle within {float(worst):.3g} <= {float(_SQUARE_TRIG_TOL):g}"
     )
 
 
@@ -721,7 +717,8 @@ def check_lines(
         if not _line_sample_ok(x, y, coeff, form):
             continue
         checked += 1
-        zq = tuple(_as_exact(_float(v)) for v in _line_p_sample(x, y, _LINE_P, coeff))
+        (z,) = _p_samples(x, y, _LINE_P, (coeff,), "line")
+        zq = tuple(_as_exact(_float(v)) for v in z)
         low, up = lower_form(form.coeffs, zq), upper_form(form.coeffs, zq)
         c = form.constant
         if not (low <= c + _LINE_SLACK and c <= up + _LINE_SLACK):

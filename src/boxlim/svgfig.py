@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .deform import _co_p_sample, _float, _line_p_sample
+from .deform import _float, _p_samples
 from .errors import MAX_FIGURE_P, DimensionMismatch, TooLarge
 from .hull import co_point
 from .linalg import vec
@@ -191,9 +191,8 @@ def figure_hull(x, y, p: int = 6) -> str:
     xv, yv = _pair2d(x, y)
     _check_figure_p(p)
     n = CURVE_SAMPLES
-    curve = [
-        tuple(map(_float, _co_p_sample(xv, yv, p, q(i, n - 1)))) for i in range(n)
-    ]
+    ts = [q(i, n - 1) for i in range(n)]
+    curve = [tuple(map(_float, pt)) for pt in _p_samples(xv, yv, p, ts, "hull")]
     limit = [co_point(xv, yv, (q(i, 384), ZERO, ONE, ZERO)) for i in range(384)]
     limit += [co_point(xv, yv, (ONE, ZERO, q(i, 127), ZERO)) for i in range(128)]
     c = _Canvas(*_bounds(list(curve) + [xv, yv]))
@@ -243,10 +242,8 @@ def figure_line(x, y, p: int = 6) -> str:
     xv, yv = _pair2d(x, y)
     _check_figure_p(p)
     n = CURVE_SAMPLES
-    curve = [
-        tuple(map(_float, _line_p_sample(xv, yv, p, q(-3) + q(6) * q(i, n - 1))))
-        for i in range(n)
-    ]
+    ss = [q(-3) + q(6) * q(i, n - 1) for i in range(n)]
+    curve = [tuple(map(_float, pt)) for pt in _p_samples(xv, yv, p, ss, "line")]
     limit = []
     for i in range(170):
         s = q(-169 + 2 * i, 170)  # inside (-1, 1)

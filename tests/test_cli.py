@@ -262,6 +262,23 @@ def test_bad_oracle_settings_exit_one_with_json(capsys, command, setting):
     assert "tol" in payload["detail"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("--op", "det", "--matrix", "1,2;3,4,5", "--p-grid", "5000"),
+     {"error": "DimensionMismatch", "detail": "matrix must be square"}),
+    (("--op", "det", "--matrix", "1,2;3,4", "--p-grid", "5000"),
+     {"error": "TooLarge", "detail": f"p limited to p <= {MAX_P}, got 5000"}),
+    (("--op", "sin", "--x", "1,2,3", "--y", "1,0,0", "--tol", "-1"),
+     {"error": "DimensionMismatch", "detail": "limit sine lives in dimension 2"}),
+], ids=["limit-before-grid", "grid", "limit-before-tol"])
+def test_the_oracle_checks_the_limit_then_the_settings(capsys, argv, error):
+    # the limit is taken before the p-grid and tol are checked, and those
+    # before the first finite-p value
+    code, out, err = run(capsys, "oracle", *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == error
+
+
 def test_trig_takes_no_tol(capsys):
     # the deformed Pythagoras identity is compared exactly: --tol is not an
     # option of trig, so it is a usage error

@@ -926,6 +926,11 @@ def test_a_non_finite_mpf_parameter_raises_from_its_tuple(bad):
         deform._param(bad)
 
 
+def _one_sample(what: str):
+    # the raw point of one parameter, from the sampler over many
+    return lambda x, y, p, s: deform._p_samples(x, y, p, (s,), what)[0]
+
+
 def _wrapped_kernels(rng: random.Random, p: int) -> list:
     # every public finite-p function with the raw kernel it wraps, on one
     # seeded input each
@@ -942,8 +947,8 @@ def _wrapped_kernels(rng: random.Random, p: int) -> list:
         (p_cos, deform._p_cos, (x, y, p)),
         (p_sin, deform._p_sin, (x[:2], y[:2], p)),
         (p_sin, deform._p_sin, ((8, -4), (2, 4), p)),  # exactly 0
-        (co_p_sample, deform._co_p_sample, (x, y, p, t)),
-        (line_p_sample, deform._line_p_sample, (x, y, p, s)),
+        (co_p_sample, _one_sample("hull"), (x, y, p, t)),
+        (line_p_sample, _one_sample("line"), (x, y, p, s)),
     ]
 
 

@@ -176,10 +176,11 @@ def test_a_suite_without_mpf_arithmetic_loads_no_mpmath():
     ["suite", "pythagoras", "--quick"],
     ["suite", "convergence", "--quick"],
     ["suite", "lines", "--quick"],
+    ["suite", "all", "--quick"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_the_finite_p_consumers_read_raw_values_and_load_no_mpmath(argv):
-    # the Pythagoras check compares integer power sums, and the figures, the
-    # oracle suite and the lines suite read deform's raw kernels
+    # the Pythagoras check compares integer power sums, and the figures and
+    # the oracle, square-trig and lines suites read deform's raw kernels
     code, loaded = json.loads(_python(_PROBE, json.dumps(argv)))
     assert code == 0
     assert "boxlim.deform" in loaded
@@ -207,15 +208,11 @@ def _importers(module: str) -> set:
     return found
 
 
-def test_only_deform_and_the_square_trig_check_import_mpmath():
-    # outside deform no module builds an mpf, except the square-trig check of
-    # the public p_cos/p_sin; converge rounds a non-mpf value itself, so the
-    # carrier has no mpmath hook
-    assert _importers("mpmath") == {
-        ("deform", "_mpmath"),
-        ("deform", "_converge"),
-        ("suites", "check_square_trig"),
-    }
+def test_only_deform_mpmath_imports_mpmath():
+    # no other module builds or reads an mpf: the square-trig check reads the
+    # raw kernels, converge passes an infinite or nan value on as a float and
+    # rounds any other non-mpf value itself, so the carrier has no mpmath hook
+    assert _importers("mpmath") == {("deform", "_mpmath")}
 
 
 def test_every_module_level_import_is_used():
@@ -451,14 +448,17 @@ def test_the_carrier_and_metric_tests_pass_under_a_stand_in_gmpy2():
     # the search pins and the exact-check tests show that the searches'
     # integer tables, read through _common_rows, are too; converge and the
     # sampling parameters read a carrier value on ints, under any carrier;
-    # and the CLI writes the same bytes (of test_deform only those tests run:
-    # -k keeps every test of the other files)
+    # the finite-p values keep their bits; and the CLI and the quick suite
+    # runs write the same bytes (of test_deform only those tests run: -k
+    # keeps every test of the other files)
     done = subprocess.run(
         [sys.executable, "-c", _STAND_IN, "-q", "-p", "no:cacheprovider",
          str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py"),
          str(TESTS / "test_search_pins.py"), str(TESTS / "test_certify.py"),
          str(TESTS / "test_deform.py"), str(TESTS / "test_cli_bytes.py"),
-         "-k", "not test_deform.py or converge or carrier or parameter"],
+         str(TESTS / "test_suites.py"),
+         "-k", "not test_deform.py or converge or carrier or parameter "
+               "or keep_their_bits"],
         capture_output=True, text=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )

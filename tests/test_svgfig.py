@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from boxlim import FIGURES, render_figure
+from boxlim import FIGURES, deform, render_figure
 from boxlim.errors import MAX_FIGURE_P, TooLarge
 
 
@@ -53,6 +53,17 @@ def test_deformed_figure_bytes_are_pinned(name, p, digest):
     # a change to the deformed samplers that moves a drawn point shows here
     svg = render_figure(name, x="3,1", y="1,-2", p=p)
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["hull", "line"])
+def test_a_deformed_figure_reads_its_two_points_once(monkeypatch, name):
+    # all 512 curve samples come from one call of the sampler, which scales
+    # x and y to integers once
+    calls = []
+    scale = deform._common_rows
+    monkeypatch.setattr(deform, "_common_rows", lambda *v: calls.append(v) or scale(*v))
+    render_figure(name, x="3,1", y="1,-2", p=6)
+    assert len(calls) == 1
 
 
 def test_svg_structure_and_viewport():

@@ -16,7 +16,11 @@ carrier, so every result is the carrier under either one.  The kernel
 (``boxplus``, Ϝ, the smiles, the symmetric forms) reads each input as its
 canonical pair (``_pair``), compares magnitudes as |n_a|·d_b against
 |n_b|·d_a, and returns a carrier input as it is or builds the result from
-its pair (``_from_pair``), so the same code serves every carrier.
+its pair (``_from_pair``), so the same code serves every carrier.  The
+symmetric forms compare the products a_i·x_i as unreduced pairs and build
+only the survivor, cross-cancelled into its canonical pair (``_times``); the
+complex plane and the square angle maps (``cplane``, ``trig``) run on
+canonical pairs the same way.
 
 Ϝ's tally is one kernel that every layer calls: ``_levels`` ({level: net
 count} of signed items: int magnitudes, canonical pairs or log-magnitudes)
@@ -636,26 +640,42 @@ def smile_plus(values: Sequence[ScalarLike]) -> ScalarQ:
     return _smile(values, False)
 
 
-def _products(a: Sequence[ScalarLike], x: Sequence[ScalarLike]) -> list:
-    """The products a_i·x_i, one carrier each, multiplied on the pairs."""
-    av = [_pair(v) for v in a]
-    xv = [_pair(v) for v in x]
+def _times(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """The canonical pair of (na/da)·(nb/db) for canonical pairs: each
+    numerator is cross-cancelled against the other denominator first."""
+    g1 = gcd(na, db)
+    g2 = gcd(nb, da)
+    return (na // g1) * (nb // g2), (da // g2) * (db // g1)
+
+
+def _form(a: Sequence[ScalarLike], x: Sequence[ScalarLike], lower: bool) -> ScalarQ:
+    """⌣ over the products a_i·x_i, compared as unreduced pairs; only the
+    survivor is built."""
+    av = [(v.numerator, v.denominator) if type(v) is _Q else _pair(v) for v in a]
+    xv = [(v.numerator, v.denominator) if type(v) is _Q else _pair(v) for v in x]
     if len(av) != len(xv):
         raise DimensionMismatch(f"coefficients dim {len(av)} vs vector dim {len(xv)}")
-    out = []
-    for (na, da), (nb, db) in zip(av, xv):
-        # cross-cancel first: the product of canonical pairs is then canonical
-        g1 = gcd(na, db)
-        g2 = gcd(nb, da)
-        out.append(_from_pair((na // g1) * (nb // g2), (da // g2) * (db // g1)))
-    return out
+    best, best_m, best_d = -1, 0, 1
+    for i, ((na, da), (nb, db)) in enumerate(zip(av, xv)):
+        n = na * nb
+        d = da * db
+        m = n if n >= 0 else -n
+        u = m * best_d
+        w = best_m * d
+        if u > w or (u == w and (n < 0 if lower else n > 0)) or best < 0:
+            best, best_m, best_d = i, m, d
+    if best < 0:
+        raise EmptyList("smile of an empty list")
+    if not best_m:
+        return ZERO
+    return _from_pair(*_times(*av[best], *xv[best]))
 
 
 def lower_form(a: Sequence[ScalarLike], x: Sequence[ScalarLike]) -> ScalarQ:
     """Lower symmetric form: ⌣⁻ over the products a_i·x_i."""
-    return smile_minus(_products(a, x))
+    return _form(a, x, True)
 
 
 def upper_form(a: Sequence[ScalarLike], x: Sequence[ScalarLike]) -> ScalarQ:
     """Upper symmetric form: ⌣⁺ over the products a_i·x_i."""
-    return smile_plus(_products(a, x))
+    return _form(a, x, False)

@@ -28,6 +28,7 @@ from .cplane import (
 from .deform import (
     DEFAULT_TOL,
     _float,
+    _min_precision,
     _oracle,
     _p_cos,
     _p_samples,
@@ -512,7 +513,6 @@ def check_pythagoras(
 
 
 _SQUARE_TRIG_P_GRID = (1, 2, 4, 8)
-_SQUARE_TRIG_TOL = _as_exact(1e-9)  # the binary double nearest 10^-9, read exactly
 
 
 @_suite("square-trig", seed=1207,
@@ -525,8 +525,18 @@ def check_square_trig(
     pairs: int = 200,
 ) -> tuple[int, str]:
     """Square cosine/sine laws: boundary identity, period 8, angle
-    round-trips, and the deformed unit-circle identity within 1e-9 at
-    p = 1, 2, 4, 8."""
+    round-trips, and the deformed unit-circle identity at p = 1, 2, 4, 8
+    within the rounding bound of deform's working precision.
+
+    The bound on E = c^n + s^n − 1 for c = cos_p, s = sin_p, n = 2(2p+1)
+    is n·2^(1−prec), prec = ``_min_precision(p)``.  Exactly, c^n + s^n = 1
+    (Lagrange's identity in dimension 2: (Σ x_i^k y_i^k)² +
+    (x₁^k y₂^k − y₁^k x₂^k)² = N_x N_y).  ``_ratio_root`` rounds the ratio
+    c^n to nearest at prec, c^n(1 + δ₁), and then its n-th root to nearest
+    at prec, c(1 + δ₁)^(1/n)(1 + δ₂), with |δ_i| ≤ 2^−prec.  The computed
+    c^n is then c^n(1 + δ₁)(1 + δ₂)^n, and the same holds for s, so
+    |E| ≤ (n + 1)·2^−prec + O(n²·2^−2prec) < n·2^(1−prec) for n ≥ 2.
+    """
     for i in range(theta_samples):
         theta = s.rational(-20, 20, den=8)
         c, sn = pcos(theta), psin(theta)
@@ -568,15 +578,16 @@ def check_square_trig(
             # exactly; it bounds the error of the (2p+1)-th root of 1 + E
             shift = -min(n * ec, n * es, 0)
             num = (mc**n << n * ec + shift) + (ms**n << n * es + shift) - (1 << shift)
-            err = q(abs(num), 1 << shift)
-            worst = max(worst, err)
-            if err > _SQUARE_TRIG_TOL:
+            # |E| / (n·2^(1−prec))
+            ratio = q(abs(num) << _min_precision(p) - 1, n << shift)
+            worst = max(worst, ratio)
+            if ratio > 1:
                 problems.append(f"deformed circle identity at ({x},{y}), p={p}")
                 break
 
     return theta_samples + roundtrips + pairs, (
         f"{theta_samples} boundary identities, {roundtrips} round-trips, "
-        f"deformed circle within {float(worst):.3g} <= {float(_SQUARE_TRIG_TOL):g}"
+        f"deformed circle |E| <= {float(worst):.3g} x n*2^(1-prec)"
     )
 
 

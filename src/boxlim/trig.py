@@ -4,7 +4,9 @@ The three-point inner form decides right angles in the limit algebra; for
 orthogonal pairs it comes with an explicit cancellation pairing and an exact
 Pythagorean identity.  Angles live on the boundary of the sup-norm unit
 square, parameterized by a period-8 piecewise-linear coordinate with its own
-cosine and sine.
+cosine and sine.  The angle maps run on canonical ``(numerator,
+denominator)`` pairs: θ is reduced once, one segment table gives both
+cosine and sine, and a carrier is built only for a returned value.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from .errors import (
     NotRightAngled,
     ZeroVector,
 )
-from .linalg import Vec, _common_rows, _vecs, det_infty, inner_infty, norm_infty, vec
+from .linalg import Vec, _common_rows, _pair_rows, _vecs, det_infty, inner_infty, norm_infty
 from .metric import dist_boxplus
-from .scalars import ONE, ScalarLike, ScalarQ, _Q, _from_pair, _nary, _pair
+from .scalars import ScalarLike, ScalarQ, _Q, _from_pair, _nary, _pair
+
+_new = object.__new__
 
 __all__ = [
     "AngleParam",
@@ -180,71 +184,86 @@ class AngleParam(Record):
         setfield(self, "theta", _reduce8(theta))
 
 
-def _reduce8(theta: ScalarLike) -> ScalarQ:
+def _angle(theta: ScalarQ) -> AngleParam:
+    """An AngleParam from a carrier already in [0, 8), stored as it is."""
+    a = _new(AngleParam)
+    setfield(a, "theta", theta)
+    return a
+
+
+def _reduced(theta: ScalarLike) -> tuple[int, int]:
     """θ − 8·⌊θ/8⌋ over the integers: for θ = n/d, n mod 8d over d, which
     needs no gcd because gcd(n mod 8d, d) = gcd(n, d) = 1."""
     n, d = _pair(theta)
-    r = n % (8 * d)
-    return theta if r == n and type(theta) is _Q else _from_pair(r, d)
+    return n % (8 * d), d
+
+
+def _reduce8(theta: ScalarLike) -> ScalarQ:
+    """θ − 8·⌊θ/8⌋ as the carrier; θ itself when it is a carrier in [0, 8)."""
+    n, d = _reduced(theta)
+    return theta if type(theta) is _Q and n == theta.numerator else _from_pair(n, d)
+
+
+def _segment(n: int, d: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The canonical (cos, sin) pairs of the square at t = n/d, a canonical
+    pair with 0 ≤ n < 8d.  Each side of the square is one segment of length
+    2 in t; every value is ±1 or k ± t, and gcd(kd ± n, d) = gcd(n, d) = 1."""
+    if n < d:
+        return (1, 1), (n, d)
+    if n < 3 * d:
+        return (2 * d - n, d), (1, 1)
+    if n < 5 * d:
+        return (-1, 1), (4 * d - n, d)
+    if n < 7 * d:
+        return (n - 6 * d, d), (-1, 1)
+    return (1, 1), (n - 8 * d, d)
+
+
+def _segment_of(theta) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``_segment`` at an AngleParam's angle or at a scalar θ, reduced once."""
+    return _segment(*_reduced(theta.theta if isinstance(theta, AngleParam) else theta))
 
 
 def pcos(theta: ScalarLike) -> ScalarQ:
     """Period-8 piecewise-linear cosine of the square."""
-    return _cos8(_reduce8(theta))
+    return _from_pair(*_segment(*_reduced(theta))[0])
 
 
 def psin(theta: ScalarLike) -> ScalarQ:
     """Period-8 piecewise-linear sine of the square."""
-    return _sin8(_reduce8(theta))
+    return _from_pair(*_segment(*_reduced(theta))[1])
 
 
-def _cos8(t: ScalarQ) -> ScalarQ:
-    """``pcos`` of a t already reduced into [0, 8)."""
-    if t < 1:
-        return ONE
-    if t < 3:
-        return 2 - t
-    if t < 5:
-        return -ONE
-    if t < 7:
-        return t - 6
-    return ONE
-
-
-def _sin8(t: ScalarQ) -> ScalarQ:
-    """``psin`` of a t already reduced into [0, 8)."""
-    if t < 1:
-        return t
-    if t < 3:
-        return ONE
-    if t < 5:
-        return 4 - t
-    if t < 7:
-        return -ONE
-    return t - 8
+def _boundary_angle(un: int, ud: int, vn: int, vd: int) -> ScalarQ:
+    """The angle in [0, 8) of a point (u, v) of the unit-square boundary,
+    from canonical pairs; each side's formula is already in [0, 8) and
+    canonical, as in ``_segment``."""
+    if un == ud == 1 and vn >= 0:
+        return _from_pair(vn, vd)  # v
+    if vn == vd == 1:
+        return _from_pair(2 * ud - un, ud)  # 2 − u
+    if un == -1 and ud == 1:
+        return _from_pair(4 * vd - vn, vd)  # 4 − v
+    if vn == -1 and vd == 1:
+        return _from_pair(6 * ud + un, ud)  # 6 + u
+    # remaining: u = 1 with -1 < v < 0
+    return _from_pair(8 * vd + vn, vd)  # 8 + v
 
 
 def alpha(z: Sequence[ScalarLike]) -> AngleParam:
     """Angle of a point on the unit-square boundary (max(|z₁|, |z₂|) = 1)."""
-    zv = vec(z)
-    if len(zv) != 2:
+    (zp,) = _pair_rows((z,), False)
+    if len(zp) != 2:
         raise DimensionMismatch("angles live in dimension 2")
-    z1, z2 = zv
-    if max(abs(z1), abs(z2)) != 1:
+    (un, ud), (vn, vd) = zp
+    # max(|u|, |v|) = 1: one coordinate is ±1 and the other is at most 1
+    if not ((ud == 1 and (un == 1 or un == -1) and -vd <= vn <= vd)
+            or (vd == 1 and (vn == 1 or vn == -1) and -ud <= un <= ud)):
         raise NotOnUnitSquare("point is not on the unit-square boundary")
-    if z1 == 1 and 0 <= z2 <= 1:
-        return AngleParam(z2)
-    if z2 == 1:
-        return AngleParam(2 - z1)
-    if z1 == -1:
-        return AngleParam(4 - z2)
-    if z2 == -1:
-        return AngleParam(6 + z1)
-    # remaining: z1 == 1 with -1 < z2 < 0
-    return AngleParam(8 + z2)
+    return _angle(_boundary_angle(un, ud, vn, vd))
 
 
 def alpha_inv(theta) -> Vec:
     """Inverse angle map: the boundary point (pcos θ, psin θ), θ reduced once."""
-    t = theta.theta if isinstance(theta, AngleParam) else _reduce8(theta)
-    return (_cos8(t), _sin8(t))
+    c, s = _segment_of(theta)
+    return (_from_pair(*c), _from_pair(*s))

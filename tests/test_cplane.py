@@ -1,12 +1,17 @@
 """Limit complex arithmetic: the product ⊠, modulus, polar decomposition."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 import strategies
+from test_trig import _cos_definition, _sin_definition
 from boxlim import (
     AngleParam,
+    alpha,
     alpha_inv,
+    boxminus,
     boxplus,
     cconj,
     cinv,
@@ -20,6 +25,7 @@ from boxlim import (
     q,
 )
 from boxlim.errors import ZeroArgument
+from boxlim.scalars import ScalarQ
 
 rationals = strategies.rationals(-6, 6, 6).map(q)
 complexes = st.tuples(rationals, rationals).map(lambda p: cplx(*p))
@@ -96,3 +102,62 @@ def test_unit_square_closure_under_the_product(theta):
 def test_from_polar_matches_the_boundary_map(theta):
     z = from_polar(1, theta)
     assert (z.re, z.im) == alpha_inv(theta)
+
+
+# ---------------------------------------------------------------------------
+# the pair-level functions against their carrier-arithmetic definitions
+
+
+@st.composite
+def tied_pairs(draw):
+    """Two complex numbers a+ib, c+id, as the carrier or as Fraction, whose
+    products tie in magnitude: |ac| = |bd|, or |ad| = |bc|, or both."""
+    a, b, c, d = (draw(rationals) for _ in range(4))
+    tie = draw(st.sampled_from(("real", "imag", "both")))
+    sign = draw(st.sampled_from((1, -1)))
+    if tie == "both":  # |a| = |b| and |c| = |d|
+        b, d = sign * a, draw(st.sampled_from((1, -1))) * c
+    elif b and tie == "real":
+        d = sign * a * c / b
+    elif a and tie == "imag":
+        d = sign * b * c / a
+    conv = draw(st.sampled_from((q, Fraction)))
+    return cplx(conv(a), conv(b)), cplx(conv(c), conv(d))
+
+
+def _ctimes_definition(z, w):
+    a, b, c, d = z.re, z.im, w.re, w.im
+    return cplx(boxminus(a * c, b * d), boxplus(a * d, b * c))
+
+
+def _parts_are_carriers(z):
+    return type(z.re) is ScalarQ and type(z.im) is ScalarQ
+
+
+@given(st.one_of(tied_pairs(), st.tuples(complexes, complexes)))
+def test_ctimes_equals_its_definition_on_ties(zw):
+    z, w = zw
+    for u, v in ((z, w), (w, z), (z, cconj(z)), (z, z)):
+        got = ctimes(u, v)
+        assert got == _ctimes_definition(u, v)
+        assert _parts_are_carriers(got)
+
+
+@given(st.one_of(tied_pairs().map(lambda zw: zw[0]), complexes))
+def test_modulus_conjugate_and_polar_equal_their_definitions(z):
+    m = cmod_infty(z)
+    assert m == max(abs(z.re), abs(z.im)) and type(m) is ScalarQ
+    assert on_unit_square(z) is (m == 1)
+    conj = cconj(z)
+    assert conj == cplx(z.re, -z.im) and _parts_are_carriers(conj)
+    if m:
+        modulus, theta = polar(z)
+        assert (modulus, theta) == (m, alpha((z.re / m, z.im / m)))
+        assert type(modulus) is ScalarQ and type(theta.theta) is ScalarQ
+
+
+@given(rationals, angles, st.sampled_from((q, Fraction, AngleParam)))
+def test_from_polar_equals_its_definition(m, theta, conv):
+    z = from_polar(m, conv(theta))
+    assert z == cplx(m * _cos_definition(theta), m * _sin_definition(theta))
+    assert _parts_are_carriers(z)

@@ -406,6 +406,31 @@ def test_the_certificate_searches_run_on_integer_rows():
     assert _calls(co_contains, {"_vecs"}) == []
 
 
+def test_the_complex_plane_and_the_square_angle_run_on_pairs():
+    # ⊠, the modulus, conjugation, the polar form and its inverse, the square
+    # angle maps and the symmetric forms decide on canonical pairs and build
+    # a carrier only for what they return: they and the private helpers they
+    # call (the input reader _pair aside) make no carrier-level kernel call
+    # and build no record through its converting __init__
+    defs = {}
+    for module in ("cplane", "trig", "scalars"):
+        tree = ast.parse((SRC / "boxlim" / f"{module}.py").read_text(encoding="utf-8"))
+        defs.update((f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef))
+    todo = ["ctimes", "cmod_infty", "on_unit_square", "cconj", "polar", "from_polar",
+            "alpha", "alpha_inv", "pcos", "psin", "lower_form", "upper_form"]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen and name != "_pair":
+            seen.add(name)
+            todo += [n.func.id for n in ast.walk(defs[name])
+                     if isinstance(n, ast.Call) and getattr(n.func, "id", None) in defs]
+    assert {"_times", "_segment", "_form", "_sum_of_products", "_box", "_angle"} <= seen
+    forbidden = {"boxplus", "boxminus", "_carrier", "vec", "q", "smile_minus",
+                 "smile_plus", "BoxComplex", "AngleParam"}
+    assert {name: _calls(defs[name], forbidden) for name in seen} == dict.fromkeys(seen, [])
+
+
 def test_every_layer_tallies_with_the_one_kernel():
     # Ϝ's tally is scalars._levels and scalars._nary_ints: the certificate
     # check, the max-plus mirror, the gap filter and the residual set call
@@ -449,16 +474,21 @@ def test_the_carrier_and_metric_tests_pass_under_a_stand_in_gmpy2():
     # integer tables, read through _common_rows, are too; converge and the
     # sampling parameters read a carrier value on ints, under any carrier;
     # the finite-p values keep their bits; and the CLI and the quick suite
-    # runs write the same bytes (of test_deform only those tests run: -k
-    # keeps every test of the other files)
+    # runs write the same bytes; the complex plane and the square angle
+    # maps read .numerator under mpq too (of test_deform and test_trig only
+    # those tests run: -k keeps every test of the other files)
     done = subprocess.run(
         [sys.executable, "-c", _STAND_IN, "-q", "-p", "no:cacheprovider",
          str(TESTS / "test_carrier.py"), str(TESTS / "test_metric.py"),
          str(TESTS / "test_search_pins.py"), str(TESTS / "test_certify.py"),
          str(TESTS / "test_deform.py"), str(TESTS / "test_cli_bytes.py"),
-         str(TESTS / "test_suites.py"),
-         "-k", "not test_deform.py or converge or carrier or parameter "
-               "or keep_their_bits"],
+         str(TESTS / "test_suites.py"), str(TESTS / "test_cplane.py"),
+         str(TESTS / "test_trig.py"),
+         "-k", "not (test_deform.py or test_trig.py) "
+               "or (test_deform.py and (converge or carrier or parameter "
+               "or keep_their_bits)) "
+               "or (test_trig.py and (reduction or pcos or unit_square or period "
+               "or roundtrip or mod_eight or alpha or segment))"],
         capture_output=True, text=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )

@@ -295,6 +295,28 @@ def test_symmetric_form_sandwich(pair):
     assert lower_form(coeffs, values) <= f <= upper_form(coeffs, values)
 
 
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(strategies.rationals(-4, 4, 4), min_size=n, max_size=n),
+        st.lists(st.sampled_from(strategies.TIES), min_size=n, max_size=n),
+        st.sampled_from((q, Fraction, str)),
+    )
+))
+def test_the_forms_equal_the_smiles_over_the_carrier_products(case):
+    # the forms compare the unreduced product pairs and build only the
+    # survivor; tie-heavy factors make products of equal magnitude common
+    coeffs, values, conv = case
+    a, x = [conv(v) for v in coeffs], [conv(v) for v in values]
+    products = [q(c) * q(v) for c, v in zip(coeffs, values)]
+    for form, smile in ((lower_form, smile_minus), (upper_form, smile_plus)):
+        if not products:
+            with pytest.raises(EmptyList):
+                form(a, x)
+            continue
+        got = form(a, x)
+        assert got == smile(products) and type(got) is ScalarQ
+
+
 # ---------------------------------------------------------------------------
 # the fallback carrier (a Fraction subclass with integer fast paths)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +107,70 @@ def test_alpha_rejects_off_boundary_points():
         alpha((q(1, 2), q(1, 2)))
     with pytest.raises(DimensionMismatch):
         alpha((1, 0, 0))
+
+
+def test_alpha_reads_every_entry_before_it_checks_the_dimension():
+    # the float 1/2 is rejected as it is read, before the length is seen
+    with pytest.raises(TypeError, match="no exact rational from float"):
+        alpha((1, 1 / 2, 1.5))
+
+
+# the square trigonometry written with carrier comparisons, as the
+# definitions that the pair-level segment table must reproduce
+
+
+def _reduced_definition(theta):
+    return q(theta) - 8 * math.floor(q(theta) / 8)
+
+
+def _cos_definition(theta):
+    t = _reduced_definition(theta)
+    return 1 if t < 1 else 2 - t if t < 3 else -1 if t < 5 else t - 6 if t < 7 else 1
+
+
+def _sin_definition(theta):
+    t = _reduced_definition(theta)
+    return t if t < 1 else 1 if t < 3 else 4 - t if t < 5 else -1 if t < 7 else t - 8
+
+
+def _alpha_definition(z):
+    z1, z2 = vec(z)
+    if z1 == 1 and 0 <= z2 <= 1:
+        return AngleParam(z2)
+    if z2 == 1:
+        return AngleParam(2 - z1)
+    if z1 == -1:
+        return AngleParam(4 - z2)
+    if z2 == -1:
+        return AngleParam(6 + z1)
+    return AngleParam(8 + z2)
+
+
+@given(st.one_of(angles, st.integers(-16, 16).map(q), st.just(q(0))),
+       st.sampled_from((q, Fraction, str)))
+def test_the_segment_table_equals_the_piecewise_definition(theta, conv):
+    c, s = pcos(conv(theta)), psin(conv(theta))
+    assert (c, s) == (_cos_definition(theta), _sin_definition(theta))
+    assert alpha_inv(conv(theta)) == alpha_inv(AngleParam(theta)) == (c, s)
+    assert all(type(v) is ScalarQ for v in (c, s, *alpha_inv(theta)))
+
+
+@given(strategies.rationals(-1, 1, 8), st.integers(0, 3),
+       st.sampled_from((q, Fraction, str)))
+def test_alpha_equals_the_piecewise_definition(u, side, conv):
+    z = tuple(map(conv, ((1, u), (u, 1), (-1, u), (u, -1))[side]))
+    got = alpha(z)
+    assert got == _alpha_definition(z)
+    assert type(got.theta) is ScalarQ and 0 <= got.theta < 8
+
+
+@given(strategies.rationals(-2, 2, 4), strategies.rationals(-2, 2, 4))
+def test_alpha_rejects_exactly_the_points_off_the_boundary(u, v):
+    if max(abs(u), abs(v)) == 1:
+        assert alpha((u, v)) == _alpha_definition((u, v))
+    else:
+        with pytest.raises(NotOnUnitSquare):
+            alpha((u, v))
 
 
 # ---------------------------------------------------------------------------
